@@ -1,14 +1,30 @@
 #!/usr/bin/env python3
-"""Compare the compiled and pure-Python kernel lanes on the two hot loops.
+"""Compare the compiled and pure-Python kernel lanes on the two hot loops,
+then the engine's streaming row space against the batch elimination path.
 
 Run from a checkout where the package is installed:
 
     python benchmarks/bench_kernels.py
+
+The second table times one field of `compute_wcdim` (one enumeration fed
+into a row space that stops at full rank) against enumerating the sets,
+assembling the whole difference system and eliminating it with `rank` and
+`nullspace_basis`, in the active kernel lane; both must give the same rank
+and basis.
 """
 
 import random
 import time
 
+from wellcovered import (
+    KERNEL_IMPLEMENTATION,
+    FieldSpec,
+    build_difference_system,
+    compute_wcdim,
+    enumerate_mis,
+    nullspace_basis,
+    rank,
+)
 from wellcovered import _kernels_py
 from wellcovered.graphs import random_graph
 
@@ -84,5 +100,29 @@ def main():
         print(row)
 
 
+def batch_path(g, f):
+    diff = build_difference_system(enumerate_mis(g))
+    return rank(diff, f), nullspace_basis(diff, f)
+
+
+def row_space_path(g, f):
+    report = compute_wcdim(g, f)
+    return report.diff_rank, list(report.basis)
+
+
+def main_paths():
+    print(f"\n{'elimination path (' + KERNEL_IMPLEMENTATION + ' lane)':44} "
+          f"{'batch':>12} {'row space':>12}   speedup")
+    for n, seed in [(40, 7), (50, 11)]:
+        g = random_graph(n, 0.3, seed)
+        for f in (FieldSpec(0), FieldSpec(2), FieldSpec(10007)):
+            label = f"rank + basis, n={n} random graph, {f}"
+            _, old_dt, old = bench(label, lambda: batch_path(g, f), repeats=3)
+            _, new_dt, new = bench(label, lambda: row_space_path(g, f), repeats=3)
+            assert old == new, f"paths disagree on {label}"
+            print(f"{label:44} {old_dt * 1e3:10.2f}ms {new_dt * 1e3:10.2f}ms   {old_dt / new_dt:6.1f}x")
+
+
 if __name__ == "__main__":
     main()
+    main_paths()

@@ -13,11 +13,20 @@ from .engine import (
     build_difference_system,
     build_sum_system,
     compute_wcdim,
+    compute_wcdim_fields,
     is_well_covered_weighting,
     path_weight_structure,
 )
 from .errors import CapacityError, InputError
-from .exactlin import ExactMatrix, FieldSpec, kronecker, nullspace_basis, rank, reduce_first_row
+from .exactlin import (
+    ExactMatrix,
+    FieldSpec,
+    RowSpace,
+    kronecker,
+    nullspace_basis,
+    rank,
+    reduce_first_row,
+)
 from .families import (
     FamilySpec,
     build_family,
@@ -66,6 +75,7 @@ __all__ = [
     "InputError",
     "KERNEL_IMPLEMENTATION",
     "MisList",
+    "RowSpace",
     "WcdimReport",
     "blowup",
     "build_difference_system",
@@ -75,6 +85,7 @@ __all__ = [
     "complete",
     "complete_multipartite",
     "compute_wcdim",
+    "compute_wcdim_fields",
     "crown",
     "cycle",
     "disjoint_union",

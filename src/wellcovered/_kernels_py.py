@@ -12,42 +12,46 @@ def maximal_cliques(adj_masks, limit):
     """Enumerate all maximal cliques of a graph given as bitmask adjacency.
 
     Bron-Kerbosch with pivoting; the pivot is the vertex of P | X with the
-    most candidate neighbours (lowest index on ties).  Returns cliques as
-    vertex bitmasks in discovery order.  Raises ValueError once more than
-    `limit` cliques have been collected.
+    most candidate neighbours (lowest index on ties).  The search keeps an
+    explicit stack of (R, P, X) states instead of recursing, so its depth is
+    bounded by memory rather than by the interpreter's recursion limit.
+    Returns cliques as vertex bitmasks in depth-first discovery order.
+    Raises ValueError once more than `limit` cliques have been collected.
     """
-    n = len(adj_masks)
-    full = (1 << n) - 1
     out = []
-
-    def expand(r, p, x):
-        if p == 0 and x == 0:
+    # one frame [R, P, X, candidates not yet branched on] per open level
+    stack = []
+    r, p, x = 0, (1 << len(adj_masks)) - 1, 0
+    while True:
+        if p:
+            m = p | x
+            pivot = -1
+            best = -1
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                cnt = (p & adj_masks[v]).bit_count()
+                if cnt > best:
+                    best = cnt
+                    pivot = v
+                m ^= low
+            stack.append([r, p, x, p & ~adj_masks[pivot]])
+        elif not x:
             out.append(r)
             if len(out) > limit:
                 raise ValueError("maximal clique count exceeds limit")
-            return
-        px = p | x
-        pivot = -1
-        best = -1
-        m = px
-        while m:
-            v = (m & -m).bit_length() - 1
-            cnt = (p & adj_masks[v]).bit_count()
-            if cnt > best:
-                best = cnt
-                pivot = v
-            m &= m - 1
-        cand = p & ~adj_masks[pivot]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            bit = 1 << v
-            expand(r | bit, p & adj_masks[v], x & adj_masks[v])
-            p &= ~bit
-            x |= bit
-            cand &= cand - 1
-
-    expand(0, full, 0)
-    return out
+        while stack and not stack[-1][3]:
+            stack.pop()
+        if not stack:
+            return out
+        frame = stack[-1]
+        r, p, x, cand = frame
+        low = cand & -cand
+        nv = adj_masks[low.bit_length() - 1]
+        frame[1] = p ^ low
+        frame[2] = x | low
+        frame[3] = cand ^ low
+        r, p, x = r | low, p & nv, x & nv
 
 
 def gf_rank(entries, rows, cols, p):

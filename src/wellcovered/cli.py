@@ -23,7 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .engine import WcdimReport, compute_wcdim
+from .engine import WcdimReport, compute_wcdim_fields
+from .engine import compute_wcdim  # noqa: F401  (perfbench/trace.py instruments cli.compute_wcdim)
 from .errors import CapacityError, InputError
 from .exactlin import FieldSpec, Scalar
 from .families import FAMILY_BUILDERS, FamilySpec, build_family
@@ -228,10 +229,8 @@ def _field_args(chars: Sequence[int] | None) -> list[FieldSpec]:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     g, descriptor = load_graph(args.input)
-    sections = []
-    for f in _field_args(args.char):
-        report = compute_wcdim(g, f, with_sum_rank=args.verbose)
-        sections.append(_section_from_report(report, args.basis))
+    reports = compute_wcdim_fields(g, _field_args(args.char), with_sum_rank=args.verbose)
+    sections = [_section_from_report(r, args.basis) for r in reports]
     doc = ReportDocument(descriptor, g.n, g.edge_count, tuple(sections))
     if args.machine:
         sys.stdout.write(render_machine(doc))

@@ -1,12 +1,19 @@
-"""The dimension pipeline: maximal independent sets -> linear system -> rank.
+"""The dimension pipeline: maximal independent sets -> row space -> rank.
 
 A weighting w is well-covered when every maximal independent set has the
-same weight sum.  Fixing the canonical first set M_0 as baseline, that is
-the homogeneous system (M_i - M_0) . w = 0 for i >= 1, so the well-covered
-space is the nullspace of the difference system and its dimension is
-n - rank.  The baseline choice only permutes rows, so the rank (and the
-canonical nullspace basis, which depends on the row space alone) does not
-depend on it; M_0 is used so reports are byte-reproducible.
+same weight sum.  Fixing any set M_0 as baseline, that is the homogeneous
+system (M_i - M_0) . w = 0 for i >= 1, so the well-covered space is the
+nullspace of the difference system and its dimension is n - rank.
+
+The system is never assembled.  Each graph's sets are enumerated once, as
+bitmasks, and every requested field streams the rows M_i - M_0 into its own
+`RowSpace`, which keeps at most n echelon rows and stops absorbing once its
+rank is n (the enumeration itself always runs to the end, so the set count
+is exact).  The canonical basis is defined as the one read off the RREF of
+the row space, so it does not depend on the baseline or on the row order;
+the engine is free to feed the rows in whatever order reaches full rank
+soonest.  `build_difference_system` and `build_sum_system` assemble the
+batch systems for callers and tests that want them explicitly.
 """
 
 from __future__ import annotations
@@ -17,9 +24,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
-from .exactlin import ExactMatrix, FieldSpec, Scalar, nullspace_basis, rank
+from .exactlin import ExactMatrix, FieldSpec, RowSpace, Scalar, nullspace_basis
+from .exactlin import rank  # noqa: F401  (perfbench/trace.py instruments engine.rank)
 from .graphs import Graph
-from .mis import DEFAULT_MIS_LIMIT, MisList, enumerate_mis
+from .mis import DEFAULT_MIS_LIMIT, MisList, enumerate_mis, mis_masks
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,54 @@ def build_sum_system(mis: MisList) -> ExactMatrix:
     return ExactMatrix.from_rows(rows, n)
 
 
+def compute_wcdim_fields(
+    g: Graph,
+    fields: Sequence[FieldSpec],
+    limit: int = DEFAULT_MIS_LIMIT,
+    with_sum_rank: bool = False,
+) -> list[WcdimReport]:
+    """Well-covered dimension of g over each field, from one enumeration.
+
+    Each report's `elapsed` is the shared enumeration time plus the time
+    spent on its own field.
+    """
+    t0 = time.perf_counter()
+    masks = mis_masks(g, limit)
+    enum_s = time.perf_counter() - t0
+    n = g.n
+    base = masks[0]
+    # depth-first discovery order clusters similar sets; eight interleaved
+    # strided passes spread them out, so full rank comes after about n rows
+    # instead of after most of the list
+    order = [m for start in range(8) for m in masks[start::8]]
+    reports = []
+    for f in fields:
+        t1 = time.perf_counter()
+        space = RowSpace(n, f)
+        for m in order:
+            if space.full:
+                break
+            space.add(m & ~base, base & ~m)
+        r = space.rank
+        basis = () if r == n else tuple(nullspace_basis(ExactMatrix.from_rows(space.rows(), n), f))
+        # the sets span span{M_0} + span{M_i - M_0}, so absorbing M_0 last
+        # raises the rank by one exactly when the sum system's rank is r + 1
+        sum_rank = r + space.add(base) if with_sum_rank else None
+        reports.append(
+            WcdimReport(
+                n=n,
+                field=f,
+                mis_count=len(masks),
+                wcdim=n - r,
+                basis=basis,
+                diff_rank=r,
+                sum_rank=sum_rank,
+                elapsed=enum_s + time.perf_counter() - t1,
+            )
+        )
+    return reports
+
+
 def compute_wcdim(
     g: Graph,
     f: FieldSpec = FieldSpec(0),
@@ -82,22 +138,7 @@ def compute_wcdim(
     with_sum_rank: bool = False,
 ) -> WcdimReport:
     """Well-covered dimension of g over f, with the canonical space basis."""
-    t0 = time.perf_counter()
-    mis = enumerate_mis(g, limit)
-    diff = build_difference_system(mis)
-    r = rank(diff, f)
-    basis = tuple(nullspace_basis(diff, f))
-    sum_rank = rank(build_sum_system(mis), f) if with_sum_rank else None
-    return WcdimReport(
-        n=g.n,
-        field=f,
-        mis_count=len(mis),
-        wcdim=g.n - r,
-        basis=basis,
-        diff_rank=r,
-        sum_rank=sum_rank,
-        elapsed=time.perf_counter() - t0,
-    )
+    return compute_wcdim_fields(g, (f,), limit, with_sum_rank)[0]
 
 
 def is_well_covered_weighting(

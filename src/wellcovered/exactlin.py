@@ -1,16 +1,19 @@
 """Exact linear algebra over the rationals and over prime fields GF(p).
 
-No floating point anywhere.  Characteristic-zero rank runs fraction-free
-(Bareiss) elimination on integer rows, clearing rational denominators
-row-wise first; intermediate values stay integral, so there is no rounding
-and no rational blowup.  GF(p) elimination works on residues with one
-modular inverse per pivot and is delegated to the kernel lane.
+No floating point anywhere.  Characteristic-zero elimination is
+fraction-free: rational denominators are cleared row-wise, and every row
+an elimination step produces is divided by the gcd of its entries, so
+values stay small integers.  Over GF(p) rows are residues with pivots
+normalised to 1; the batch GF(p) rank is delegated to the kernel lane.
+`RowSpace` is the incremental echelon form the engine streams rows into
+(an XOR basis of bitmasks over GF(2)); `rank` and `nullspace_basis` work
+on a whole `ExactMatrix`.
 
 Nullspace bases are read off the reduced row echelon form, which makes them
 canonical: free columns are taken in ascending order and each basis vector
 carries a 1 in its own free column.  Since the RREF depends only on the row
-space, the basis is stable under any row-order or scaling differences in
-how the matrix was assembled.
+space, the basis is the same for any spanning set of the rows, whatever its
+order, scaling or size; over Q fractions appear only in the basis vectors.
 
 Prime-power fields are deliberately not implemented: for integer matrices
 (every system built here is one), row reduction never leaves the prime
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from . import kernels
@@ -145,42 +148,27 @@ def _residue_rows(m: ExactMatrix, p: int) -> list[int]:
     return flat
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> list[list[int]]:
-    """Fraction-free forward elimination; returns the nonzero echelon rows."""
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    rank = 0
-    prev = 1
-    for c in range(nc):
-        piv = next((r for r in range(rank, nr) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][c]
-        for r in range(rank + 1, nr):
-            f = rows[r][c]
-            row = rows[r]
-            top = rows[rank]
-            for j in range(c, nc):
-                row[j] = (pv * row[j] - f * top[j]) // prev
-        prev = pv
-        rank += 1
-        if rank == nr:
-            break
-    return rows[:rank]
-
-
 def rank(m: ExactMatrix, f: FieldSpec) -> int:
     """Rank of m over the field; empty matrices have rank 0."""
     if m.rows == 0 or m.cols == 0:
         return 0
     if f.characteristic == 0:
-        return len(_bareiss_echelon(_integer_rows(m)))
+        return len(_rref(_integer_rows(m), 0)[1])
     return kernels.gf_rank(_residue_rows(m, f.characteristic), m.rows, m.cols, f.characteristic)
 
 
-def _rref(rows: list[list[Scalar]], p: int) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form in place; p = 0 means exact rationals."""
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form in place, without fractions.
+
+    Over GF(p) (p > 0) rows are residues and each pivot is scaled to 1.  For
+    p = 0 rows are integers kept primitive instead, so the RREF entry in
+    row i, column j is rows[i][j] / rows[i][pivots[i]].
+    """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     pivots: list[int] = []
@@ -190,19 +178,20 @@ def _rref(rows: list[list[Scalar]], p: int) -> tuple[list[list[Scalar]], list[in
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        if p == 0:
-            inv = Fraction(1, 1) / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
-        else:
+        if p:
             inv = pow(rows[r][c], -1, p)
             rows[r] = [x * inv % p for x in rows[r]]
+        else:
+            rows[r] = _primitive(rows[r])
+        top = rows[r]
+        b = top[c]
         for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                if p == 0:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            a = rows[i][c]
+            if i != r and a != 0:
+                if p:
+                    rows[i] = [(x - a * y) % p for x, y in zip(rows[i], top)]
                 else:
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+                    rows[i] = _primitive([b * x - a * y for x, y in zip(rows[i], top)])
         pivots.append(c)
         r += 1
         if r == nr:
@@ -227,8 +216,7 @@ def nullspace_basis(m: ExactMatrix, f: FieldSpec) -> list[tuple[Scalar, ...]]:
             tuple(one if j == c else zero for j in range(m.cols)) for c in range(m.cols)
         ]
     if p == 0:
-        echelon = _bareiss_echelon(_integer_rows(m))
-        work: list[list[Scalar]] = [[Fraction(x) for x in row] for row in echelon]
+        work = _integer_rows(m)
     else:
         flat = _residue_rows(m, p)
         work = [
@@ -243,7 +231,7 @@ def nullspace_basis(m: ExactMatrix, f: FieldSpec) -> list[tuple[Scalar, ...]]:
             vec: list[Scalar] = [Fraction(0)] * m.cols
             vec[fc] = Fraction(1)
             for i, pc in enumerate(pivots):
-                vec[pc] = -rref[i][fc]
+                vec[pc] = Fraction(-rref[i][fc], rref[i][pc])
         else:
             vec = [0] * m.cols
             vec[fc] = 1
@@ -251,6 +239,94 @@ def nullspace_basis(m: ExactMatrix, f: FieldSpec) -> list[tuple[Scalar, ...]]:
                 vec[pc] = (-rref[i][fc]) % p
         basis.append(tuple(vec))
     return basis
+
+
+class RowSpace:
+    """Incremental echelon form of the span of rows fed in one at a time.
+
+    Rows have entries in {-1, 0, 1} and are given as two vertex bitmasks:
+    `plus` marks the +1 entries and `minus` the -1 entries, so a difference
+    of indicator vectors M_i - M_0 is (M_i & ~M_0, M_0 & ~M_i).  Each row is
+    reduced against the stored echelon rows and kept only when it is
+    independent of them, so at most n rows are ever held and a row fed in
+    after the span is full costs nothing.
+
+    Over GF(2) a row is a bitmask and the echelon is an XOR basis keyed by
+    its lowest set bit.  Over GF(p) rows are residue lists whose pivot is
+    normalised to 1; over Q they are integer lists divided by their gcd, so
+    entries stay small and no Fraction is built.
+    """
+
+    def __init__(self, n: int, f: FieldSpec) -> None:
+        self.n = n
+        self.field = f
+        self.rank = 0
+        self._xor: dict[int, int] = {}  # GF(2): lowest set bit -> row bitmask
+        self._pivot_rows: list[list[int] | None] = [None] * n  # pivot column -> row
+
+    @property
+    def full(self) -> bool:
+        return self.rank == self.n
+
+    def add(self, plus: int, minus: int = 0) -> bool:
+        """Absorb one row; True iff it was independent of the rows so far."""
+        if self.field.characteristic == 2:
+            x = self._reduce_bits(plus ^ minus)
+            if not x:
+                return False
+            self._xor[x & -x] = x
+        else:
+            reduced = self._reduce(self._dense(plus, minus))
+            if reduced is None:
+                return False
+            c, row = reduced
+            p = self.field.characteristic
+            if p:
+                inv = pow(row[c], -1, p)
+                row = [x * inv % p for x in row]
+            self._pivot_rows[c] = row
+        self.rank += 1
+        return True
+
+    def rows(self) -> list[list[int]]:
+        """The echelon rows in pivot-column order: integers over Q, residues over GF(p)."""
+        n = self.n
+        if self.field.characteristic == 2:
+            return [[x >> v & 1 for v in range(n)] for _, x in sorted(self._xor.items())]
+        return [row for row in self._pivot_rows if row is not None]
+
+    def _reduce_bits(self, x: int) -> int:
+        """The GF(2) row x reduced until its lowest bit has no basis row (0 if it vanishes)."""
+        xor = self._xor
+        while x:
+            row = xor.get(x & -x)
+            if row is None:
+                return x
+            x ^= row
+        return 0
+
+    def _dense(self, plus: int, minus: int) -> list[int]:
+        p = self.field.characteristic
+        row = [(plus >> v & 1) - (minus >> v & 1) for v in range(self.n)]
+        return [x % p for x in row] if p else row
+
+    def _reduce(self, row: list[int]) -> tuple[int, list[int]] | None:
+        """(lead column, row) of the row reduced to a new pivot, or None if it vanishes."""
+        p = self.field.characteristic
+        pivot_rows = self._pivot_rows
+        for c in range(self.n):
+            a = row[c]
+            if not a:
+                continue
+            prow = pivot_rows[c]
+            if prow is None:
+                return c, row
+            if p:
+                row = [(x - a * y) % p for x, y in zip(row, prow)]
+            else:
+                b = prow[c]
+                row = _primitive([b * x - a * y for x, y in zip(row, prow)])
+        return None
 
 
 def kronecker(a: ExactMatrix, m: ExactMatrix) -> ExactMatrix:

@@ -6,9 +6,11 @@ complement adjacency bitmasks.  A greedy pass would only find some maximal
 set; the linear systems downstream need all of them, which is why full
 clique enumeration is used.
 
-The canonical order (sets sorted lexicographically by their sorted member
-lists) makes matrix construction, and hence every derived report,
-reproducible byte for byte.
+`mis_masks` returns the sets as bitmasks in the kernel's discovery order;
+the engine streams those into its row spaces, whose canonical basis does
+not depend on the order.  `enumerate_mis` sorts them into the canonical
+order (lexicographic by sorted member lists), so the assembled batch
+systems are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ class MisList:
         return self.sets[i]
 
 
-def enumerate_mis(g: Graph, limit: int = DEFAULT_MIS_LIMIT) -> MisList:
-    """Every maximal independent set of g, sorted canonically.
+def mis_masks(g: Graph, limit: int = DEFAULT_MIS_LIMIT) -> list[int]:
+    """Every maximal independent set of g as a vertex bitmask, in discovery order.
 
-    The zero-vertex graph has exactly one maximal independent set, the empty
-    set.  Raises CapacityError if the count exceeds `limit` (the count can be
+    Raises CapacityError if the count exceeds `limit` (the count can be
     exponential in n, so unbounded enumeration would be a foot-gun).
     """
     co_masks = []
@@ -55,11 +56,20 @@ def enumerate_mis(g: Graph, limit: int = DEFAULT_MIS_LIMIT) -> MisList:
             mask |= 1 << u
         co_masks.append(full & ~mask & ~(1 << v))
     try:
-        masks = kernels.maximal_cliques(co_masks, limit)
+        return kernels.maximal_cliques(co_masks, limit)
     except ValueError as exc:
         raise CapacityError(
             f"graph has more than {limit} maximal independent sets"
         ) from exc
+
+
+def enumerate_mis(g: Graph, limit: int = DEFAULT_MIS_LIMIT) -> MisList:
+    """Every maximal independent set of g, sorted canonically.
+
+    The zero-vertex graph has exactly one maximal independent set, the empty
+    set.  Raises CapacityError if the count exceeds `limit`.
+    """
+    masks = mis_masks(g, limit)
     sets = sorted(tuple(v for v in range(g.n) if mask >> v & 1) for mask in masks)
     return MisList(tuple(sets), g.n)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import families, formulas
-from .engine import build_sum_system, compute_wcdim
+from .engine import build_sum_system, compute_wcdim, compute_wcdim_fields
 from .errors import CapacityError, InputError
 from .exactlin import FieldSpec, kronecker, move_dependent_row_first, rank, reduce_first_row
 from .families import FamilySpec, build_family
@@ -99,12 +99,9 @@ def check_family(
 ) -> CheckReport:
     """Engine wcdim must equal the family's formula for every characteristic."""
     g = build_family(spec)
-    predicted = []
-    engine = []
+    predicted = [_family_prediction(spec, f) for f in chars]
     try:
-        for f in chars:
-            predicted.append(_family_prediction(spec, f))
-            engine.append(compute_wcdim(g, f, limit=limit).wcdim)
+        engine = [r.wcdim for r in compute_wcdim_fields(g, chars, limit=limit)]
     except CapacityError as exc:
         return CheckReport(
             "family", str(spec), tuple(f.characteristic for f in chars),
@@ -178,7 +175,7 @@ def check_lex(
     desc = instance or f"g[{_graph_descriptor(g)}];h[{_graph_descriptor(h)}]"
     try:
         rg = compute_wcdim(g, f, limit=limit)
-        rh = compute_wcdim(h, f, limit=limit)
+        rh = compute_wcdim(h, f, limit=limit, with_sum_rank=True)
         got = compute_wcdim(lex_product(g, h), f, limit=limit).wcdim
     except CapacityError as exc:
         return CheckReport("lex", desc, (f.characteristic,), (), (), SKIP, str(exc))
@@ -188,8 +185,7 @@ def check_lex(
     want = formulas.f_lex(a, b, n, m, i, j).value
     detail = ""
     if want != got:
-        rank_a = rank(build_sum_system(enumerate_mis(h, limit)), f)
-        fibre = _lex_fibre_dimension(a, n, m, b, rank_a)
+        fibre = _lex_fibre_dimension(a, n, m, b, rh.sum_rank)
         detail = (
             f"closed form {want} != engine {got}; "
             f"fibre-structure value {fibre} (a={a},b={b},n={n},m={m},i={i},j={j})"

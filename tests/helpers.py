@@ -59,6 +59,45 @@ def ref_rank(rows, char: int) -> int:
     return rank
 
 
+def ref_nullspace(rows, cols: int, char: int) -> list[tuple]:
+    """Canonical nullspace basis by plain Gauss-Jordan over Fractions or residues.
+
+    One vector per free column in ascending order, with a 1 there; the
+    pivot entries are the negated reduced-row entries of that column.
+    """
+    if char == 0:
+        work = [[Fraction(x) for x in r] for r in rows]
+    else:
+        work = [[x % char for x in r] for r in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        if char == 0:
+            work[r] = [x / work[r][c] for x in work[r]]
+        else:
+            inv = pow(work[r][c], -1, char)
+            work[r] = [x * inv % char for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+                if char:
+                    work[i] = [a % char for a in work[i]]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0) if char == 0 else 0] * cols
+        vec[fc] = Fraction(1) if char == 0 else 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = -work[i][fc] if char == 0 else -work[i][fc] % char
+        basis.append(tuple(vec))
+    return basis
+
+
 def ref_wcdim(g: Graph, char: int) -> int:
     """n minus the rank of the difference system, all via the reference code."""
     mis = brute_force_mis(g)

@@ -157,6 +157,20 @@ class TestComputeCommand:
         assert capsys.readouterr().out == first
 
 
+    def test_edgeless_graph_beyond_the_recursion_limit(self, capsys):
+        assert main(["compute", "empty:1100"]) == 0
+        assert "over Q: wcdim = 1100" in capsys.readouterr().out
+
+    def test_one_enumeration_serves_every_characteristic(self, capsys, monkeypatch):
+        from wellcovered import engine
+
+        calls = []
+        real = engine.mis_masks
+        monkeypatch.setattr(engine, "mis_masks", lambda *a: calls.append(a) or real(*a))
+        assert main(["compute", "crown:4", "--char", "0", "--char", "2", "--char", "3"]) == 0
+        assert len(calls) == 1
+
+
 class TestVerifyCommand:
     def test_union_section_passes(self, capsys):
         assert main(["verify", "union", "--seed", "1", "--trials", "5"]) == 0

@@ -18,7 +18,7 @@ from wellcovered.formulas import kron_rank_case
 from wellcovered.mis import enumerate_mis
 from wellcovered.graphs import new_graph, random_graph
 
-from helpers import ref_rank
+from helpers import ref_nullspace, ref_rank
 
 Q = FieldSpec(0)
 
@@ -152,6 +152,25 @@ class TestNullspace:
             assert len(basis) == m.cols - rank(m, f)
             for v in basis:
                 assert all(x == 0 for x in matvec(m, v, char))
+
+    @pytest.mark.parametrize("char", [0, 2, 3, 10007])
+    def test_matches_reference_gauss_jordan(self, char):
+        rng = random.Random(char + 17)
+        f = FieldSpec(char)
+        for _ in range(60):
+            lo, hi = rng.choice([(-1, 1), (-3, 3), (-50, 50)])
+            m = rand_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), lo, hi)
+            assert nullspace_basis(m, f) == ref_nullspace(m.row_list(), m.cols, char)
+
+    def test_fraction_entries_match_reference(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            rows = [
+                [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(5)]
+                for _ in range(rng.randint(1, 5))
+            ]
+            m = ExactMatrix.from_rows(rows, 5)
+            assert nullspace_basis(m, Q) == ref_nullspace(rows, 5, 0)
 
     def test_canonical_form(self):
         # one vector per free column, ascending, with a 1 in that column

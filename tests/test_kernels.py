@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -6,6 +7,8 @@ from wellcovered import kernels
 from wellcovered import _kernels_py
 from wellcovered.graphs import random_graph
 from wellcovered.mis import enumerate_mis
+
+from helpers import brute_force_mis
 
 try:
     from wellcovered import _speedups
@@ -80,3 +83,36 @@ def test_dispatch_handles_more_than_64_vertices():
 def test_zero_vertex_clique_enumeration():
     for lane in lanes:
         assert lane.maximal_cliques([], 10) == [0]
+
+
+def mask_to_tuple(mask, n):
+    return tuple(v for v in range(n) if mask >> v & 1)
+
+
+@pytest.mark.parametrize("lane", lanes, ids=lambda m: m.IMPLEMENTATION)
+def test_cliques_match_brute_force_mis(lane):
+    # maximal cliques of the complement are the maximal independent sets
+    rng = random.Random(9)
+    for _ in range(60):
+        n = rng.randint(0, 11)
+        g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng.randrange(10**6))
+        got = sorted(mask_to_tuple(m, n) for m in lane.maximal_cliques(complement_masks(g), 10**6))
+        assert got == brute_force_mis(g)
+
+
+def test_pure_lane_has_no_recursion_depth_limit():
+    # the edgeless graph's complement is complete: one clique, found at depth n
+    n = sys.getrecursionlimit() + 100
+    full = (1 << n) - 1
+    masks = [full & ~(1 << v) for v in range(n)]
+    assert _kernels_py.maximal_cliques(masks, 10) == [full]
+
+
+def test_pure_lane_limit_contract():
+    g = random_graph(12, 0.4, 6)
+    masks = complement_masks(g)
+    cliques = _kernels_py.maximal_cliques(masks, 10**6)
+    assert len(cliques) == len(set(cliques)) > 2
+    assert _kernels_py.maximal_cliques(masks, len(cliques)) == cliques
+    with pytest.raises(ValueError):
+        _kernels_py.maximal_cliques(masks, len(cliques) - 1)
