@@ -12,14 +12,19 @@ rank is n (the enumeration itself always runs to the end, so the set count
 is exact).  The canonical basis is defined as the one read off the RREF of
 the row space, so it does not depend on the baseline or on the row order;
 the engine is free to feed the rows in whatever order reaches full rank
-soonest.  `build_difference_system` and `build_sum_system` assemble the
-batch systems for callers and tests that want them explicitly.
+soonest.  A report keeps its field's echelon rows and reads the basis off
+them on demand, the first time `WcdimReport.basis` is accessed, so callers
+that need only the dimension never pay for it.  `build_difference_system`
+and `build_sum_system` assemble the batch systems for callers and tests that
+want them explicitly.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,16 +37,28 @@ from .mis import DEFAULT_MIS_LIMIT, MisList, enumerate_mis, mis_masks
 
 @dataclass(frozen=True)
 class WcdimReport:
-    """Result of one well-covered dimension computation."""
+    """Result of one well-covered dimension computation.
+
+    `space` holds the difference system's echelon rows (at most n of them).
+    `basis`, the canonical basis of the well-covered space, is read off those
+    rows the first time it is accessed and kept from then on; `elapsed`
+    covers enumeration and elimination, not the basis.
+    """
 
     n: int
     field: FieldSpec
     mis_count: int
     wcdim: int
-    basis: tuple[tuple[Scalar, ...], ...]
     diff_rank: int
     sum_rank: int | None
     elapsed: float
+    space: RowSpace = dataclass_field(repr=False, compare=False)
+
+    @cached_property
+    def basis(self) -> tuple[tuple[Scalar, ...], ...]:
+        if self.wcdim == 0:
+            return ()
+        return tuple(nullspace_basis(ExactMatrix.from_rows(self.space.rows(), self.n), self.field))
 
 
 def build_difference_system(mis: MisList, baseline: int = 0) -> ExactMatrix:
@@ -92,8 +109,10 @@ def compute_wcdim_fields(
     """Well-covered dimension of g over each field, from one enumeration.
 
     Each report's `elapsed` is the shared enumeration time plus the time
-    spent on its own field.
+    spent on its own field.  An empty field list enumerates nothing.
     """
+    if not fields:
+        return []
     t0 = time.perf_counter()
     masks = mis_masks(g, limit)
     enum_s = time.perf_counter() - t0
@@ -112,20 +131,19 @@ def compute_wcdim_fields(
                 break
             space.add(m & ~base, base & ~m)
         r = space.rank
-        basis = () if r == n else tuple(nullspace_basis(ExactMatrix.from_rows(space.rows(), n), f))
-        # the sets span span{M_0} + span{M_i - M_0}, so absorbing M_0 last
-        # raises the rank by one exactly when the sum system's rank is r + 1
-        sum_rank = r + space.add(base) if with_sum_rank else None
+        # the sets span span{M_0} + span{M_i - M_0}, so the sum system's rank
+        # is r + 1 exactly when M_0 is independent of the difference rows
+        sum_rank = r + space.independent(base) if with_sum_rank else None
         reports.append(
             WcdimReport(
                 n=n,
                 field=f,
                 mis_count=len(masks),
                 wcdim=n - r,
-                basis=basis,
                 diff_rank=r,
                 sum_rank=sum_rank,
                 elapsed=enum_s + time.perf_counter() - t1,
+                space=space,
             )
         )
     return reports
@@ -137,7 +155,7 @@ def compute_wcdim(
     limit: int = DEFAULT_MIS_LIMIT,
     with_sum_rank: bool = False,
 ) -> WcdimReport:
-    """Well-covered dimension of g over f, with the canonical space basis."""
+    """Well-covered dimension of g over f; the report reads its basis on demand."""
     return compute_wcdim_fields(g, (f,), limit, with_sum_rank)[0]
 
 

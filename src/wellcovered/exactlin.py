@@ -288,6 +288,12 @@ class RowSpace:
         self.rank += 1
         return True
 
+    def independent(self, plus: int, minus: int = 0) -> bool:
+        """True iff the row is independent of the rows so far; nothing is stored."""
+        if self.field.characteristic == 2:
+            return bool(self._reduce_bits(plus ^ minus))
+        return self._reduce(self._dense(plus, minus)) is not None
+
     def rows(self) -> list[list[int]]:
         """The echelon rows in pivot-column order: integers over Q, residues over GF(p)."""
         n = self.n

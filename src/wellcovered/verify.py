@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import families, formulas
-from .engine import build_sum_system, compute_wcdim, compute_wcdim_fields
+from .engine import build_sum_system, compute_wcdim_fields
+from .engine import compute_wcdim  # noqa: F401  (perfbench/trace.py instruments verify.compute_wcdim)
 from .errors import CapacityError, InputError
 from .exactlin import FieldSpec, kronecker, move_dependent_row_first, rank, reduce_first_row
 from .families import FamilySpec, build_family
@@ -114,42 +115,64 @@ def check_family(
     )
 
 
-def check_blowup(
-    g: Graph, v: int, t: int, f: FieldSpec,
-    instance: str = "", limit: int = DEFAULT_MIS_LIMIT,
+def _skips(
+    check: str, desc: str, fields: Sequence[FieldSpec], exc: CapacityError,
+) -> list[CheckReport]:
+    # a capacity overrun comes from the enumeration, which every field shares
+    return [CheckReport(check, desc, (f.characteristic,), (), (), SKIP, str(exc)) for f in fields]
+
+
+def _compared(
+    check: str, desc: str, f: FieldSpec,
+    predicted: tuple[int, ...], engine: tuple[int, ...], detail: str = "",
 ) -> CheckReport:
-    """wcdim of the blowup must be m + t - 1 where m is wcdim of g."""
+    verdict = PASS if predicted == engine else FAIL
+    return CheckReport(check, desc, (f.characteristic,), predicted, engine, verdict, detail)
+
+
+def check_blowup(
+    g: Graph, v: int, t: int, fields: Sequence[FieldSpec],
+    instance: str = "", limit: int = DEFAULT_MIS_LIMIT,
+) -> list[CheckReport]:
+    """wcdim of the blowup must be m + t - 1 where m is wcdim of g.
+
+    One report per field, in field order; each graph is enumerated once.
+    """
     desc = instance or _graph_descriptor(g)
     desc = f"{desc};v={v};t={t}"
     try:
-        m = compute_wcdim(g, f, limit=limit).wcdim
-        got = compute_wcdim(blowup(g, v, t), f, limit=limit).wcdim
+        base = compute_wcdim_fields(g, fields, limit)
+        blown = compute_wcdim_fields(blowup(g, v, t), fields, limit)
     except CapacityError as exc:
-        return CheckReport("blowup", desc, (f.characteristic,), (), (), SKIP, str(exc))
-    want = formulas.f_blowup(m, t).value
-    return CheckReport(
-        "blowup", desc, (f.characteristic,), (want,), (got,),
-        PASS if want == got else FAIL,
-    )
+        return _skips("blowup", desc, fields, exc)
+    return [
+        _compared("blowup", desc, f, (formulas.f_blowup(rg.wcdim, t).value,), (rb.wcdim,))
+        for f, rg, rb in zip(fields, base, blown)
+    ]
 
 
 def check_multi_blowup(
-    g: Graph, ts: Sequence[int], f: FieldSpec,
+    g: Graph, ts: Sequence[int], fields: Sequence[FieldSpec],
     instance: str = "", limit: int = DEFAULT_MIS_LIMIT,
-) -> CheckReport:
-    """wcdim after blowing every vertex must be (m - n) + sum(ts)."""
+) -> list[CheckReport]:
+    """wcdim after blowing every vertex must be (m - n) + sum(ts).
+
+    One report per field, in field order; each graph is enumerated once.
+    """
     desc = instance or _graph_descriptor(g)
     desc = f"{desc};ts={list(ts)}"
     try:
-        m = compute_wcdim(g, f, limit=limit).wcdim
-        got = compute_wcdim(multi_blowup(g, ts), f, limit=limit).wcdim
+        base = compute_wcdim_fields(g, fields, limit)
+        blown = compute_wcdim_fields(multi_blowup(g, ts), fields, limit)
     except CapacityError as exc:
-        return CheckReport("multi-blowup", desc, (f.characteristic,), (), (), SKIP, str(exc))
-    want = formulas.f_multi_blowup(m, g.n, ts).value
-    return CheckReport(
-        "multi-blowup", desc, (f.characteristic,), (want,), (got,),
-        PASS if want == got else FAIL,
-    )
+        return _skips("multi-blowup", desc, fields, exc)
+    return [
+        _compared(
+            "multi-blowup", desc, f,
+            (formulas.f_multi_blowup(rg.wcdim, g.n, ts).value,), (rb.wcdim,),
+        )
+        for f, rg, rb in zip(fields, base, blown)
+    ]
 
 
 def _lex_fibre_dimension(a: int, n: int, m: int, b: int, rank_a: int) -> int:
@@ -168,94 +191,106 @@ def _lex_fibre_dimension(a: int, n: int, m: int, b: int, rank_a: int) -> int:
 
 
 def check_lex(
-    g: Graph, h: Graph, f: FieldSpec,
+    g: Graph, h: Graph, fields: Sequence[FieldSpec],
     instance: str = "", limit: int = DEFAULT_MIS_LIMIT,
-) -> CheckReport:
-    """Engine wcdim of the lexicographic product vs the published closed form."""
+) -> list[CheckReport]:
+    """Engine wcdim of the lexicographic product vs the published closed form.
+
+    One report per field, in field order; each graph is enumerated once.
+    """
     desc = instance or f"g[{_graph_descriptor(g)}];h[{_graph_descriptor(h)}]"
     try:
-        rg = compute_wcdim(g, f, limit=limit)
-        rh = compute_wcdim(h, f, limit=limit, with_sum_rank=True)
-        got = compute_wcdim(lex_product(g, h), f, limit=limit).wcdim
+        rgs = compute_wcdim_fields(g, fields, limit)
+        rhs = compute_wcdim_fields(h, fields, limit, with_sum_rank=True)
+        products = compute_wcdim_fields(lex_product(g, h), fields, limit)
     except CapacityError as exc:
-        return CheckReport("lex", desc, (f.characteristic,), (), (), SKIP, str(exc))
+        return _skips("lex", desc, fields, exc)
     a, b = g.n, h.n
-    n, m = rg.wcdim, rh.wcdim
-    i, j = rh.mis_count, rg.mis_count
-    want = formulas.f_lex(a, b, n, m, i, j).value
-    detail = ""
-    if want != got:
-        fibre = _lex_fibre_dimension(a, n, m, b, rh.sum_rank)
-        detail = (
-            f"closed form {want} != engine {got}; "
-            f"fibre-structure value {fibre} (a={a},b={b},n={n},m={m},i={i},j={j})"
-        )
-    return CheckReport(
-        "lex", desc, (f.characteristic,), (want,), (got,),
-        PASS if want == got else FAIL, detail,
-    )
+    reports = []
+    for f, rg, rh, rp in zip(fields, rgs, rhs, products):
+        n, m = rg.wcdim, rh.wcdim
+        i, j = rh.mis_count, rg.mis_count
+        want, got = formulas.f_lex(a, b, n, m, i, j).value, rp.wcdim
+        detail = ""
+        if want != got:
+            fibre = _lex_fibre_dimension(a, n, m, b, rh.sum_rank)
+            detail = (
+                f"closed form {want} != engine {got}; "
+                f"fibre-structure value {fibre} (a={a},b={b},n={n},m={m},i={i},j={j})"
+            )
+        reports.append(_compared("lex", desc, f, (want,), (got,), detail))
+    return reports
 
 
 def check_union(
-    g: Graph, h: Graph, f: FieldSpec,
+    g: Graph, h: Graph, fields: Sequence[FieldSpec],
     instance: str = "", limit: int = DEFAULT_MIS_LIMIT,
-) -> CheckReport:
-    """wcdim of a disjoint union must be the sum of the parts' dimensions."""
+) -> list[CheckReport]:
+    """wcdim of a disjoint union must be the sum of the parts' dimensions.
+
+    One report per field, in field order; each graph is enumerated once.
+    """
     desc = instance or f"g[{_graph_descriptor(g)}];h[{_graph_descriptor(h)}]"
     try:
-        dg = compute_wcdim(g, f, limit=limit).wcdim
-        dh = compute_wcdim(h, f, limit=limit).wcdim
-        got = compute_wcdim(disjoint_union(g, h), f, limit=limit).wcdim
+        rgs = compute_wcdim_fields(g, fields, limit)
+        rhs = compute_wcdim_fields(h, fields, limit)
+        unions = compute_wcdim_fields(disjoint_union(g, h), fields, limit)
     except CapacityError as exc:
-        return CheckReport("union", desc, (f.characteristic,), (), (), SKIP, str(exc))
-    want = formulas.f_union(dg, dh).value
-    return CheckReport(
-        "union", desc, (f.characteristic,), (want,), (got,),
-        PASS if want == got else FAIL,
-    )
+        return _skips("union", desc, fields, exc)
+    return [
+        _compared("union", desc, f, (formulas.f_union(rg.wcdim, rh.wcdim).value,), (ru.wcdim,))
+        for f, rg, rh, ru in zip(fields, rgs, rhs, unions)
+    ]
 
 
 def check_kron_remark(
-    g: Graph, h: Graph, f: FieldSpec,
+    g: Graph, h: Graph, fields: Sequence[FieldSpec],
     instance: str = "", limit: int = DEFAULT_MIS_LIMIT,
-) -> CheckReport:
+) -> list[CheckReport]:
     """Replay the reduced-Kronecker rank table and the product rank shortcut.
 
     M and A are the 0/1 sum systems of g and h; after moving a dependent row
     (if any) to the front of each, C is the first-row reduction of A (x) M.
     The published table predicts rank(C) from k = rank(reduced M),
     q = rank(reduced A) and the row-dependency flags, and the product's
-    dimension is asserted to be ab - rank(C).
+    dimension is asserted to be ab - rank(C).  One report per field, in
+    field order; each graph is enumerated and each sum system built once.
     """
     desc = instance or f"g[{_graph_descriptor(g)}];h[{_graph_descriptor(h)}]"
+    if not fields:
+        return []
     try:
         mis_g = enumerate_mis(g, limit)
         mis_h = enumerate_mis(h, limit)
-        got_dim = compute_wcdim(lex_product(g, h), f, limit=limit).wcdim
+        products = compute_wcdim_fields(lex_product(g, h), fields, limit)
     except CapacityError as exc:
-        return CheckReport("kron", desc, (f.characteristic,), (), (), SKIP, str(exc))
-    M = move_dependent_row_first(build_sum_system(mis_g), f)
-    A = move_dependent_row_first(build_sum_system(mis_h), f)
-    k = rank(reduce_first_row(M), f)
-    q = rank(reduce_first_row(A), f)
-    m_dep = rank(M, f) < M.rows
-    a_dep = rank(A, f) < A.rows
-    rank_c = rank(reduce_first_row(kronecker(A, M)), f)
-    want_rank = formulas.kron_rank_case(k, q, m_dep, a_dep)
-    want_dim = g.n * h.n - rank_c
-    detail = ""
-    if want_rank != rank_c:
-        # diagnostic: key the table on rank(X) == rank(reduced X) instead of
-        # row counts; that keying matches rank(C) on every instance seen
-        alt = formulas.kron_rank_case(k, q, rank(M, f) == k, rank(A, f) == q)
-        detail = f"rank table {want_rank} != rank(C) {rank_c}; rank-drop keyed table gives {alt}"
-    elif want_dim != got_dim:
-        detail = f"ab - rank(C) = {want_dim} != engine {got_dim}"
-    return CheckReport(
-        "kron", desc, (f.characteristic,),
-        (want_rank, want_dim), (rank_c, got_dim),
-        PASS if want_rank == rank_c and want_dim == got_dim else FAIL, detail,
-    )
+        return _skips("kron", desc, fields, exc)
+    sum_g = build_sum_system(mis_g)
+    sum_h = build_sum_system(mis_h)
+    reports = []
+    for f, rp in zip(fields, products):
+        M = move_dependent_row_first(sum_g, f)
+        A = move_dependent_row_first(sum_h, f)
+        k = rank(reduce_first_row(M), f)
+        q = rank(reduce_first_row(A), f)
+        rank_m = rank(M, f)
+        rank_a = rank(A, f)
+        rank_c = rank(reduce_first_row(kronecker(A, M)), f)
+        want_rank = formulas.kron_rank_case(k, q, rank_m < M.rows, rank_a < A.rows)
+        want_dim = g.n * h.n - rank_c
+        got_dim = rp.wcdim
+        detail = ""
+        if want_rank != rank_c:
+            # diagnostic: key the table on rank(X) == rank(reduced X) instead of
+            # row counts; that keying matches rank(C) on every instance seen
+            alt = formulas.kron_rank_case(k, q, rank_m == k, rank_a == q)
+            detail = (
+                f"rank table {want_rank} != rank(C) {rank_c}; rank-drop keyed table gives {alt}"
+            )
+        elif want_dim != got_dim:
+            detail = f"ab - rank(C) = {want_dim} != engine {got_dim}"
+        reports.append(_compared("kron", desc, f, (want_rank, want_dim), (rank_c, got_dim), detail))
+    return reports
 
 
 def _effective(check_chars: Sequence[int], chars: Sequence[int]) -> list[FieldSpec]:
@@ -347,28 +382,28 @@ def run_suite(
 
     if "blowup" in checks:
         rng = section_rng("blowup")
+        fs = _effective(BLOWUP_CHARS, chars)
         for _ in range(blowup_trials):
             g, desc = draw(rng, 7)
             v = rng.randrange(g.n)
             t = rng.randint(1, 3)
-            for f in _effective(BLOWUP_CHARS, chars):
-                reports.append(check_blowup(g, v, t, f, instance=desc, limit=limit))
+            reports.extend(check_blowup(g, v, t, fs, instance=desc, limit=limit))
 
     if "multi-blowup" in checks:
         rng = section_rng("multi-blowup")
+        fs = _effective(MULTI_BLOWUP_CHARS, chars)
         for _ in range(multi_blowup_trials):
             g, desc = draw(rng, 7)
             ts = [rng.randint(1, 3) for _ in range(g.n)]
-            for f in _effective(MULTI_BLOWUP_CHARS, chars):
-                reports.append(check_multi_blowup(g, ts, f, instance=desc, limit=limit))
+            reports.extend(check_multi_blowup(g, ts, fs, instance=desc, limit=limit))
 
     if "union" in checks:
         rng = section_rng("union")
+        fs = _effective(UNION_CHARS, chars)
         for _ in range(union_trials):
             g, dg = draw(rng, 7)
             h, dh = draw(rng, 7)
-            for f in _effective(UNION_CHARS, chars):
-                reports.append(check_union(g, h, f, instance=f"g[{dg}];h[{dh}]", limit=limit))
+            reports.extend(check_union(g, h, fs, instance=f"g[{dg}];h[{dh}]", limit=limit))
 
     designed = [
         (families.complete(2), "complete:2", families.complete(2), "complete:2"),
@@ -378,25 +413,23 @@ def run_suite(
 
     if "lex" in checks:
         rng = section_rng("lex")
+        fs = _effective(LEX_CHARS, chars)
         for g, dg, h, dh in designed:
-            for f in _effective(LEX_CHARS, chars):
-                reports.append(check_lex(g, h, f, instance=f"g[{dg}];h[{dh}]", limit=limit))
+            reports.extend(check_lex(g, h, fs, instance=f"g[{dg}];h[{dh}]", limit=limit))
         for _ in range(lex_trials):
             g, dg = draw(rng, 4)
             h, dh = draw(rng, 4)
-            for f in _effective(LEX_CHARS, chars):
-                reports.append(check_lex(g, h, f, instance=f"g[{dg}];h[{dh}]", limit=limit))
+            reports.extend(check_lex(g, h, fs, instance=f"g[{dg}];h[{dh}]", limit=limit))
 
     if "kron" in checks:
         rng = section_rng("kron")
+        fs = _effective(KRON_CHARS, chars)
         for g, dg, h, dh in designed[:2]:
-            for f in _effective(KRON_CHARS, chars):
-                reports.append(check_kron_remark(g, h, f, instance=f"g[{dg}];h[{dh}]", limit=limit))
+            reports.extend(check_kron_remark(g, h, fs, instance=f"g[{dg}];h[{dh}]", limit=limit))
         for _ in range(kron_trials):
             g, dg = draw(rng, 4)
             h, dh = draw(rng, 4)
-            for f in _effective(KRON_CHARS, chars):
-                reports.append(check_kron_remark(g, h, f, instance=f"g[{dg}];h[{dh}]", limit=limit))
+            reports.extend(check_kron_remark(g, h, fs, instance=f"g[{dg}];h[{dh}]", limit=limit))
 
     return reports
 

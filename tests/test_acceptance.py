@@ -187,7 +187,7 @@ def test_c11a_lex_theorem_designed_pairs():
 
     failures = []
     for g, h, want in cases:
-        r = check_lex(g, h, F(0))
+        r = check_lex(g, h, [F(0)])[0]
         if r.verdict != "pass" or r.engine != (want,):
             failures.append(r)
     report("11a", "lexicographic product closed form on the designed pairs", failures)
@@ -311,7 +311,7 @@ def test_c12b_kron_dimension_shortcut_seeded():
         failures.append("no seeded pair with a strict bound")
 
     # two 4-paths: the shortcut gives 8, the product's dimension is 6
-    p4 = check_kron_remark(path(4), path(4), F(0))
+    p4 = check_kron_remark(path(4), path(4), [F(0)])[0]
     if (p4.predicted[1], p4.engine[1]) != (8, 6) or ref_wcdim(lex_product(path(4), path(4)), 0) != 6:
         failures.append(("P4 . P4", p4))
     report("12b", "ab - rank(C) bounds the product dimension on 30 seeded pairs", failures)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -171,7 +172,110 @@ class TestComputeCommand:
         assert len(calls) == 1
 
 
+CROWN6_BASIS_MACHINE = """\
+graph = crown:6
+n = 12
+edge_count = 30
+characteristic = 0
+mis_count = 8
+diff_rank = 7
+wcdim = 5
+basis_size = 5
+basis 0 = 1 -1 0 0 0 0 -1 1 0 0 0 0
+basis 1 = 1 0 -1 0 0 0 -1 0 1 0 0 0
+basis 2 = 1 0 0 -1 0 0 -1 0 0 1 0 0
+basis 3 = 1 0 0 0 -1 0 -1 0 0 0 1 0
+basis 4 = 1 0 0 0 0 -1 -1 0 0 0 0 1
+characteristic = 3
+mis_count = 8
+diff_rank = 7
+wcdim = 5
+basis_size = 5
+basis 0 = 1 2 0 0 0 0 2 1 0 0 0 0
+basis 1 = 1 0 2 0 0 0 2 0 1 0 0 0
+basis 2 = 1 0 0 2 0 0 2 0 0 1 0 0
+basis 3 = 1 0 0 0 2 0 2 0 0 0 1 0
+basis 4 = 1 0 0 0 0 2 2 0 0 0 0 1
+"""
+
+
+class TestBasisOnDemand:
+    @pytest.fixture
+    def nullspace_calls(self, monkeypatch):
+        from wellcovered import engine
+
+        calls = []
+        real = engine.nullspace_basis
+        monkeypatch.setattr(engine, "nullspace_basis", lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("flags", [[], ["--machine"], ["--verbose"]])
+    def test_compute_without_basis_builds_none(self, capsys, nullspace_calls, flags):
+        assert main(["compute", "crown:6", "--char", "0", "--char", "3", *flags]) == 0
+        assert "wcdim = 5" in capsys.readouterr().out
+        assert nullspace_calls == []
+
+    def test_verify_suite_builds_none(self, nullspace_calls):
+        from wellcovered.verify import run_suite
+
+        assert run_suite(seed=1)
+        assert nullspace_calls == []
+
+    def test_compute_with_basis_output_is_unchanged(self, capsys, nullspace_calls):
+        assert main(["compute", "crown:6", "--char", "0", "--char", "3", "--basis", "--machine"]) == 0
+        assert capsys.readouterr().out == CROWN6_BASIS_MACHINE
+        assert len(nullspace_calls) == 2  # one per field
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        from wellcovered import cli
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["compute", "complete:3"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_consecutive_calls_share_no_state(self, capsys):
+        assert main(["compute", "crown:4", "--char", "0", "--char", "2", "--verbose"]) == 0
+        out = capsys.readouterr().out
+        assert "over Q" in out and "over GF(2)" in out and "sum rank" in out
+        # no --char list, flag or basis carries over from the previous call
+        assert main(["compute", "crown:4", "--machine"]) == 0
+        doc = parse_machine(capsys.readouterr().out)
+        assert [s.characteristic for s in doc.sections] == [0]
+        assert doc.sections[0].sum_rank is None and doc.sections[0].basis is None
+        assert main(["compute", "crown:4", "--char", "3", "--basis", "--machine"]) == 0
+        doc = parse_machine(capsys.readouterr().out)
+        assert [s.characteristic for s in doc.sections] == [3]
+        assert len(doc.sections[0].basis) == doc.sections[0].wcdim
+        assert main(["compute", "crown:4", "--char", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "over GF(2)" in out and "over Q" not in out and "basis" not in out
+        assert main(["verify", "union", "--trials", "2", "--char", "5", "--machine"]) == 0
+        out = capsys.readouterr().out
+        assert set(out.count(f"characteristics = {c}") for c in (0, 2)) == {0}
+        assert out.count("characteristics = 5") == 2
+        assert main(["verify", "union", "--trials", "2", "--machine"]) == 0
+        assert capsys.readouterr().out.count("characteristics = 0") == 2
+
+
 class TestVerifyCommand:
+    def test_all_machine_output_is_pinned_at_seed_1(self, capsys):
+        assert main(["verify", "all", "--machine"]) == 1
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fb0a647d7879d71a7a6725ee45daa1421398b6e0b30c6e276ae21f184f432793"
+        )
+        counts = [out.count(f"verdict = {v}") for v in ("pass", "fail", "skip")]
+        assert counts == [844, 81, 0]
+
     def test_union_section_passes(self, capsys):
         assert main(["verify", "union", "--seed", "1", "--trials", "5"]) == 0
         out = capsys.readouterr().out

@@ -124,6 +124,19 @@ class TestComputeWcdim:
                 for w in r.basis:
                     assert is_well_covered_weighting(g, w, f)
 
+    def test_basis_is_read_off_once_on_first_access(self, monkeypatch):
+        from wellcovered import engine
+
+        calls = []
+        real = engine.nullspace_basis
+        monkeypatch.setattr(engine, "nullspace_basis", lambda *a: calls.append(a) or real(*a))
+        report = compute_wcdim(path(6), Q, with_sum_rank=True)
+        full_rank = compute_wcdim(petersen(), Q)
+        assert calls == []
+        assert report.basis == ((1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1))
+        assert report.basis is report.basis and len(calls) == 1
+        assert full_rank.basis == () and len(calls) == 1
+
     def test_matches_reference_oracle(self):
         for seed in range(25):
             g = random_graph(seed % 8, 0.5, seed * 13 + 7)

@@ -123,7 +123,10 @@ class TestRowSpace:
                 pairs.append((plus, rng.randrange(1 << n) & ~plus))
             space = RowSpace(n, f)
             for plus, minus in pairs:
-                space.add(plus, minus)
+                before = (space.rank, [list(row) for row in space.rows()])
+                independent = space.independent(plus, minus)
+                assert (space.rank, space.rows()) == before
+                assert space.add(plus, minus) == independent
             dense = [[(plus >> v & 1) - (minus >> v & 1) for v in range(n)] for plus, minus in pairs]
             stored = space.rows()
             assert len(stored) == space.rank == rank(ExactMatrix.from_rows(dense, n), f)

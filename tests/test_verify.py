@@ -12,6 +12,7 @@ from wellcovered import (
     gear,
     lex_product,
     new_graph,
+    path,
     random_graph,
 )
 from wellcovered.engine import build_sum_system
@@ -61,11 +62,11 @@ class TestCheckFamily:
 
 class TestCheckBlowup:
     def test_c4_blowup(self):
-        report = check_blowup(cycle(4), 0, 3, Q)
+        report = check_blowup(cycle(4), 0, 3, [Q])[0]
         assert report.verdict == "pass" and report.engine == (5,)
 
     def test_trivial_blowup(self):
-        report = check_blowup(complete(3), 1, 1, Q)
+        report = check_blowup(complete(3), 1, 1, [Q])[0]
         assert report.verdict == "pass"
 
     def test_random_sweep(self):
@@ -74,48 +75,48 @@ class TestCheckBlowup:
         rng = random.Random(8)
         for _ in range(30):
             g = random_graph(rng.randint(1, 6), 0.5, rng.randrange(10**6))
-            rep = check_blowup(g, rng.randrange(g.n), rng.randint(1, 3), FieldSpec(rng.choice([0, 2, 3])))
+            rep = check_blowup(
+                g, rng.randrange(g.n), rng.randint(1, 3), [FieldSpec(rng.choice([0, 2, 3]))]
+            )[0]
             assert rep.verdict == "pass", rep
 
 
 class TestCheckMultiBlowup:
     def test_k2(self):
-        report = check_multi_blowup(complete(2), [2, 2], Q)
+        report = check_multi_blowup(complete(2), [2, 2], [Q])[0]
         assert report.verdict == "pass" and report.engine == (3,)
 
     def test_all_ones(self):
         g = random_graph(5, 0.5, 77)
-        report = check_multi_blowup(g, [1] * 5, Q)
+        report = check_multi_blowup(g, [1] * 5, [Q])[0]
         assert report.verdict == "pass"
         assert report.engine == (compute_wcdim(g, Q).wcdim,)
 
 
 class TestCheckUnion:
     def test_k3_with_c4(self):
-        report = check_union(complete(3), cycle(4), Q)
+        report = check_union(complete(3), cycle(4), [Q])[0]
         assert report.verdict == "pass" and report.engine == (4,)
 
 
 class TestCheckLex:
     def test_designed_pairs_pass(self):
-        assert check_lex(complete(2), complete(2), Q).engine == (1,)
-        assert check_lex(complete(2), empty_graph(2), Q).engine == (3,)
-        assert check_lex(cycle(4), empty_graph(2), Q).engine == (7,)
+        assert check_lex(complete(2), complete(2), [Q])[0].engine == (1,)
+        assert check_lex(complete(2), empty_graph(2), [Q])[0].engine == (3,)
+        assert check_lex(cycle(4), empty_graph(2), [Q])[0].engine == (7,)
         for g, h in [(complete(2), complete(2)), (cycle(4), empty_graph(2))]:
-            assert check_lex(g, h, Q).verdict == "pass"
+            assert check_lex(g, h, [Q])[0].verdict == "pass"
 
     def test_edgeless_first_factor_refutes_the_closed_form(self):
         # the product of the 2-vertex edgeless graph with K_2 is two disjoint
         # edges: dimension 2 by union additivity, but the closed form says 3
-        report = check_lex(empty_graph(2), complete(2), Q)
+        report = check_lex(empty_graph(2), complete(2), [Q])[0]
         assert report.verdict == "fail"
         assert report.predicted == (3,) and report.engine == (2,)
         assert "fibre-structure value 2" in report.detail
 
     def test_path4_square_refutes_the_closed_form(self):
-        from wellcovered import path
-
-        report = check_lex(path(4), path(4), Q)
+        report = check_lex(path(4), path(4), [Q])[0]
         assert report.verdict == "fail"
         assert report.predicted == (8,) and report.engine == (6,)
 
@@ -142,17 +143,17 @@ class TestFibreDimension:
 
 class TestCheckKron:
     def test_both_complete(self):
-        report = check_kron_remark(complete(2), complete(2), Q)
+        report = check_kron_remark(complete(2), complete(2), [Q])[0]
         assert report.verdict == "pass"
         assert report.predicted == (3, 1) and report.engine == (3, 1)
 
     def test_edgeless_second_factor(self):
-        report = check_kron_remark(complete(2), empty_graph(2), Q)
+        report = check_kron_remark(complete(2), empty_graph(2), [Q])[0]
         assert report.verdict == "pass"
         assert report.engine == (1, 3)
 
     def test_dimension_shortcut_fails_for_edgeless_first_factor(self):
-        report = check_kron_remark(empty_graph(2), complete(2), Q)
+        report = check_kron_remark(empty_graph(2), complete(2), [Q])[0]
         assert report.verdict == "fail"
         assert "ab - rank(C)" in report.detail
 
@@ -160,10 +161,94 @@ class TestCheckKron:
         # two disjoint edges make the sum system rows dependent without the
         # usual rank drop, so the row-count keyed table mispredicts
         g = new_graph(4, [(0, 3), (1, 2)])
-        report = check_kron_remark(g, complete(2), Q)
+        report = check_kron_remark(g, complete(2), [Q])[0]
         assert report.verdict == "fail"
         assert "rank table" in report.detail
         assert "rank-drop keyed table gives 5" in report.detail
+
+
+BATCHED = ("check_blowup", "check_multi_blowup", "check_union", "check_lex", "check_kron_remark")
+
+
+class TestBatchedChecks:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_suite_equals_single_field_calls(self, seed, monkeypatch):
+        # every batched call the suite makes is replayed one field at a time
+        from wellcovered import verify
+
+        singles = []
+
+        def differential(real):
+            def check(*args, **kwargs):
+                *head, fs = args
+                batched = real(*args, **kwargs)
+                one_by_one = [r for f in fs for r in real(*head, [f], **kwargs)]
+                assert batched == one_by_one
+                singles.extend(one_by_one)
+                return batched
+
+            return check
+
+        for name in BATCHED:
+            monkeypatch.setattr(verify, name, differential(getattr(verify, name)))
+        reports = run_suite(seed=seed)
+        assert [r for r in reports if r.check != "family"] == singles
+        assert {r.check for r in singles} == {"blowup", "multi-blowup", "union", "lex", "kron"}
+
+    def test_each_graph_is_enumerated_once_for_all_fields(self, monkeypatch):
+        from wellcovered import engine, verify
+
+        calls = []
+        for mod, name in ((engine, "mis_masks"), (verify, "enumerate_mis")):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, _real=real: calls.append(a) or _real(*a))
+        fs = fields(0, 2, 3, 5)
+        # crown(4) has dimension 3, but 4 over GF(2), so a report that read
+        # another field's result would differ from the single-field call
+        g, h = crown(4), path(3)
+        checks = [
+            (check_blowup, (g, 0, 2)),
+            (check_multi_blowup, (g, [2] * 8)),
+            (check_union, (g, h)),
+            (check_lex, (g, h)),
+            (check_kron_remark, (g, h)),
+        ]
+        batched = [check(*args, fs) for check, args in checks]
+        # two graphs per blowup check, three per union, lex and kron check
+        assert len(calls) == 2 + 2 + 3 + 3 + 3
+        for (check, args), reports in zip(checks, batched):
+            assert [r.characteristics for r in reports] == [(0,), (2,), (3,), (5,)]
+            assert reports == [check(*args, [f])[0] for f in fs]
+
+    def test_empty_field_list_enumerates_nothing(self, monkeypatch):
+        from wellcovered import engine, verify
+
+        calls = []
+        monkeypatch.setattr(engine, "mis_masks", lambda *a: calls.append(a))
+        monkeypatch.setattr(verify, "enumerate_mis", lambda *a: calls.append(a))
+        g, h = cycle(5), path(3)
+        assert check_blowup(g, 0, 2, []) == []
+        assert check_multi_blowup(g, [2] * 5, []) == []
+        assert check_union(g, h, []) == []
+        assert check_lex(g, h, []) == []
+        assert check_kron_remark(g, h, []) == []
+        assert calls == []
+
+    def test_capacity_overrun_skips_every_field(self):
+        # cycle(4) has two maximal independent sets, one more than the limit
+        fs = fields(0, 2, 3)
+        g, h = cycle(4), complete(2)
+        for reports in (
+            check_blowup(g, 0, 2, fs, limit=1),
+            check_multi_blowup(g, [2] * 4, fs, limit=1),
+            check_union(g, h, fs, limit=1),
+            check_lex(g, h, fs, limit=1),
+            check_kron_remark(g, h, fs, limit=1),
+        ):
+            assert [r.verdict for r in reports] == ["skip"] * 3
+            assert [r.characteristics for r in reports] == [(0,), (2,), (3,)]
+            assert all(r.predicted == r.engine == () for r in reports)
+            assert reports[0].detail and len({r.detail for r in reports}) == 1
 
 
 class TestRunSuite:
@@ -208,7 +293,7 @@ class TestRunSuite:
             (n1, s1), (n2, s2) = pat.findall(r.instance)
             g = random_graph(int(n1), 0.5, int(s1))
             h = random_graph(int(n2), 0.5, int(s2))
-            replay = check_lex(g, h, FieldSpec(r.characteristics[0]))
+            replay = check_lex(g, h, [FieldSpec(r.characteristics[0])])[0]
             assert replay.verdict == "fail"
             assert replay.predicted == r.predicted and replay.engine == r.engine
 
