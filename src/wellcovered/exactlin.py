@@ -4,7 +4,7 @@ No floating point anywhere.  Characteristic-zero elimination is
 fraction-free: rational denominators are cleared row-wise, and every row
 an elimination step produces is divided by the gcd of its entries, so
 values stay small integers.  Over GF(p) rows are residues with pivots
-normalised to 1; the batch GF(p) rank is delegated to the kernel lane.
+normalised to 1; the batch GF(p) rank is `kernels.gf_rank`.
 `RowSpace` is the incremental echelon form the engine streams rows into
 (an XOR basis of bitmasks over GF(2)); `rank` and `nullspace_basis` work
 on a whole `ExactMatrix`.

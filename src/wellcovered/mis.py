@@ -1,16 +1,16 @@
 """Complete enumeration of maximal independent sets, in a canonical order.
 
 A vertex set is maximal independent exactly when it is a maximal clique of
-the complement graph, so enumeration runs Bron-Kerbosch with pivoting over
-complement adjacency bitmasks.  A greedy pass would only find some maximal
-set; the linear systems downstream need all of them, which is why full
-clique enumeration is used.
+the complement graph, so enumeration runs Bron-Kerbosch with pivoting
+(`kernels.maximal_cliques`) over complement adjacency bitmasks.  A greedy
+pass would only find some maximal set; the linear systems downstream need
+all of them, which is why full clique enumeration is used.
 
-`mis_masks` returns the sets as bitmasks in the kernel's discovery order;
-the engine streams those into its row spaces, whose canonical basis does
-not depend on the order.  `enumerate_mis` sorts them into the canonical
-order (lexicographic by sorted member lists), so the assembled batch
-systems are reproducible byte for byte.
+`mis_masks` returns the sets as bitmasks in the kernel's depth-first
+discovery order; the engine streams those into its row spaces, whose
+canonical basis does not depend on the order.  `enumerate_mis` sorts them
+into the canonical order (lexicographic by sorted member lists), so the
+assembled batch systems are reproducible byte for byte.
 """
 
 from __future__ import annotations

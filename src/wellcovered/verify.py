@@ -98,7 +98,13 @@ def check_family(
     chars: Sequence[FieldSpec],
     limit: int = DEFAULT_MIS_LIMIT,
 ) -> CheckReport:
-    """Engine wcdim must equal the family's formula for every characteristic."""
+    """Engine wcdim must equal the family's formula for every characteristic.
+
+    Raises InputError for an empty characteristic list, which would
+    otherwise pass after comparing nothing.
+    """
+    if not chars:
+        raise InputError("check_family needs at least one characteristic")
     g = build_family(spec)
     predicted = [_family_prediction(spec, f) for f in chars]
     try:
@@ -352,8 +358,11 @@ def run_suite(
     Each section draws from its own stream seeded with (seed, section name),
     so running one section alone replays exactly the instances it would see
     inside the full suite.  Every random instance descriptor embeds the
-    sub-seed that regenerates its graph.
+    sub-seed that regenerates its graph.  A negative trial count raises
+    InputError.
     """
+    if min(blowup_trials, multi_blowup_trials, lex_trials, union_trials, kron_trials) < 0:
+        raise InputError("trial counts must be non-negative")
     sizes = tuple(s for s in sizes if s >= 1)
     if not sizes:
         return []

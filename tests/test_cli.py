@@ -299,6 +299,17 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == first
         assert "verdict = pass" in first
 
+    def test_negative_trials_exit_2(self, capsys):
+        assert main(["verify", "all", "--trials", "-1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_zero_trials_run_no_random_instance(self, capsys):
+        assert main(["verify", "union", "--trials", "0"]) == 0
+        assert "0 passed, 0 failed, 0 skipped" in capsys.readouterr().out
+        assert main(["verify", "lex", "--trials", "0", "--machine"]) == 0
+        out = capsys.readouterr().out
+        assert "instance = g[cycle:4];h[empty:2]" in out and "random" not in out
+
     def test_kind_only_valid_for_family(self, capsys):
         assert main(["verify", "lex", "crown"]) == 2
 

@@ -234,6 +234,17 @@ class TestBatchedChecks:
         assert check_kron_remark(g, h, []) == []
         assert calls == []
 
+    def test_family_check_rejects_an_empty_field_list(self, monkeypatch):
+        # one report per call, so an empty list would be a pass with no comparison
+        from wellcovered import InputError, engine, verify
+
+        calls = []
+        monkeypatch.setattr(engine, "mis_masks", lambda *a: calls.append(a))
+        monkeypatch.setattr(verify, "build_family", lambda *a: calls.append(a))
+        with pytest.raises(InputError):
+            check_family(FamilySpec("petersen"), [])
+        assert calls == []
+
     def test_capacity_overrun_skips_every_field(self):
         # cycle(4) has two maximal independent sets, one more than the limit
         fs = fields(0, 2, 3)
@@ -302,3 +313,12 @@ class TestRunSuite:
 
         with pytest.raises(InputError):
             run_suite(seed=1, checks=("nonsense",))
+
+    @pytest.mark.parametrize(
+        "section", ["blowup", "multi_blowup", "lex", "union", "kron"]
+    )
+    def test_negative_trial_count_rejected(self, section):
+        from wellcovered import InputError
+
+        with pytest.raises(InputError):
+            run_suite(seed=1, **{f"{section}_trials": -1})
