@@ -220,6 +220,20 @@ def render_text(doc: ReportDocument, verbose: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_stats(reports: Sequence[WcdimReport]) -> str:
+    """Where one compute's time and rows went: the enumeration, then one line per field."""
+    first = reports[0].stats
+    lines = [f"stats: enumeration {first.enumerate_ms:.3f} ms, {first.sets} sets"]
+    for r in reports:
+        s = r.stats
+        lines.append(
+            f"stats: {r.field}: {s.method}, elimination {s.elimination_ms:.3f} ms, "
+            f"rows fed {s.rows_fed}, kept {s.rows_kept}, vanished {s.rows_vanished}, "
+            f"stopped at full rank: {'yes' if s.stopped_at_full_rank else 'no'}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -237,6 +251,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
         sys.stdout.write(render_machine(doc))
     else:
         sys.stdout.write(render_text(doc, args.verbose))
+    if args.stats:
+        sys.stderr.write(render_stats(reports))
     return 0
 
 
@@ -342,6 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--basis", action="store_true", help="print the space basis")
     p_compute.add_argument("--verbose", action="store_true", help="include system ranks")
     p_compute.add_argument("--machine", action="store_true", help="machine-readable output")
+    p_compute.add_argument(
+        "--stats", action="store_true",
+        help="print per-stage times and row counts on stderr",
+    )
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run formula-vs-engine checks")

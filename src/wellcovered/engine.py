@@ -6,16 +6,19 @@ system (M_i - M_0) . w = 0 for i >= 1, so the well-covered space is the
 nullspace of the difference system and its dimension is n - rank.
 
 The system is never assembled.  Each graph's sets are enumerated once, as
-bitmasks, and every requested field streams the rows M_i - M_0 into its own
-`RowSpace`, which keeps at most n echelon rows and stops absorbing once its
-rank is n (the enumeration itself always runs to the end, so the set count
-is exact).  The canonical basis is defined as the one read off the RREF of
-the row space, so it does not depend on the baseline or on the row order;
-the engine is free to feed the rows in whatever order reaches full rank
-soonest.  A report keeps its field's echelon rows and reads the basis off
-them on demand, the first time `WcdimReport.basis` is accessed, so callers
-that need only the dimension never pay for it.  `build_difference_system`
-and `build_sum_system` assemble the batch systems for callers and tests that
+bitmasks, and the rows M_i - M_0 are streamed into one integer `RowSpace`,
+a fraction-free Gauss-Jordan elimination that keeps at most n rows, each
+D times its RREF row, and stops absorbing once its rank is n (the
+enumeration itself always runs to the end, so the set count is exact).
+That one space answers over Q and over every GF(p) with p not dividing D;
+only a field with p | D is eliminated on its own, over the same rows.  The
+canonical basis is defined as the one read off the RREF of the row space,
+so it does not depend on the baseline or on the row order; the engine is
+free to feed the rows in whatever order reaches full rank soonest.  A
+report keeps its field's row space and reads the basis off it on demand,
+the first time `WcdimReport.basis` is accessed, so callers that need only
+the dimension never pay for it.  `build_difference_system` and
+`build_sum_system` assemble the batch systems for callers and tests that
 want them explicitly.
 """
 
@@ -26,23 +29,50 @@ from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
-from .exactlin import ExactMatrix, FieldSpec, RowSpace, Scalar, nullspace_basis
-from .exactlin import rank  # noqa: F401  (perfbench/trace.py instruments engine.rank)
+from .exactlin import ExactMatrix, FieldSpec, RowSpace, Scalar
+# perfbench/trace.py instruments engine.rank and engine.nullspace_basis
+from .exactlin import nullspace_basis, rank  # noqa: F401
 from .graphs import Graph
 from .mis import DEFAULT_MIS_LIMIT, MisList, enumerate_mis, mis_masks
+
+
+class Stats(NamedTuple):
+    """Where one report's time and rows went; `compute --stats` prints it.
+
+    `method` says how the field's row space was obtained: "integer" (Q),
+    "read off (p ∤ D)" (a prime field served by the integer space) or "own
+    elimination" (p | D).  The elimination figures are those of the space
+    the field was read from, so a read-off field shows the shared integer
+    elimination.  `stopped_at_full_rank` is True when the space reached the
+    largest rank it can have (n, or for an own elimination the rank over
+    Q) before the rows ran out, leaving the rest unfed.
+    """
+
+    enumerate_ms: float
+    sets: int
+    method: str
+    elimination_ms: float
+    rows_fed: int
+    rows_kept: int
+    stopped_at_full_rank: bool
+
+    @property
+    def rows_vanished(self) -> int:
+        return self.rows_fed - self.rows_kept
 
 
 @dataclass(frozen=True)
 class WcdimReport:
     """Result of one well-covered dimension computation.
 
-    `space` holds the difference system's echelon rows (at most n of them).
-    `basis`, the canonical basis of the well-covered space, is read off those
-    rows the first time it is accessed and kept from then on; `elapsed`
-    covers enumeration and elimination, not the basis.
+    `space` holds the row space the field was read from (at most n rows):
+    for Q and for every GF(p) with p not dividing D it is the shared integer
+    space.  `basis`, the canonical basis of the well-covered space, is read
+    off those rows the first time it is accessed and kept from then on;
+    `elapsed` covers enumeration and elimination, not the basis.
     """
 
     n: int
@@ -53,12 +83,13 @@ class WcdimReport:
     sum_rank: int | None
     elapsed: float
     space: RowSpace = dataclass_field(repr=False, compare=False)
+    stats: Stats = dataclass_field(repr=False, compare=False)
 
     @cached_property
     def basis(self) -> tuple[tuple[Scalar, ...], ...]:
         if self.wcdim == 0:
             return ()
-        return tuple(nullspace_basis(ExactMatrix.from_rows(self.space.rows(), self.n), self.field))
+        return tuple(self.space.basis(self.field))
 
 
 def build_difference_system(mis: MisList, baseline: int = 0) -> ExactMatrix:
@@ -100,6 +131,17 @@ def build_sum_system(mis: MisList) -> ExactMatrix:
     return ExactMatrix.from_rows(rows, n)
 
 
+def _feed(space: RowSpace, order: Sequence[int], base: int, most: int) -> int:
+    """Stream the rows M - M_0 of `order` into space until its rank is `most`; returns rows fed."""
+    fed = 0
+    for m in order:
+        if space.rank == most:
+            break
+        space.add(m & ~base, base & ~m)
+        fed += 1
+    return fed
+
+
 def compute_wcdim_fields(
     g: Graph,
     fields: Sequence[FieldSpec],
@@ -108,8 +150,11 @@ def compute_wcdim_fields(
 ) -> list[WcdimReport]:
     """Well-covered dimension of g over each field, from one enumeration.
 
-    Each report's `elapsed` is the shared enumeration time plus the time
-    spent on its own field.  An empty field list enumerates nothing.
+    One integer row space serves Q and every GF(p) with p not dividing its
+    common pivot D; only a field with p | D is eliminated on its own, over
+    the same rows, until it reaches the rank over Q.  Each report's `elapsed` is the shared enumeration and
+    integer elimination time plus the time spent on its own field.  An
+    empty field list enumerates nothing.
     """
     if not fields:
         return []
@@ -122,18 +167,29 @@ def compute_wcdim_fields(
     # strided passes spread them out, so full rank comes after about n rows
     # instead of after most of the list
     order = [m for start in range(8) for m in masks[start::8]]
+    del order[0]  # the baseline itself, whose row M_0 - M_0 is zero
+    t1 = time.perf_counter()
+    integer = RowSpace(n, FieldSpec(0))
+    integer_fed = _feed(integer, order, base, n)
+    integer_s = time.perf_counter() - t1
     reports = []
     for f in fields:
-        t1 = time.perf_counter()
-        space = RowSpace(n, f)
-        for m in order:
-            if space.full:
-                break
-            space.add(m & ~base, base & ~m)
+        t2 = time.perf_counter()
+        if f == integer.field:
+            space, method, fed = integer, "integer", integer_fed
+        elif integer.reads_off(f):
+            space, method, fed = integer, "read off (p ∤ D)", integer_fed
+        else:
+            # an integer matrix has no larger rank mod p than over Q, so the
+            # span is complete once it reaches the integer space's rank
+            space, method = RowSpace(n, f), "own elimination"
+            fed = _feed(space, order, base, integer.rank)
         r = space.rank
         # the sets span span{M_0} + span{M_i - M_0}, so the sum system's rank
         # is r + 1 exactly when M_0 is independent of the difference rows
-        sum_rank = r + space.independent(base) if with_sum_rank else None
+        sum_rank = r + space.independent(base, 0, f) if with_sum_rank else None
+        field_s = time.perf_counter() - t2
+        elim_s = integer_s if space is integer else field_s
         reports.append(
             WcdimReport(
                 n=n,
@@ -142,8 +198,17 @@ def compute_wcdim_fields(
                 wcdim=n - r,
                 diff_rank=r,
                 sum_rank=sum_rank,
-                elapsed=enum_s + time.perf_counter() - t1,
+                elapsed=enum_s + integer_s + field_s,
                 space=space,
+                stats=Stats(
+                    enumerate_ms=enum_s * 1e3,
+                    sets=len(masks),
+                    method=method,
+                    elimination_ms=elim_s * 1e3,
+                    rows_fed=fed,
+                    rows_kept=r,
+                    stopped_at_full_rank=fed < len(order),
+                ),
             )
         )
     return reports

@@ -1,13 +1,19 @@
 """Exact linear algebra over the rationals and over prime fields GF(p).
 
-No floating point anywhere.  Characteristic-zero elimination is
-fraction-free: rational denominators are cleared row-wise, and every row
-an elimination step produces is divided by the gcd of its entries, so
-values stay small integers.  Over GF(p) rows are residues with pivots
-normalised to 1; the batch GF(p) rank is `kernels.gf_rank`.
-`RowSpace` is the incremental echelon form the engine streams rows into
-(an XOR basis of bitmasks over GF(2)); `rank` and `nullspace_basis` work
-on a whole `ExactMatrix`.
+No floating point anywhere.  The batch routines `rank` and
+`nullspace_basis` work on a whole `ExactMatrix`: over Q they eliminate
+fraction-free, clearing rational denominators row-wise and dividing every
+row an elimination step produces by the gcd of its entries; over GF(p) rows
+are residues with pivots normalised to 1, and the batch GF(p) rank is
+`kernels.gf_rank`.
+
+`RowSpace` is the incremental reduced echelon form the engine streams rows
+into.  Over Q it is one fraction-free Gauss-Jordan elimination over the
+integers, each row a single packed Python int, and it also serves every
+GF(p) with p not dividing its common pivot D: for such p the rank and the
+RREF over GF(p) are the integer ones reduced mod p.  A GF(p) with p | D is
+eliminated on its own, with residue rows (an XOR basis of bitmasks over
+GF(2)).
 
 Nullspace bases are read off the reduced row echelon form, which makes them
 canonical: free columns are taken in ascending order and each basis vector
@@ -23,6 +29,7 @@ therefore accepts only characteristic 0 or a prime p < 2^31.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -241,20 +248,39 @@ def nullspace_basis(m: ExactMatrix, f: FieldSpec) -> list[tuple[Scalar, ...]]:
     return basis
 
 
+# memoryview formats of the unsigned C integers, by width in bits; lanes of
+# these widths are decoded by one cast of the packed row's bytes
+_LANE_FORMATS = {8 * memoryview(bytes(8)).cast(c).itemsize: c for c in "QLIHB"}
+
+
 class RowSpace:
-    """Incremental echelon form of the span of rows fed in one at a time.
+    """Incremental reduced row echelon form of the span of rows fed in one at a time.
 
     Rows have entries in {-1, 0, 1} and are given as two vertex bitmasks:
     `plus` marks the +1 entries and `minus` the -1 entries, so a difference
-    of indicator vectors M_i - M_0 is (M_i & ~M_0, M_0 & ~M_i).  Each row is
-    reduced against the stored echelon rows and kept only when it is
-    independent of them, so at most n rows are ever held and a row fed in
-    after the span is full costs nothing.
+    of indicator vectors M_i - M_0 is (M_i & ~M_0, M_0 & ~M_i).  A row is
+    kept only when it is independent of the rows kept so far, so at most n
+    rows are ever held and a row fed in after the span is full costs nothing.
+
+    Over Q the space is fraction-free Gauss-Jordan over the integers
+    (Bareiss): the row kept for pivot column c is R_c = D * (RREF row c),
+    where D (`common_pivot`) is, up to sign, the determinant of the kept
+    rows restricted to the pivot columns, so every entry is an integer minor
+    of the kept rows.  Each row is one Python int of n signed lanes of B
+    bits, column j in lane j, and is stored as N_c = R_c - D e_c, with its
+    pivot lane cleared.  A row x reduces to
+    s = D*x - sum_c x_c R_c = D*x_free - sum_c x_c N_c over the pivot
+    columns c, where x_free is x off the pivots; s is zero exactly when x
+    lies in the span, and it costs popcount(x) big-integer additions.
+
+    The same space answers over GF(p) for every prime p that does not divide
+    D (`reads_off`).  The kept rows' pivot minor is then a unit mod p, so
+    every fed row is a p-integral combination of the kept rows: the rank
+    over GF(p) is r, and the RREF over GF(p) is this one reduced mod p.
 
     Over GF(2) a row is a bitmask and the echelon is an XOR basis keyed by
-    its lowest set bit.  Over GF(p) rows are residue lists whose pivot is
-    normalised to 1; over Q they are integer lists divided by their gcd, so
-    entries stay small and no Fraction is built.
+    its lowest set bit; over any other GF(p) rows are residue lists whose
+    pivot is normalised to 1.
     """
 
     def __init__(self, n: int, f: FieldSpec) -> None:
@@ -262,44 +288,135 @@ class RowSpace:
         self.field = f
         self.rank = 0
         self._xor: dict[int, int] = {}  # GF(2): lowest set bit -> row bitmask
-        self._pivot_rows: list[list[int] | None] = [None] * n  # pivot column -> row
+        self._pivot_rows: list[list[int] | None] = [None] * n  # GF(p): pivot column -> row
+        # Q: D, the pivot columns (a bitmask and in order of arrival), and
+        # `_cols[j]`, which is N_j for a pivot column j and the unit e_j for
+        # any other.  D and every lane of every N_j are at most 2^t in
+        # absolute value.
+        self.common_pivot = 1
+        self._piv = 0
+        self._pivots: list[int] = []
+        self._t = 1
+        if f.characteristic == 0:
+            self._set_width(self._width_for(self._t))
 
     @property
     def full(self) -> bool:
         return self.rank == self.n
 
+    def reads_off(self, f: FieldSpec) -> bool:
+        """True iff f is a prime field whose rank and RREF are this integer space's mod p.
+
+        That holds exactly when this space is over Q and p does not divide D.
+        """
+        p = f.characteristic
+        return self.field.characteristic == 0 and p != 0 and self.common_pivot % p != 0
+
     def add(self, plus: int, minus: int = 0) -> bool:
         """Absorb one row; True iff it was independent of the rows so far."""
-        if self.field.characteristic == 2:
+        p = self.field.characteristic
+        if p == 2:
             x = self._reduce_bits(plus ^ minus)
             if not x:
                 return False
             self._xor[x & -x] = x
-        else:
+        elif p:
             reduced = self._reduce(self._dense(plus, minus))
             if reduced is None:
                 return False
             c, row = reduced
-            p = self.field.characteristic
-            if p:
-                inv = pow(row[c], -1, p)
-                row = [x * inv % p for x in row]
-            self._pivot_rows[c] = row
+            inv = pow(row[c], -1, p)
+            self._pivot_rows[c] = [x * inv % p for x in row]
+        else:
+            s = self._residual(plus, minus)
+            if not s:
+                return False
+            self._keep(s)
         self.rank += 1
         return True
 
-    def independent(self, plus: int, minus: int = 0) -> bool:
-        """True iff the row is independent of the rows so far; nothing is stored."""
-        if self.field.characteristic == 2:
-            return bool(self._reduce_bits(plus ^ minus))
-        return self._reduce(self._dense(plus, minus)) is not None
+    def independent(self, plus: int, minus: int = 0, f: FieldSpec | None = None) -> bool:
+        """True iff the row is independent of the rows so far over f; nothing is stored.
+
+        f defaults to the space's own field; an integer space also answers
+        over every prime field it `reads_off`, where the row is independent
+        exactly when some lane of its residual s is nonzero mod p.
+        """
+        if f is None or f == self.field:
+            p = self.field.characteristic
+            if p == 2:
+                return bool(self._reduce_bits(plus ^ minus))
+            if p:
+                return self._reduce(self._dense(plus, minus)) is not None
+            return bool(self._residual(plus, minus))
+        if not self.reads_off(f):
+            raise ValueError(f"{f} cannot be read off this {self.field} row space")
+        p = f.characteristic
+        return any(x % p for x in self._unpack(self._residual(plus, minus)))
 
     def rows(self) -> list[list[int]]:
-        """The echelon rows in pivot-column order: integers over Q, residues over GF(p)."""
+        """The echelon rows in pivot-column order.
+
+        Over Q they are the RREF rows scaled to primitive integers; over
+        GF(p) they are residues.
+        """
         n = self.n
-        if self.field.characteristic == 2:
+        p = self.field.characteristic
+        if p == 2:
             return [[x >> v & 1 for v in range(n)] for _, x in sorted(self._xor.items())]
-        return [row for row in self._pivot_rows if row is not None]
+        if p:
+            return [row for row in self._pivot_rows if row is not None]
+        out = []
+        for c in sorted(self._pivots):
+            row = self._unpack(self._cols[c])
+            row[c] = self.common_pivot
+            g = gcd(*row) if row[c] > 0 else -gcd(*row)
+            out.append([x // g for x in row])
+        return out
+
+    def basis(self, f: FieldSpec | None = None) -> list[tuple[Scalar, ...]]:
+        """The canonical nullspace basis over f (default: the space's own field).
+
+        As `nullspace_basis` gives it for any spanning set of the rows: one
+        vector per free column, ascending, with a 1 in its own column.  An
+        integer space reads it straight off its RREF, for Q and for every
+        prime field it `reads_off`: the entry in pivot column c of the
+        vector for free column j is -R_c[j] / D.
+        """
+        if f is None:
+            f = self.field
+        if self.field.characteristic:
+            if f != self.field:
+                raise ValueError(f"{f} cannot be read off this {self.field} row space")
+            return nullspace_basis(ExactMatrix.from_rows(self.rows(), self.n), f)
+        p = f.characteristic
+        if p and not self.reads_off(f):
+            raise ValueError(f"{f} cannot be read off this {self.field} row space")
+        d = self.common_pivot
+        pivots = sorted(self._pivots)
+        rows = [self._unpack(self._cols[c]) for c in pivots]
+        entries: dict[int, Scalar] = {}
+        if p:
+            zero: Scalar = 0
+            one: Scalar = 1
+            scale = -pow(d, -1, p)
+        else:
+            zero, one = Fraction(0), Fraction(1)
+        basis = []
+        for j in range(self.n):
+            if self._piv >> j & 1:
+                continue
+            vec = [zero] * self.n
+            vec[j] = one
+            for c, row in zip(pivots, rows):
+                x = row[j]
+                if x:
+                    value = entries.get(x)
+                    if value is None:
+                        value = entries[x] = x * scale % p if p else Fraction(-x, d)
+                    vec[c] = value
+            basis.append(tuple(vec))
+        return basis
 
     def _reduce_bits(self, x: int) -> int:
         """The GF(2) row x reduced until its lowest bit has no basis row (0 if it vanishes)."""
@@ -313,11 +430,10 @@ class RowSpace:
 
     def _dense(self, plus: int, minus: int) -> list[int]:
         p = self.field.characteristic
-        row = [(plus >> v & 1) - (minus >> v & 1) for v in range(self.n)]
-        return [x % p for x in row] if p else row
+        return [((plus >> v & 1) - (minus >> v & 1)) % p for v in range(self.n)]
 
     def _reduce(self, row: list[int]) -> tuple[int, list[int]] | None:
-        """(lead column, row) of the row reduced to a new pivot, or None if it vanishes."""
+        """(lead column, row) of the GF(p) row reduced to a new pivot, or None if it vanishes."""
         p = self.field.characteristic
         pivot_rows = self._pivot_rows
         for c in range(self.n):
@@ -327,12 +443,126 @@ class RowSpace:
             prow = pivot_rows[c]
             if prow is None:
                 return c, row
-            if p:
-                row = [(x - a * y) % p for x, y in zip(row, prow)]
-            else:
-                b = prow[c]
-                row = _primitive([b * x - a * y for x, y in zip(row, prow)])
+            row = [(x - a * y) % p for x, y in zip(row, prow)]
         return None
+
+    # -- the packed integer space over Q ---------------------------------
+    #
+    # Lane width.  Packing is linear over Z, so a lane that overflows in an
+    # intermediate sum or product cancels again; only the lanes of a value
+    # that is decoded or stored must lie in (-2^(B-1), 2^(B-1)).  With every
+    # lane of N_j and D at most 2^t in absolute value, a residual of a row
+    # with w nonzero entries has lanes of at most w * 2^t, and B is kept at
+    # least t + bit_length(n) + 1.  Keeping a row needs a bound on the
+    # updated rows before they exist, which `_keep` takes from the update
+    # formula; afterwards t is tightened to the rows actually stored.
+
+    def _residual(self, plus: int, minus: int) -> int:
+        """The packed row s = D*x_free - sum_c x_c N_c: x reduced against the space, times D."""
+        piv = self._piv
+        free = self._total(plus & ~piv) - self._total(minus & ~piv)
+        return free * self.common_pivot - self._total(plus & piv) + self._total(minus & piv)
+
+    def _total(self, mask: int) -> int:
+        """The sum of `_cols[j]` over the columns j in mask."""
+        cols = self._cols
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += cols[low.bit_length() - 1]
+            mask ^= low
+        return total
+
+    def _keep(self, s: int) -> None:
+        """Store the nonzero residual s.
+
+        Its lowest nonzero lane c becomes a pivot and D becomes s_c; every
+        kept row turns into N_i <- (s_c N_i - N_i[c] s) / D.  The division is
+        exact because each entry of the result is a minor of the kept rows.
+        """
+        d, t = self.common_pivot, self._t
+        lanes = self._unpack(s)
+        ts = max(map(abs, lanes)).bit_length()  # every lane of s is below 2^ts
+        # |s_c N_i - N_i[c] s| < 2^(t + ts + 1), and |D| >= 2^(bit_length(D) - 1)
+        bound = max(t + ts + 2 - abs(d).bit_length(), ts)
+        if bound + 1 > self._width:
+            self._set_width(bound + 1)
+            s = self._pack(lanes)
+        b = self._width
+        c = ((s & -s).bit_length() - 1) // b
+        sc = lanes[c]
+        cols = self._cols
+        for i in self._pivots:
+            row = cols[i]
+            a = self._lane(row, c)
+            if a or sc != d:
+                cols[i] = (sc * row - a * s) // d
+        cols[c] = s - (sc << (b * c))
+        self._piv |= 1 << c
+        self._pivots.append(c)
+        self.common_pivot = sc
+        self._t = self._tighten(min(max(ts, t - 1), bound), bound)
+        need = self._width_for(self._t)
+        if need > self._width:
+            self._set_width(need)
+
+    def _tighten(self, t: int, bound: int) -> int:
+        """The least t' in [t, bound] with every lane of every N_j in [-2^t', 2^t').
+
+        `bound` is known to qualify, and |D| is below 2^t.
+        """
+        ones = self._ones
+        while t < bound:
+            shift = ones << t  # each lane in [0, 2^(t+1)) once 2^t is added, with no borrow
+            acc = 0
+            for i in self._pivots:
+                acc |= self._cols[i] + shift
+            if not acc & ~((ones << (t + 1)) - ones):
+                break
+            t += 1
+        return t
+
+    def _width_for(self, t: int) -> int:
+        """The least lane width B that decodes any residual: w * 2^t < 2^(B-1) for w <= n."""
+        return t + max(self.n, 1).bit_length() + 1
+
+    def _set_width(self, least: int) -> None:
+        """Repack the kept rows into lanes of the least power of two >= max(least, 8) bits."""
+        old = {i: self._unpack(self._cols[i]) for i in self._pivots}
+        width = 1 << max(least - 1, 7).bit_length()
+        self._width = width
+        self._mask = (1 << width) - 1
+        self._half = 1 << (width - 1)
+        self._ones = int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * self.n, "little")
+        self._format = _LANE_FORMATS.get(width) if sys.byteorder == "little" else None
+        self._cols = [1 << (width * j) for j in range(self.n)]
+        for i, row in old.items():
+            self._cols[i] = self._pack(row)
+
+    def _pack(self, row: list[int]) -> int:
+        width = self._width
+        return sum(x << (width * j) for j, x in enumerate(row) if x)
+
+    def _lane(self, v: int, j: int) -> int:
+        """Signed lane j of the packed row v."""
+        if j:
+            # rounding to the nearest multiple of 2^(B j) absorbs any borrow
+            # from the lanes below j, whose value is below half of it
+            v = ((v >> (self._width * j - 1)) + 1) >> 1
+        v &= self._mask
+        return v - ((v & self._half) << 1)
+
+    def _unpack(self, v: int) -> list[int]:
+        """All n signed lanes of the packed row v."""
+        b, half = self._width, self._half
+        # adding half to every lane makes each one non-negative, with no borrow
+        raw = (v + (self._ones << (b - 1))).to_bytes(self.n * b // 8, "little")
+        if self._format:
+            lanes: Iterable[int] = memoryview(raw).cast(self._format)
+        else:
+            w = b // 8
+            lanes = (int.from_bytes(raw[k : k + w], "little") for k in range(0, len(raw), w))
+        return [x - half for x in lanes]
 
 
 def kronecker(a: ExactMatrix, m: ExactMatrix) -> ExactMatrix:

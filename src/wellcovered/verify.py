@@ -358,19 +358,20 @@ def run_suite(
     Each section draws from its own stream seeded with (seed, section name),
     so running one section alone replays exactly the instances it would see
     inside the full suite.  Every random instance descriptor embeds the
-    sub-seed that regenerates its graph.  A negative trial count raises
-    InputError.
+    sub-seed that regenerates its graph.  A negative trial count, an unknown
+    check section or an invalid characteristic raises InputError, whatever
+    the sizes.
     """
     if min(blowup_trials, multi_blowup_trials, lex_trials, union_trials, kron_trials) < 0:
         raise InputError("trial counts must be non-negative")
-    sizes = tuple(s for s in sizes if s >= 1)
-    if not sizes:
-        return []
     for c in checks:
         if c not in ALL_CHECKS:
             raise InputError(f"unknown check section {c!r}")
     for c in chars:
         FieldSpec(c)  # reject invalid characteristics up front
+    sizes = tuple(s for s in sizes if s >= 1)
+    if not sizes:
+        return []
     reports: list[CheckReport] = []
 
     def section_rng(name: str) -> random.Random:

@@ -201,30 +201,63 @@ basis 4 = 1 0 0 0 0 2 2 0 0 0 0 1
 
 class TestBasisOnDemand:
     @pytest.fixture
-    def nullspace_calls(self, monkeypatch):
-        from wellcovered import engine
+    def basis_reads(self, monkeypatch):
+        from wellcovered.exactlin import RowSpace
 
         calls = []
-        real = engine.nullspace_basis
-        monkeypatch.setattr(engine, "nullspace_basis", lambda *a: calls.append(a) or real(*a))
+        real = RowSpace.basis
+        monkeypatch.setattr(RowSpace, "basis", lambda *a: calls.append(a) or real(*a))
         return calls
 
     @pytest.mark.parametrize("flags", [[], ["--machine"], ["--verbose"]])
-    def test_compute_without_basis_builds_none(self, capsys, nullspace_calls, flags):
+    def test_compute_without_basis_builds_none(self, capsys, basis_reads, flags):
         assert main(["compute", "crown:6", "--char", "0", "--char", "3", *flags]) == 0
         assert "wcdim = 5" in capsys.readouterr().out
-        assert nullspace_calls == []
+        assert basis_reads == []
 
-    def test_verify_suite_builds_none(self, nullspace_calls):
+    def test_verify_suite_builds_none(self, basis_reads):
         from wellcovered.verify import run_suite
 
         assert run_suite(seed=1)
-        assert nullspace_calls == []
+        assert basis_reads == []
 
-    def test_compute_with_basis_output_is_unchanged(self, capsys, nullspace_calls):
+    def test_compute_with_basis_output_is_unchanged(self, capsys, basis_reads):
         assert main(["compute", "crown:6", "--char", "0", "--char", "3", "--basis", "--machine"]) == 0
         assert capsys.readouterr().out == CROWN6_BASIS_MACHINE
-        assert len(nullspace_calls) == 2  # one per field
+        assert len(basis_reads) == 2  # one per field
+
+
+class TestStats:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            ["--verbose"],
+            ["--machine", "--basis"],
+            ["--char", "0", "--char", "2", "--char", "3", "--basis"],
+        ],
+    )
+    def test_stdout_is_unchanged_by_stats(self, capsys, flags):
+        assert main(["compute", "crown:7", *flags]) == 0
+        plain = capsys.readouterr()
+        assert main(["compute", "crown:7", *flags, "--stats"]) == 0
+        with_stats = capsys.readouterr()
+        assert with_stats.out == plain.out
+        assert plain.err == ""
+        lines = with_stats.err.splitlines()
+        assert lines[0].startswith("stats: enumeration ") and lines[0].endswith(" ms, 9 sets")
+        assert len(lines) == 1 + max(1, flags.count("--char"))
+
+    def test_each_field_says_how_it_was_obtained(self, capsys):
+        argv = ["compute", "crown:5", "--char", "0", "--char", "3", "--char", "10007", "--stats"]
+        assert main(argv) == 0
+        q, gf3, gfp = capsys.readouterr().err.splitlines()[1:]
+        # crown(5) drops rank exactly in characteristic 3 = 5 - 2, so 3 divides D
+        assert q.startswith("stats: Q: integer, elimination ")
+        assert gf3.startswith("stats: GF(3): own elimination, elimination ")
+        assert gfp.startswith("stats: GF(10007): read off (p ∤ D), elimination ")
+        assert q.endswith("rows fed 6, kept 6, vanished 0, stopped at full rank: no")
+        assert gf3.endswith("rows fed 6, kept 5, vanished 1, stopped at full rank: no")
 
 
 class TestParserReuse:

@@ -125,17 +125,29 @@ class TestComputeWcdim:
                     assert is_well_covered_weighting(g, w, f)
 
     def test_basis_is_read_off_once_on_first_access(self, monkeypatch):
-        from wellcovered import engine
+        from wellcovered.exactlin import RowSpace
 
         calls = []
-        real = engine.nullspace_basis
-        monkeypatch.setattr(engine, "nullspace_basis", lambda *a: calls.append(a) or real(*a))
+        real = RowSpace.basis
+        monkeypatch.setattr(RowSpace, "basis", lambda *a: calls.append(a) or real(*a))
         report = compute_wcdim(path(6), Q, with_sum_rank=True)
         full_rank = compute_wcdim(petersen(), Q)
         assert calls == []
         assert report.basis == ((1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1))
         assert report.basis is report.basis and len(calls) == 1
         assert full_rank.basis == () and len(calls) == 1
+
+    def test_stats_count_rows_without_the_baseline(self):
+        report = compute_wcdim(crown(40))
+        s = report.stats
+        assert (s.sets, s.method) == (42, "integer")
+        # the baseline's own row M_0 - M_0 is never fed: 41 rows, all independent
+        assert (s.rows_fed, s.rows_kept, s.rows_vanished) == (41, 41, 0)
+        assert not s.stopped_at_full_rank
+        assert report.diff_rank == 41
+        full = compute_wcdim(random_graph(20, 0.5, 3)).stats
+        assert full.stopped_at_full_rank and full.rows_kept == 20
+        assert full.rows_fed < full.sets - 1 and full.rows_vanished == full.rows_fed - 20
 
     def test_matches_reference_oracle(self):
         for seed in range(25):

@@ -1,9 +1,11 @@
 """Differential tests: the streaming row space against the batch elimination path.
 
 The batch path enumerates the sets in canonical order, assembles the whole
-difference system and eliminates it with `rank` and `nullspace_basis`; the
-engine instead streams each set's bitmask into one `RowSpace` per field and
-stops at full rank.  Both must agree on every count and on the exact basis.
+difference system and eliminates it with `rank` and `nullspace_basis` per
+field; the engine instead streams each set's bitmask into one integer
+`RowSpace`, stops at full rank, and reads every GF(p) with p not dividing the
+space's common pivot D off it, eliminating only the other fields on their
+own.  Both must agree on every count and on the exact basis.
 """
 
 import random
@@ -26,11 +28,14 @@ from wellcovered import (
 )
 from wellcovered.engine import compute_wcdim_fields
 from wellcovered.exactlin import ExactMatrix, RowSpace
+from wellcovered.formulas import f_crown
 from wellcovered.mis import mis_masks
 
 from helpers import all_graphs
 
-FIELDS = tuple(FieldSpec(c) for c in (0, 2, 3, 10007))
+FIELDS = tuple(FieldSpec(c) for c in (0, 2, 3, 5, 10007))
+Q = FieldSpec(0)
+READ_OFF = "read off (p ∤ D)"
 
 
 def assert_matches_batch_path(g, fields=FIELDS):
@@ -71,12 +76,37 @@ def test_seeded_random_graphs(n):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_triangle_unions(k):
-    assert_matches_batch_path(triangle_union(k))
+    g = triangle_union(k)
+    assert_matches_batch_path(g)
+    # so the sum ranks checked above over GF(3), GF(5) and GF(10007) were read off
+    reports = compute_wcdim_fields(g, FIELDS[2:], with_sum_rank=True)
+    assert [r.stats.method for r in reports] == [READ_OFF] * 3
+
+
+def test_own_elimination_stops_at_the_rank_over_q():
+    # 6 disjoint triangles have D = 8, so GF(2) is eliminated on its own; its
+    # rank cannot exceed the rank over Q, and here it reaches it early
+    q, gf2 = compute_wcdim_fields(triangle_union(6), (Q, FieldSpec(2)))
+    assert gf2.stats.method == "own elimination"
+    assert gf2.diff_rank == q.diff_rank == 12 and gf2.stats.stopped_at_full_rank
+    assert gf2.stats.rows_fed < q.stats.rows_fed == 728
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_crowns(n):
     assert_matches_batch_path(crown(n))
+
+
+@pytest.mark.parametrize("k", range(3, 31))
+def test_crowns_eliminate_on_their_own_exactly_where_char_divides_k_minus_2(k):
+    primes = [p for p in range(2, k - 1) if (k - 2) % p == 0 and all(p % q for q in range(2, p))]
+    fields = (Q, *(FieldSpec(p) for p in primes), FieldSpec(10007))
+    assert_matches_batch_path(crown(k), fields)
+    for f, r in zip(fields, compute_wcdim_fields(crown(k), fields)):
+        assert r.wcdim == f_crown(k, f).value
+        p = f.characteristic
+        want = "integer" if p == 0 else READ_OFF if p == 10007 else "own elimination"
+        assert r.stats.method == want
 
 
 def test_zero_vertex_graph():
@@ -132,6 +162,99 @@ class TestRowSpace:
             assert len(stored) == space.rank == rank(ExactMatrix.from_rows(dense, n), f)
             assert rank(ExactMatrix.from_rows(stored + dense, n), f) == space.rank
             assert not any(space.add(plus, minus) for plus, minus in pairs)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 10007])
+    def test_read_off_fields_match_their_own_elimination(self, p):
+        f = FieldSpec(p)
+        rng = random.Random(p)
+        read_off = fallback = 0
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            space, own = RowSpace(n, Q), RowSpace(n, f)
+            for _ in range(rng.randint(0, 8)):
+                plus = rng.randrange(1 << n)
+                minus = rng.randrange(1 << n) & ~plus
+                space.add(plus, minus)
+                own.add(plus, minus)
+            if not space.reads_off(f):
+                fallback += 1
+                with pytest.raises(ValueError):
+                    space.independent(1, 0, f)
+                with pytest.raises(ValueError):
+                    space.basis(f)
+                continue
+            read_off += 1
+            assert space.rank == own.rank
+            assert space.basis(f) == own.basis()
+            assert own.basis() == nullspace_basis(ExactMatrix.from_rows(own.rows(), n), f)
+            before = (space.rank, space.common_pivot, space.rows())
+            for plus in range(1 << n):
+                minus = rng.randrange(1 << n) & ~plus
+                assert space.independent(plus, minus, f) == own.independent(plus, minus)
+            assert (space.rank, space.common_pivot, space.rows()) == before
+        assert read_off and (fallback or p == 10007)
+
+    def test_only_an_integer_space_reads_other_fields_off(self):
+        space = RowSpace(3, Q)
+        space.add(0b011, 0b100)
+        assert not space.reads_off(Q) and space.reads_off(FieldSpec(2))
+        gf3 = RowSpace(3, FieldSpec(3))
+        gf3.add(0b011, 0b100)
+        assert not gf3.reads_off(FieldSpec(5))
+        with pytest.raises(ValueError):
+            gf3.independent(0b001, 0, FieldSpec(5))
+        with pytest.raises(ValueError):
+            gf3.basis(Q)
+
+    def test_random_dense_spaces_keep_their_lane_bound(self):
+        # the packed rows decode only while every lane fits its width: after
+        # each row, |D| and every stored lane are at most 2^t, and a residual
+        # (at most n * 2^t) fits too
+        rng = random.Random(3)
+        for _ in range(300):
+            n = rng.randint(1, 20)
+            space = RowSpace(n, Q)
+            dense = []
+            for _ in range(rng.randint(1, n + 2)):
+                support = (1 << n) - 1 if rng.random() < 0.7 else rng.getrandbits(n)
+                plus = rng.getrandbits(n) & support
+                minus = support & ~plus
+                space.add(plus, minus)
+                dense.append([(plus >> v & 1) - (minus >> v & 1) for v in range(n)])
+                limit = 1 << space._t
+                assert abs(space.common_pivot) <= limit
+                lanes = [x for c in space._pivots for x in space._unpack(space._cols[c])]
+                assert all(abs(x) <= limit for x in lanes)
+                assert space._width - 1 >= space._t + n.bit_length()
+            m = ExactMatrix.from_rows(dense, n)
+            assert space.rank == rank(m, Q)
+            assert space.basis() == nullspace_basis(m, Q)
+
+    def test_lanes_widen_for_large_minors(self):
+        # dense {-1, 1} rows have pivot minors far beyond a machine word
+        rng = random.Random(11)
+        n, m = 60, 50
+        full = (1 << n) - 1
+        pairs = [(plus, full & ~plus) for plus in (rng.getrandbits(n) for _ in range(m))]
+        space = RowSpace(n, Q)
+        assert all(space.add(plus, minus) for plus, minus in pairs)
+        assert abs(space.common_pivot).bit_length() > 64
+        dense = ExactMatrix.from_rows(
+            [[(plus >> v & 1) - (minus >> v & 1) for v in range(n)] for plus, minus in pairs], n
+        )
+        assert space.rank == rank(dense, Q) == m
+        assert space.basis() == nullspace_basis(dense, Q)
+        stored = ExactMatrix.from_rows(space.rows(), n)
+        assert nullspace_basis(stored, Q) == space.basis()
+        for p in (3, 5, 7, 10007):
+            f = FieldSpec(p)
+            if space.reads_off(f):
+                assert space.basis(f) == nullspace_basis(dense, f)
+        assert not any(space.independent(plus, minus) for plus, minus in pairs)
+        plus = rng.getrandbits(n)
+        row = [(plus >> v & 1) * 2 - 1 for v in range(n)]
+        extended = ExactMatrix.from_rows(dense.row_list() + [row], n)
+        assert space.independent(plus, full & ~plus) == (rank(extended, Q) == m + 1)
 
     def test_stored_rows_are_primitive_integers_over_q(self):
         space = RowSpace(4, FieldSpec(0))

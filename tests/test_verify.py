@@ -322,3 +322,10 @@ class TestRunSuite:
 
         with pytest.raises(InputError):
             run_suite(seed=1, **{f"{section}_trials": -1})
+
+    @pytest.mark.parametrize("bad", [{"chars": (4,)}, {"checks": ("nonsense",)}])
+    def test_bad_argument_rejected_with_empty_sizes(self, bad):
+        from wellcovered import InputError
+
+        with pytest.raises(InputError):
+            run_suite(seed=1, sizes=(), **bad)
