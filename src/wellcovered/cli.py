@@ -221,9 +221,14 @@ def render_text(doc: ReportDocument, verbose: bool) -> str:
 
 
 def render_stats(reports: Sequence[WcdimReport]) -> str:
-    """Where one compute's time and rows went: the enumeration, then one line per field."""
+    """Where one compute's time and rows went: the enumeration, then one line per field.
+
+    The enumeration line counts the quotients the decomposition enumerated
+    (pieces) and gives the exact set count, not the number of rows fed.
+    """
     first = reports[0].stats
-    lines = [f"stats: enumeration {first.enumerate_ms:.3f} ms, {first.sets} sets"]
+    pieces = f"{first.pieces} piece" + ("" if first.pieces == 1 else "s")
+    lines = [f"stats: enumeration of {pieces} in {first.enumerate_ms:.3f} ms, {first.sets} sets"]
     for r in reports:
         s = r.stats
         lines.append(

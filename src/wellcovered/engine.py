@@ -10,6 +10,9 @@ bitmasks, and the rows M_i - M_0 are streamed into one integer `RowSpace`,
 a fraction-free Gauss-Jordan elimination that keeps at most n rows, each
 D times its RREF row, and stops absorbing once its rank is n (the
 enumeration itself always runs to the end, so the set count is exact).
+By default the sets are `mis.mis_family`'s: modular decomposition gives
+the exact count and a few sets spanning the same rows, enumerating only
+the quotients with no module left; `decompose=False` feeds every set.
 That one space answers over Q and over every GF(p) with p not dividing D;
 only a field with p | D is eliminated on its own, over the same rows.  The
 canonical basis is defined as the one read off the RREF of the row space,
@@ -36,7 +39,7 @@ from .exactlin import ExactMatrix, FieldSpec, RowSpace, Scalar
 # perfbench/trace.py instruments engine.rank and engine.nullspace_basis
 from .exactlin import nullspace_basis, rank  # noqa: F401
 from .graphs import Graph
-from .mis import DEFAULT_MIS_LIMIT, MisList, enumerate_mis, mis_masks
+from .mis import DEFAULT_MIS_LIMIT, MisList, enumerate_mis, mis_family, mis_masks
 
 
 class Stats(NamedTuple):
@@ -48,11 +51,14 @@ class Stats(NamedTuple):
     the field was read from, so a read-off field shows the shared integer
     elimination.  `stopped_at_full_rank` is True when the space reached the
     largest rank it can have (n, or for an own elimination the rank over
-    Q) before the rows ran out, leaving the rest unfed.
+    Q) before the rows ran out, leaving the rest unfed.  `sets` is the exact
+    set count and `pieces` the number of quotients enumerated to find the
+    fed sets (0 when the decomposition needed none); rows are those fed.
     """
 
     enumerate_ms: float
     sets: int
+    pieces: int
     method: str
     elimination_ms: float
     rows_fed: int
@@ -81,7 +87,7 @@ class WcdimReport:
     wcdim: int
     diff_rank: int
     sum_rank: int | None
-    elapsed: float
+    elapsed: float = dataclass_field(compare=False)
     space: RowSpace = dataclass_field(repr=False, compare=False)
     stats: Stats = dataclass_field(repr=False, compare=False)
 
@@ -147,19 +153,27 @@ def compute_wcdim_fields(
     fields: Sequence[FieldSpec],
     limit: int = DEFAULT_MIS_LIMIT,
     with_sum_rank: bool = False,
+    decompose: bool = True,
 ) -> list[WcdimReport]:
     """Well-covered dimension of g over each field, from one enumeration.
 
     One integer row space serves Q and every GF(p) with p not dividing its
     common pivot D; only a field with p | D is eliminated on its own, over
-    the same rows, until it reaches the rank over Q.  Each report's `elapsed` is the shared enumeration and
-    integer elimination time plus the time spent on its own field.  An
-    empty field list enumerates nothing.
+    the same rows, until it reaches the rank over Q.  The rows come from
+    `mis_family`, where `limit` bounds each enumerated quotient, or with
+    `decompose=False` from every set of g, where it bounds their count.
+    Each report's `elapsed` is the shared enumeration and integer
+    elimination time plus the time spent on its own field.  An empty field
+    list enumerates nothing.
     """
     if not fields:
         return []
     t0 = time.perf_counter()
-    masks = mis_masks(g, limit)
+    if decompose:
+        count, masks, pieces = mis_family(g, limit)
+    else:
+        masks = mis_masks(g, limit)
+        count, pieces = len(masks), 1
     enum_s = time.perf_counter() - t0
     n = g.n
     base = masks[0]
@@ -194,7 +208,7 @@ def compute_wcdim_fields(
             WcdimReport(
                 n=n,
                 field=f,
-                mis_count=len(masks),
+                mis_count=count,
                 wcdim=n - r,
                 diff_rank=r,
                 sum_rank=sum_rank,
@@ -202,7 +216,8 @@ def compute_wcdim_fields(
                 space=space,
                 stats=Stats(
                     enumerate_ms=enum_s * 1e3,
-                    sets=len(masks),
+                    sets=count,
+                    pieces=pieces,
                     method=method,
                     elimination_ms=elim_s * 1e3,
                     rows_fed=fed,

@@ -230,17 +230,24 @@ def nullspace_basis(m: ExactMatrix, f: FieldSpec) -> list[tuple[Scalar, ...]]:
             [flat[i * m.cols + j] for j in range(m.cols)]
             for i in range(m.rows)
         ]
-    rref, pivots = _rref(work, p)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
+    return _basis_from_rref(*_rref(work, p), m.cols, p)
+
+
+def _basis_from_rref(
+    rref: list[list[int]], pivots: list[int], cols: int, p: int
+) -> list[tuple[Scalar, ...]]:
+    """One vector per free column, ascending, with a 1 in its own column."""
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = []
     for fc in free:
         if p == 0:
-            vec: list[Scalar] = [Fraction(0)] * m.cols
+            vec: list[Scalar] = [Fraction(0)] * cols
             vec[fc] = Fraction(1)
             for i, pc in enumerate(pivots):
                 vec[pc] = Fraction(-rref[i][fc], rref[i][pc])
         else:
-            vec = [0] * m.cols
+            vec = [0] * cols
             vec[fc] = 1
             for i, pc in enumerate(pivots):
                 vec[pc] = (-rref[i][fc]) % p
@@ -381,15 +388,20 @@ class RowSpace:
         vector per free column, ascending, with a 1 in its own column.  An
         integer space reads it straight off its RREF, for Q and for every
         prime field it `reads_off`: the entry in pivot column c of the
-        vector for free column j is -R_c[j] / D.
+        vector for free column j is -R_c[j] / D.  A GF(p) space reduces its
+        own echelon: back-substitution on the XOR basis over GF(2), `_rref`
+        on the residue rows otherwise.
         """
         if f is None:
             f = self.field
+        p = f.characteristic
         if self.field.characteristic:
             if f != self.field:
                 raise ValueError(f"{f} cannot be read off this {self.field} row space")
-            return nullspace_basis(ExactMatrix.from_rows(self.rows(), self.n), f)
-        p = f.characteristic
+            if p != 2:
+                rows = [row for row in self._pivot_rows if row is not None]
+                return _basis_from_rref(*_rref(rows, p), self.n, p)
+            return self._xor_basis()
         if p and not self.reads_off(f):
             raise ValueError(f"{f} cannot be read off this {self.field} row space")
         d = self.common_pivot
@@ -417,6 +429,23 @@ class RowSpace:
                     vec[c] = value
             basis.append(tuple(vec))
         return basis
+
+    def _xor_basis(self) -> list[tuple[Scalar, ...]]:
+        """The GF(2) nullspace basis, off the XOR basis back-substituted to its RREF."""
+        piv = sum(self._xor)  # the keys are distinct powers of two
+        reduced: dict[int, int] = {}
+        # every other pivot in a row lies above its own, so reduce from the top
+        for c in sorted(self._xor, reverse=True):
+            x = self._xor[c]
+            m = x & piv & ~c
+            while m:
+                low = m & -m
+                x ^= reduced[low]
+                m ^= low
+            reduced[c] = x
+        pivots = sorted(reduced)
+        rows = [[reduced[c] >> v & 1 for v in range(self.n)] for c in pivots]
+        return _basis_from_rref(rows, [c.bit_length() - 1 for c in pivots], self.n, 2)
 
     def _reduce_bits(self, x: int) -> int:
         """The GF(2) row x reduced until its lowest bit has no basis row (0 if it vanishes)."""

@@ -10,8 +10,11 @@ call time, so a tracer can wrap them.
 IMPLEMENTATION = "python"
 
 
-def maximal_cliques(adj_masks, limit):
+def maximal_cliques(adj_masks, limit, within=None):
     """Enumerate all maximal cliques of a graph given as bitmask adjacency.
+
+    `within`, a vertex bitmask, restricts the search to the subgraph it
+    induces (default: the whole graph).
 
     Bron-Kerbosch with pivoting; the pivot is the vertex of P | X with the
     most candidate neighbours (lowest index on ties).  The search keeps an
@@ -23,7 +26,7 @@ def maximal_cliques(adj_masks, limit):
     out = []
     # one frame [R, P, X, candidates not yet branched on] per open level
     stack = []
-    r, p, x = 0, (1 << len(adj_masks)) - 1, 0
+    r, p, x = 0, (1 << len(adj_masks)) - 1 if within is None else within, 0
     while True:
         if p:
             m = p | x

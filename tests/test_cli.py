@@ -163,11 +163,12 @@ class TestComputeCommand:
         assert "over Q: wcdim = 1100" in capsys.readouterr().out
 
     def test_one_enumeration_serves_every_characteristic(self, capsys, monkeypatch):
-        from wellcovered import engine
+        from wellcovered import kernels
 
+        # crown:4 has no module, so the whole graph is enumerated, once
         calls = []
-        real = engine.mis_masks
-        monkeypatch.setattr(engine, "mis_masks", lambda *a: calls.append(a) or real(*a))
+        real = kernels.maximal_cliques
+        monkeypatch.setattr(kernels, "maximal_cliques", lambda *a: calls.append(a) or real(*a))
         assert main(["compute", "crown:4", "--char", "0", "--char", "2", "--char", "3"]) == 0
         assert len(calls) == 1
 
@@ -247,6 +248,16 @@ class TestStats:
         lines = with_stats.err.splitlines()
         assert lines[0].startswith("stats: enumeration ") and lines[0].endswith(" ms, 9 sets")
         assert len(lines) == 1 + max(1, flags.count("--char"))
+
+    def test_enumeration_line_counts_pieces_and_every_set(self, capsys):
+        assert main(["compute", "crown:7", "--stats"]) == 0
+        assert capsys.readouterr().err.startswith("stats: enumeration of 1 piece in ")
+        # a complete multipartite graph is a cograph: its 3 sets, the parts,
+        # come out of the decomposition without any enumeration
+        assert main(["compute", "kpartite:2,3,4", "--char", "2", "--stats"]) == 0
+        enum, gf2 = capsys.readouterr().err.splitlines()
+        assert enum.startswith("stats: enumeration of 0 pieces in ") and enum.endswith(" ms, 3 sets")
+        assert gf2.endswith("rows fed 2, kept 2, vanished 0, stopped at full rank: no")
 
     def test_each_field_says_how_it_was_obtained(self, capsys):
         argv = ["compute", "crown:5", "--char", "0", "--char", "3", "--char", "10007", "--stats"]

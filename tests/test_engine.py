@@ -149,6 +149,11 @@ class TestComputeWcdim:
         assert full.stopped_at_full_rank and full.rows_kept == 20
         assert full.rows_fed < full.sets - 1 and full.rows_vanished == full.rows_fed - 20
 
+    def test_reports_of_the_same_computation_are_equal(self):
+        # elapsed, stats and the row space stay out of the comparison
+        assert compute_wcdim(crown(5)) == compute_wcdim(crown(5))
+        assert compute_wcdim(crown(5)) != compute_wcdim(crown(5), FieldSpec(3))
+
     def test_matches_reference_oracle(self):
         for seed in range(25):
             g = random_graph(seed % 8, 0.5, seed * 13 + 7)

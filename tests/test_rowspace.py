@@ -84,9 +84,10 @@ def test_triangle_unions(k):
 
 
 def test_own_elimination_stops_at_the_rank_over_q():
-    # 6 disjoint triangles have D = 8, so GF(2) is eliminated on its own; its
-    # rank cannot exceed the rank over Q, and here it reaches it early
-    q, gf2 = compute_wcdim_fields(triangle_union(6), (Q, FieldSpec(2)))
+    # fed every set, 6 disjoint triangles have D = 8, so GF(2) is eliminated
+    # on its own; its rank cannot exceed the rank over Q, and here it reaches
+    # it early (the decomposition's 13 sets give D = 1 instead)
+    q, gf2 = compute_wcdim_fields(triangle_union(6), (Q, FieldSpec(2)), decompose=False)
     assert gf2.stats.method == "own elimination"
     assert gf2.diff_rank == q.diff_rank == 12 and gf2.stats.stopped_at_full_rank
     assert gf2.stats.rows_fed < q.stats.rows_fed == 728
@@ -193,6 +194,22 @@ class TestRowSpace:
                 assert space.independent(plus, minus, f) == own.independent(plus, minus)
             assert (space.rank, space.common_pivot, space.rows()) == before
         assert read_off and (fallback or p == 10007)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_own_elimination_basis_matches_the_batch_nullspace(self, p):
+        # the GF(p) basis is read off the space's own echelon, reduced in place
+        f = FieldSpec(p)
+        rng = random.Random(40 + p)
+        for _ in range(40):
+            n = rng.randint(1, 40)
+            space = RowSpace(n, f)
+            dense = []
+            for _ in range(rng.randint(0, n + 3)):
+                plus = rng.getrandbits(n)
+                minus = rng.getrandbits(n) & ~plus & rng.getrandbits(n)
+                space.add(plus, minus)
+                dense.append([(plus >> v & 1) - (minus >> v & 1) for v in range(n)])
+            assert space.basis() == nullspace_basis(ExactMatrix.from_rows(dense, n), f)
 
     def test_only_an_integer_space_reads_other_fields_off(self):
         space = RowSpace(3, Q)
