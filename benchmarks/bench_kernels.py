@@ -12,9 +12,12 @@ assembling the whole difference system and eliminating it with `rank` and
 off the integer space when p does not divide its common pivot D, and is
 eliminated on its own otherwise.  The random graphs reach full rank after
 about n rows; 8 disjoint triangles (6,561 sets, rank 16 of 24) feed every
-row, so they show the cost of the rows that turn out dependent.  The last
-column feeds the modular decomposition's spanning family instead of every
-set: 17 sets and no enumeration for the triangles, while the random graphs
+row, so they show the cost of the rows that turn out dependent.  crown:20
+has k - 2 = 18 = 2 * 3^2, so GF(2) and GF(3) are eliminated on their own:
+GF(2) in an XOR basis, GF(3) in the same packed integer elimination as Q,
+with every pivot chosen to be a unit mod 3.  The last column feeds the
+modular decomposition's spanning family instead of every set: 17 sets and
+no enumeration for the triangles, while the random graphs and the crown
 have no module and feed the same rows as the row space column.
 """
 
@@ -25,6 +28,7 @@ from wellcovered import (
     build_difference_system,
     complete,
     compute_wcdim_fields,
+    crown,
     disjoint_union,
     enumerate_mis,
     nullspace_basis,
@@ -61,13 +65,16 @@ def triangles(k):
 
 
 def main():
+    three = (FieldSpec(0), FieldSpec(2), FieldSpec(10007))
     graphs = [
-        (f"n={n} random graph", random_graph(n, 0.3, seed), 3) for n, seed in [(40, 7), (50, 11)]
+        (f"n={n} random graph", random_graph(n, 0.3, seed), 3, three)
+        for n, seed in [(40, 7), (50, 11)]
     ]
-    graphs.append(("8 disjoint triangles", triangles(8), 1))
+    graphs.append(("8 disjoint triangles", triangles(8), 1, three))
+    graphs.append(("crown:20", crown(20), 5, (FieldSpec(2), FieldSpec(3))))
     print(f"{'elimination path':44} {'batch':>12} {'row space':>12}   speedup {'decomposed':>12}   speedup")
-    for name, g, repeats in graphs:
-        for f in (FieldSpec(0), FieldSpec(2), FieldSpec(10007)):
+    for name, g, repeats, fields in graphs:
+        for f in fields:
             label = f"rank + basis, {name}, {f}"
             old_dt, old = bench(lambda: batch_path(g, f), repeats)
             new_dt, new = bench(lambda: row_space_path(g, f, False), repeats)

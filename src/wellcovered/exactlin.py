@@ -8,12 +8,14 @@ are residues with pivots normalised to 1, and the batch GF(p) rank is
 `kernels.gf_rank`.
 
 `RowSpace` is the incremental reduced echelon form the engine streams rows
-into.  Over Q it is one fraction-free Gauss-Jordan elimination over the
-integers, each row a single packed Python int, and it also serves every
-GF(p) with p not dividing its common pivot D: for such p the rank and the
-RREF over GF(p) are the integer ones reduced mod p.  A GF(p) with p | D is
-eliminated on its own, with residue rows (an XOR basis of bitmasks over
-GF(2)).
+into.  It has two representations.  Over GF(2) it is an XOR basis of
+bitmasks.  Over Q and over every odd GF(p) it is one fraction-free
+Gauss-Jordan elimination over the integers, each row a single packed Python
+int; over GF(p) each pivot is chosen so that D stays a unit mod p, and the
+integer rows times D^-1 mod p are the RREF over GF(p).  An integer space over
+Q also serves every GF(p) with p not dividing its common pivot D: for such
+p the rank and the RREF over GF(p) are the integer ones reduced mod p.  A
+GF(p) with p | D is eliminated on its own.
 
 Nullspace bases are read off the reduced row echelon form, which makes them
 canonical: free columns are taken in ascending order and each basis vector
@@ -82,10 +84,6 @@ class FieldSpec:
             raise InputError(f"prime characteristic must be below 2^31, got {c}")
         if not _is_prime(c):
             raise InputError(f"characteristic must be 0 or a prime, got {c}")
-
-    @property
-    def is_prime_field(self) -> bool:
-        return self.characteristic != 0
 
     def __str__(self) -> str:
         return "Q" if self.characteristic == 0 else f"GF({self.characteristic})"
@@ -269,25 +267,35 @@ class RowSpace:
     kept only when it is independent of the rows kept so far, so at most n
     rows are ever held and a row fed in after the span is full costs nothing.
 
-    Over Q the space is fraction-free Gauss-Jordan over the integers
-    (Bareiss): the row kept for pivot column c is R_c = D * (RREF row c),
-    where D (`common_pivot`) is, up to sign, the determinant of the kept
-    rows restricted to the pivot columns, so every entry is an integer minor
-    of the kept rows.  Each row is one Python int of n signed lanes of B
-    bits, column j in lane j, and is stored as N_c = R_c - D e_c, with its
-    pivot lane cleared.  A row x reduces to
+    A space has one of two representations.  Over GF(2) a row is a bitmask
+    and the echelon is an XOR basis keyed by its lowest set bit.  Over Q and
+    over every odd GF(p) the space is fraction-free Gauss-Jordan over the
+    integers (Bareiss): the row kept for pivot column c is
+    R_c = D * (RREF row c), where D (`common_pivot`) is, up to sign, the
+    determinant of the kept rows restricted to the pivot columns, so every
+    entry is an integer minor of the kept rows.  Each row is one Python int
+    of n signed lanes of B bits, column j in lane j, and is stored as
+    N_c = R_c - D e_c, with its pivot lane cleared.  A row x reduces to
     s = D*x - sum_c x_c R_c = D*x_free - sum_c x_c N_c over the pivot
-    columns c, where x_free is x off the pivots; s is zero exactly when x
-    lies in the span, and it costs popcount(x) big-integer additions.
+    columns c, where x_free is x off the pivots; it costs popcount(x)
+    big-integer additions.
 
-    The same space answers over GF(p) for every prime p that does not divide
-    D (`reads_off`).  The kept rows' pivot minor is then a unit mod p, so
-    every fed row is a p-integral combination of the kept rows: the rank
+    The fields differ only in which lanes of s count as nonzero.  Over Q the
+    row is dependent when s = 0, and otherwise its lowest nonzero lane c
+    becomes a pivot.  Over GF(p) it is dependent when every lane of s is
+    0 mod p, and otherwise the pivot is its lowest lane with s_c != 0 mod p.
+    Either way the new D is s_c: by the Schur complement, the determinant of
+    the kept minor bordered by x in column c is D * (x_c - x_P A^-1 b_c) = s_c
+    up to sign, where A is the pivot minor and b_c its column c.  So over
+    GF(p) D stays a unit mod p; the kept rows stay independent mod p, with
+    RREF R_c * D^-1 mod p, and a row lies in their span mod p exactly when
+    s = 0 mod p.  The pivot columns are the GF(p) echelon ones, because s
+    is 0 in every pivot lane and c is its leading lane mod p.
+
+    An integer space over Q also answers over every prime p that does not
+    divide D (`reads_off`).  The kept rows' pivot minor is then a unit mod p,
+    so every fed row is a p-integral combination of the kept rows: the rank
     over GF(p) is r, and the RREF over GF(p) is this one reduced mod p.
-
-    Over GF(2) a row is a bitmask and the echelon is an XOR basis keyed by
-    its lowest set bit; over any other GF(p) rows are residue lists whose
-    pivot is normalised to 1.
     """
 
     def __init__(self, n: int, f: FieldSpec) -> None:
@@ -295,16 +303,15 @@ class RowSpace:
         self.field = f
         self.rank = 0
         self._xor: dict[int, int] = {}  # GF(2): lowest set bit -> row bitmask
-        self._pivot_rows: list[list[int] | None] = [None] * n  # GF(p): pivot column -> row
-        # Q: D, the pivot columns (a bitmask and in order of arrival), and
-        # `_cols[j]`, which is N_j for a pivot column j and the unit e_j for
-        # any other.  D and every lane of every N_j are at most 2^t in
-        # absolute value.
+        # any other field: D, the pivot columns (a bitmask and in order of
+        # arrival), and `_cols[j]`, which is N_j for a pivot column j and the
+        # unit e_j for any other.  D and every lane of every N_j are at most
+        # 2^t in absolute value.
         self.common_pivot = 1
         self._piv = 0
         self._pivots: list[int] = []
         self._t = 1
-        if f.characteristic == 0:
+        if f.characteristic != 2:
             self._set_width(self._width_for(self._t))
 
     @property
@@ -327,16 +334,9 @@ class RowSpace:
             if not x:
                 return False
             self._xor[x & -x] = x
-        elif p:
-            reduced = self._reduce(self._dense(plus, minus))
-            if reduced is None:
-                return False
-            c, row = reduced
-            inv = pow(row[c], -1, p)
-            self._pivot_rows[c] = [x * inv % p for x in row]
         else:
             s = self._residual(plus, minus)
-            if not s:
+            if not self._nonzero(s, p):
                 return False
             self._keep(s)
         self.rank += 1
@@ -346,39 +346,38 @@ class RowSpace:
         """True iff the row is independent of the rows so far over f; nothing is stored.
 
         f defaults to the space's own field; an integer space also answers
-        over every prime field it `reads_off`, where the row is independent
-        exactly when some lane of its residual s is nonzero mod p.
+        over every prime field it `reads_off`.
         """
-        if f is None or f == self.field:
-            p = self.field.characteristic
-            if p == 2:
-                return bool(self._reduce_bits(plus ^ minus))
-            if p:
-                return self._reduce(self._dense(plus, minus)) is not None
-            return bool(self._residual(plus, minus))
-        if not self.reads_off(f):
+        if f is None:
+            f = self.field
+        elif f != self.field and not self.reads_off(f):
             raise ValueError(f"{f} cannot be read off this {self.field} row space")
-        p = f.characteristic
-        return any(x % p for x in self._unpack(self._residual(plus, minus)))
+        if self.field.characteristic == 2:
+            return bool(self._reduce_bits(plus ^ minus))
+        return self._nonzero(self._residual(plus, minus), f.characteristic)
 
     def rows(self) -> list[list[int]]:
         """The echelon rows in pivot-column order.
 
-        Over Q they are the RREF rows scaled to primitive integers; over
-        GF(p) they are residues.
+        Over Q they are the RREF rows scaled to primitive integers; over an
+        odd GF(p) they are the RREF rows as residues, and over GF(2) the XOR
+        basis rows.
         """
         n = self.n
         p = self.field.characteristic
         if p == 2:
             return [[x >> v & 1 for v in range(n)] for _, x in sorted(self._xor.items())]
-        if p:
-            return [row for row in self._pivot_rows if row is not None]
+        d = self.common_pivot
+        inv = pow(d, -1, p) if p else 0
         out = []
         for c in sorted(self._pivots):
             row = self._unpack(self._cols[c])
-            row[c] = self.common_pivot
-            g = gcd(*row) if row[c] > 0 else -gcd(*row)
-            out.append([x // g for x in row])
+            row[c] = d
+            if p:
+                out.append([x * inv % p for x in row])
+            else:
+                g = gcd(*row) if d > 0 else -gcd(*row)
+                out.append([x // g for x in row])
         return out
 
     def basis(self, f: FieldSpec | None = None) -> list[tuple[Scalar, ...]]:
@@ -386,24 +385,18 @@ class RowSpace:
 
         As `nullspace_basis` gives it for any spanning set of the rows: one
         vector per free column, ascending, with a 1 in its own column.  An
-        integer space reads it straight off its RREF, for Q and for every
-        prime field it `reads_off`: the entry in pivot column c of the
-        vector for free column j is -R_c[j] / D.  A GF(p) space reduces its
-        own echelon: back-substitution on the XOR basis over GF(2), `_rref`
-        on the residue rows otherwise.
+        integer space reads it straight off its RREF, for its own field and
+        for every prime field it `reads_off`: the entry in pivot column c of
+        the vector for free column j is -R_c[j] / D.  A GF(2) space
+        back-substitutes its XOR basis.
         """
         if f is None:
             f = self.field
-        p = f.characteristic
-        if self.field.characteristic:
-            if f != self.field:
-                raise ValueError(f"{f} cannot be read off this {self.field} row space")
-            if p != 2:
-                rows = [row for row in self._pivot_rows if row is not None]
-                return _basis_from_rref(*_rref(rows, p), self.n, p)
-            return self._xor_basis()
-        if p and not self.reads_off(f):
+        elif f != self.field and not self.reads_off(f):
             raise ValueError(f"{f} cannot be read off this {self.field} row space")
+        if self.field.characteristic == 2:
+            return self._xor_basis()
+        p = f.characteristic
         d = self.common_pivot
         pivots = sorted(self._pivots)
         rows = [self._unpack(self._cols[c]) for c in pivots]
@@ -457,25 +450,7 @@ class RowSpace:
             x ^= row
         return 0
 
-    def _dense(self, plus: int, minus: int) -> list[int]:
-        p = self.field.characteristic
-        return [((plus >> v & 1) - (minus >> v & 1)) % p for v in range(self.n)]
-
-    def _reduce(self, row: list[int]) -> tuple[int, list[int]] | None:
-        """(lead column, row) of the GF(p) row reduced to a new pivot, or None if it vanishes."""
-        p = self.field.characteristic
-        pivot_rows = self._pivot_rows
-        for c in range(self.n):
-            a = row[c]
-            if not a:
-                continue
-            prow = pivot_rows[c]
-            if prow is None:
-                return c, row
-            row = [(x - a * y) % p for x, y in zip(row, prow)]
-        return None
-
-    # -- the packed integer space over Q ---------------------------------
+    # -- the packed integer space, over Q and over odd GF(p) --------------
     #
     # Lane width.  Packing is linear over Z, so a lane that overflows in an
     # intermediate sum or product cancels again; only the lanes of a value
@@ -502,12 +477,17 @@ class RowSpace:
             mask ^= low
         return total
 
-    def _keep(self, s: int) -> None:
-        """Store the nonzero residual s.
+    def _nonzero(self, s: int, p: int) -> bool:
+        """True iff the residual s is nonzero over GF(p), or over Q when p = 0."""
+        return bool(s) and (not p or any(x % p for x in self._unpack(s)))
 
-        Its lowest nonzero lane c becomes a pivot and D becomes s_c; every
-        kept row turns into N_i <- (s_c N_i - N_i[c] s) / D.  The division is
-        exact because each entry of the result is a minor of the kept rows.
+    def _keep(self, s: int) -> None:
+        """Store the residual s, nonzero over the space's field.
+
+        Its lowest lane c that is nonzero over the field (mod p over GF(p))
+        becomes a pivot and D becomes s_c; every kept row turns into
+        N_i <- (s_c N_i - N_i[c] s) / D.  The division is exact because each
+        entry of the result is a minor of the kept rows.
         """
         d, t = self.common_pivot, self._t
         lanes = self._unpack(s)
@@ -518,7 +498,8 @@ class RowSpace:
             self._set_width(bound + 1)
             s = self._pack(lanes)
         b = self._width
-        c = ((s & -s).bit_length() - 1) // b
+        p = self.field.characteristic
+        c = next(j for j, x in enumerate(lanes) if x % p) if p else ((s & -s).bit_length() - 1) // b
         sc = lanes[c]
         cols = self._cols
         for i in self._pivots:
@@ -623,34 +604,18 @@ def move_dependent_row_first(m: ExactMatrix, f: FieldSpec) -> ExactMatrix:
 
     The first row (in order) that is linearly dependent on the rows before
     it is chosen; such a row exists exactly when rank(m) < rows.  If every
-    row is independent the matrix is returned unchanged.
+    row is independent the matrix is returned unchanged.  The entries must
+    lie in {-1, 0, 1}, as in the 0/1 sum systems of the Kronecker check;
+    anything else raises InputError.
     """
-    p = f.characteristic
-    if p == 0:
-        work = [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
-    else:
-        flat = _residue_rows(m, p)
-        work = [[flat[i * m.cols + j] for j in range(m.cols)] for i in range(m.rows)]
-    basis: list[tuple[int, list[Scalar]]] = []  # (pivot column, normalised row)
-    for i, row in enumerate(work):
-        row = list(row)
-        for pc, brow in basis:
-            if row[pc] != 0:
-                fct = row[pc]
-                if p == 0:
-                    row = [a - fct * b for a, b in zip(row, brow)]
-                else:
-                    row = [(a - fct * b) % p for a, b in zip(row, brow)]
-        lead = next((c for c, x in enumerate(row) if x != 0), None)
-        if lead is None:
+    if any(x not in (-1, 0, 1) for x in m.entries):
+        raise InputError("move_dependent_row_first needs entries in {-1, 0, 1}")
+    space = RowSpace(m.cols, f)
+    for i in range(m.rows):
+        row = m.row(i)
+        plus = sum(1 << j for j, x in enumerate(row) if x == 1)
+        minus = sum(1 << j for j, x in enumerate(row) if x == -1)
+        if not space.add(plus, minus):
             order = [i] + [j for j in range(m.rows) if j != i]
             return ExactMatrix.from_rows([m.row(j) for j in order], m.cols)
-        if p == 0:
-            inv = Fraction(1, 1) / row[lead]
-            row = [x * inv for x in row]
-        else:
-            inv = pow(row[lead], -1, p)
-            row = [x * inv % p for x in row]
-        basis.append((lead, row))
-        basis.sort(key=lambda t: t[0])
     return m

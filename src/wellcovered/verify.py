@@ -362,16 +362,34 @@ def run_suite(
     so running one section alone replays exactly the instances it would see
     inside the full suite.  Every random instance descriptor embeds the
     sub-seed that regenerates its graph.  A negative trial count, an unknown
-    check section or an invalid characteristic raises InputError, whatever
-    the sizes.
+    check section or family kind, an invalid characteristic, or
+    characteristics that no requested section sweeps (which would pass
+    after comparing nothing) raise InputError, whatever the sizes.
     """
     if min(blowup_trials, multi_blowup_trials, lex_trials, union_trials, kron_trials) < 0:
         raise InputError("trial counts must be non-negative")
     for c in checks:
         if c not in ALL_CHECKS:
             raise InputError(f"unknown check section {c!r}")
+    if family_kind is not None and family_kind not in FAMILY_CHARS:
+        raise InputError(f"unknown graph family {family_kind!r}")
     for c in chars:
         FieldSpec(c)  # reject invalid characteristics up front
+    kinds = FAMILY_CHARS if family_kind is None else (family_kind,)
+    sweeps = {
+        "family": {c for k in kinds for c in FAMILY_CHARS[k]},
+        "blowup": BLOWUP_CHARS,
+        "multi-blowup": MULTI_BLOWUP_CHARS,
+        "union": UNION_CHARS,
+        "lex": LEX_CHARS,
+        "kron": KRON_CHARS,
+    }
+    swept = set().union(*(sweeps[c] for c in checks))
+    if not swept & set(chars):
+        raise InputError(
+            f"no requested check sweeps characteristic(s) {sorted(set(chars))}; "
+            f"they sweep {sorted(swept)}"
+        )
     sizes = tuple(s for s in sizes if s >= 1)
     if not sizes:
         return []

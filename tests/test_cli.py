@@ -360,6 +360,26 @@ class TestVerifyCommand:
     def test_unknown_family_kind(self, capsys):
         assert main(["verify", "family", "moebius"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["all", "--char", "11"],
+            ["lex", "--char", "3"],
+            ["kron", "--char", "5"],
+            ["family", "petersen", "--char", "7"],
+        ],
+        ids=["all-11", "lex-3", "kron-5", "petersen-7"],
+    )
+    def test_characteristics_no_section_sweeps_exit_2(self, capsys, argv):
+        # these used to print "0 passed, 0 failed, 0 skipped" and exit 0
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "they sweep" in captured.err
+
+    def test_a_characteristic_one_section_sweeps_still_runs(self, capsys):
+        assert main(["verify", "union", "--trials", "2", "--char", "5"]) == 0
+        assert "2 passed, 0 failed, 0 skipped" in capsys.readouterr().out
+
 
 def test_families_command_lists_all_kinds(capsys):
     assert main(["families"]) == 0

@@ -18,7 +18,7 @@ from wellcovered.formulas import kron_rank_case
 from wellcovered.mis import enumerate_mis
 from wellcovered.graphs import new_graph, random_graph
 
-from helpers import ref_nullspace, ref_rank
+from helpers import all_graphs, ref_nullspace, ref_rank
 
 Q = FieldSpec(0)
 
@@ -291,6 +291,28 @@ class TestMoveDependentRowFirst:
         out = move_dependent_row_first(m, FieldSpec(2))
         rest = ExactMatrix.from_rows(out.row_list()[1:], out.cols)
         assert rank(rest, FieldSpec(2)) == rank(out, FieldSpec(2))
+
+    @pytest.mark.parametrize("char", [0, 2, 3])
+    def test_moves_the_first_row_the_oracle_finds_dependent(self, char):
+        f = FieldSpec(char)
+        count = 0
+        for n in range(6):
+            for g in all_graphs(n):
+                m = sum_system_of(g)
+                rows = m.row_list()
+                first = next((i for i in range(m.rows) if ref_rank(rows[: i + 1], char) <= i), None)
+                want = m if first is None else ExactMatrix.from_rows(
+                    [rows[first]] + rows[:first] + rows[first + 1 :], m.cols
+                )
+                assert move_dependent_row_first(m, f) == want, (g.edges(), char)
+                count += first is not None
+        assert count
+
+    def test_entries_outside_minus_one_to_one_rejected(self):
+        m = ExactMatrix.from_rows([[1, 0], [0, 2], [1, 1]])
+        for char in (0, 2, 3):
+            with pytest.raises(InputError):
+                move_dependent_row_first(m, FieldSpec(char))
 
 
 def sum_system_of(g):

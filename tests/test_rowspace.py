@@ -31,10 +31,12 @@ from wellcovered.exactlin import ExactMatrix, RowSpace
 from wellcovered.formulas import f_crown
 from wellcovered.mis import mis_masks
 
-from helpers import all_graphs
+from helpers import all_graphs, ref_nullspace, ref_rank
 
 FIELDS = tuple(FieldSpec(c) for c in (0, 2, 3, 5, 10007))
 Q = FieldSpec(0)
+# the fields whose spaces are packed integer eliminations
+PACKED = tuple(FieldSpec(c) for c in (0, 3, 5, 7, 10007))
 READ_OFF = "read off (p ∤ D)"
 
 
@@ -195,9 +197,29 @@ class TestRowSpace:
             assert (space.rank, space.common_pivot, space.rows()) == before
         assert read_off and (fallback or p == 10007)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 10007])
+    def test_own_spaces_agree_with_the_oracle_row_by_row(self, p):
+        # more rows than columns, so rows that vanish only mod p turn up
+        f = FieldSpec(p)
+        rng = random.Random(90 + p)
+        for _ in range(100):
+            n = rng.randint(1, 9)
+            space = RowSpace(n, f)
+            dense = []
+            for _ in range(rng.randint(1, 2 * n + 2)):
+                plus = rng.getrandbits(n)
+                minus = rng.getrandbits(n) & ~plus
+                row = [(plus >> v & 1) - (minus >> v & 1) for v in range(n)]
+                want = ref_rank(dense + [row], p) > ref_rank(dense, p)
+                assert space.independent(plus, minus) == space.add(plus, minus) == want
+                dense.append(row)
+            assert space.rank == ref_rank(dense, p)
+            assert space.basis() == ref_nullspace(dense, n, p)
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_own_elimination_basis_matches_the_batch_nullspace(self, p):
-        # the GF(p) basis is read off the space's own echelon, reduced in place
+        # an odd GF(p) basis is read off the space's packed RREF, a GF(2) one
+        # off its XOR basis back-substituted
         f = FieldSpec(p)
         rng = random.Random(40 + p)
         for _ in range(40):
@@ -223,14 +245,16 @@ class TestRowSpace:
         with pytest.raises(ValueError):
             gf3.basis(Q)
 
-    def test_random_dense_spaces_keep_their_lane_bound(self):
+    @pytest.mark.parametrize("f", PACKED, ids=str)
+    def test_random_dense_spaces_keep_their_lane_bound(self, f):
         # the packed rows decode only while every lane fits its width: after
         # each row, |D| and every stored lane are at most 2^t, and a residual
-        # (at most n * 2^t) fits too
+        # (at most n * 2^t) fits too; over GF(p) every D is a unit mod p
+        p = f.characteristic
         rng = random.Random(3)
         for _ in range(300):
             n = rng.randint(1, 20)
-            space = RowSpace(n, Q)
+            space = RowSpace(n, f)
             dense = []
             for _ in range(rng.randint(1, n + 2)):
                 support = (1 << n) - 1 if rng.random() < 0.7 else rng.getrandbits(n)
@@ -238,40 +262,54 @@ class TestRowSpace:
                 minus = support & ~plus
                 space.add(plus, minus)
                 dense.append([(plus >> v & 1) - (minus >> v & 1) for v in range(n)])
+                if p:
+                    assert space.common_pivot % p != 0
                 limit = 1 << space._t
                 assert abs(space.common_pivot) <= limit
                 lanes = [x for c in space._pivots for x in space._unpack(space._cols[c])]
                 assert all(abs(x) <= limit for x in lanes)
                 assert space._width - 1 >= space._t + n.bit_length()
-            m = ExactMatrix.from_rows(dense, n)
-            assert space.rank == rank(m, Q)
-            assert space.basis() == nullspace_basis(m, Q)
+            assert space.rank == ref_rank(dense, p)
+            basis = ref_nullspace(dense, n, p)
+            assert space.basis() == basis
+            for _ in range(3):
+                plus = rng.getrandbits(n)
+                minus = rng.getrandbits(n) & ~plus
+                row = [(plus >> v & 1) - (minus >> v & 1) for v in range(n)]
+                # a row lies in the span exactly when it annihilates the nullspace
+                dots = (sum(a * b for a, b in zip(row, vec)) for vec in basis)
+                assert space.independent(plus, minus) == any(x % p if p else x for x in dots)
 
-    def test_lanes_widen_for_large_minors(self):
+    @pytest.mark.parametrize("f", PACKED, ids=str)
+    def test_lanes_widen_for_large_minors(self, f):
         # dense {-1, 1} rows have pivot minors far beyond a machine word
+        p = f.characteristic
         rng = random.Random(11)
         n, m = 60, 50
         full = (1 << n) - 1
         pairs = [(plus, full & ~plus) for plus in (rng.getrandbits(n) for _ in range(m))]
-        space = RowSpace(n, Q)
-        assert all(space.add(plus, minus) for plus, minus in pairs)
+        space = RowSpace(n, f)
+        dense = [[(plus >> v & 1) - (minus >> v & 1) for v in range(n)] for plus, minus in pairs]
+        for plus, minus in pairs:
+            space.add(plus, minus)
+            if p:
+                assert space.common_pivot % p != 0
         assert abs(space.common_pivot).bit_length() > 64
-        dense = ExactMatrix.from_rows(
-            [[(plus >> v & 1) - (minus >> v & 1) for v in range(n)] for plus, minus in pairs], n
-        )
-        assert space.rank == rank(dense, Q) == m
-        assert space.basis() == nullspace_basis(dense, Q)
+        assert space.rank == ref_rank(dense, p)
+        assert p or space.rank == m
+        basis = space.basis()
+        assert basis == ref_nullspace(dense, n, p)
         stored = ExactMatrix.from_rows(space.rows(), n)
-        assert nullspace_basis(stored, Q) == space.basis()
-        for p in (3, 5, 7, 10007):
-            f = FieldSpec(p)
-            if space.reads_off(f):
-                assert space.basis(f) == nullspace_basis(dense, f)
+        assert nullspace_basis(stored, f) == basis
+        if not p:
+            for q in (3, 5, 7, 10007):
+                if space.reads_off(FieldSpec(q)):
+                    assert space.basis(FieldSpec(q)) == ref_nullspace(dense, n, q)
         assert not any(space.independent(plus, minus) for plus, minus in pairs)
         plus = rng.getrandbits(n)
         row = [(plus >> v & 1) * 2 - 1 for v in range(n)]
-        extended = ExactMatrix.from_rows(dense.row_list() + [row], n)
-        assert space.independent(plus, full & ~plus) == (rank(extended, Q) == m + 1)
+        want = ref_rank(dense + [row], p) > space.rank
+        assert space.independent(plus, full & ~plus) == want
 
     def test_stored_rows_are_primitive_integers_over_q(self):
         space = RowSpace(4, FieldSpec(0))

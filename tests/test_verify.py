@@ -323,6 +323,37 @@ class TestRunSuite:
         with pytest.raises(InputError):
             run_suite(seed=1, **{f"{section}_trials": -1})
 
+    @pytest.mark.parametrize(
+        "request_, swept",
+        [
+            ({"chars": (11,)}, "[0, 2, 3, 5, 7]"),
+            ({"checks": ("lex",), "chars": (3,)}, "[0, 2]"),
+            ({"checks": ("kron",), "chars": (5,)}, "[0, 2, 3]"),
+            ({"checks": ("family",), "family_kind": "petersen", "chars": (7,)}, "[0, 2, 3, 5]"),
+        ],
+        ids=["all-11", "lex-3", "kron-5", "petersen-7"],
+    )
+    def test_characteristics_no_section_sweeps_are_rejected(self, request_, swept):
+        # these used to compare nothing and report 0 passed, 0 failed
+        from wellcovered import InputError
+
+        with pytest.raises(InputError, match=re.escape(f"they sweep {swept}")):
+            run_suite(seed=1, **request_)
+
+    def test_a_section_that_sweeps_a_given_characteristic_still_runs(self):
+        # family and union sweep 5; the other sections are skipped silently
+        reports = run_suite(seed=1, chars=(5,), union_trials=2, blowup_trials=0,
+                            multi_blowup_trials=0, lex_trials=0, kron_trials=0)
+        assert {r.check for r in reports} == {"family", "union"}
+        assert all(5 in r.characteristics for r in reports)
+        assert run_suite(seed=1, checks=("blowup",), blowup_trials=0) == []
+
+    def test_unknown_family_kind_rejected(self):
+        from wellcovered import InputError
+
+        with pytest.raises(InputError, match="moebius"):
+            run_suite(seed=1, checks=("family",), family_kind="moebius")
+
     @pytest.mark.parametrize("bad", [{"chars": (4,)}, {"checks": ("nonsense",)}])
     def test_bad_argument_rejected_with_empty_sizes(self, bad):
         from wellcovered import InputError
