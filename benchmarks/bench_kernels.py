@@ -1,11 +1,19 @@
 #!/usr/bin/env python3
-"""Compare the engine's streaming row space against the batch elimination path.
+"""Time the input stage, and compare the engine's streaming row space
+against the batch elimination path.
 
 Run from a checkout where the package is installed:
 
     python benchmarks/bench_kernels.py
 
-Each row times one field of `compute_wcdim` (one enumeration fed into the
+The input rows time building a graph's adjacency masks: parsing the
+crown:40 edge list (80 vertices, 1,560 edges, in a shuffled labelling, as
+`compute FILE` reads it) and `multi_blowup` of a 7-vertex graph with every
+vertex blown up 2 or 3 times, as the verify harness builds it.  The parsed
+graph must equal the relabelled crown it was written from, and the blown-up
+graph must pass the checking `Graph(n, masks)` constructor.
+
+Each engine row times one field of `compute_wcdim` (one enumeration fed into the
 integer row space, which stops at full rank) against enumerating the sets,
 assembling the whole difference system and eliminating it with `rank` and
 `nullspace_basis`; both must give the same rank and basis.  GF(p) is read
@@ -21,6 +29,7 @@ no enumeration for the triangles, while the random graphs and the crown
 have no module and feed the same rows as the row space column.
 """
 
+import random
 import time
 
 from wellcovered import (
@@ -31,10 +40,13 @@ from wellcovered import (
     crown,
     disjoint_union,
     enumerate_mis,
+    multi_blowup,
     nullspace_basis,
     rank,
+    relabel,
 )
-from wellcovered.graphs import random_graph
+from wellcovered.cli import parse_graph_file
+from wellcovered.graphs import Graph, random_graph
 
 
 def bench(fn, repeats):
@@ -64,7 +76,26 @@ def triangles(k):
     return g
 
 
+def input_rows():
+    perm = list(range(80))
+    random.Random(1).shuffle(perm)
+    g = relabel(crown(40), perm)
+    text = f"{g.n} {g.edge_count}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+    base = random_graph(7, 0.5, 3)
+    ts = [2, 3, 2, 3, 2, 3, 2]
+    return [
+        ("parse crown:40 edge list", lambda: parse_graph_file(text), g),
+        ("multi_blowup of a 7-vertex graph", lambda: multi_blowup(base, ts), None),
+    ]
+
+
 def main():
+    print(f"{'input stage':44} {'best':>12}")
+    for label, fn, want in input_rows():
+        dt, g = bench(fn, 200)
+        assert g == (want or Graph(g.n, g.masks)), f"{label} built the wrong graph"
+        print(f"{label:44} {dt * 1e3:10.3f}ms")
+    print()
     three = (FieldSpec(0), FieldSpec(2), FieldSpec(10007))
     graphs = [
         (f"n={n} random graph", random_graph(n, 0.3, seed), 3, three)

@@ -7,10 +7,12 @@ Commands:
 
 Graphs come either from a family spec string (grammar: `kind` or
 `kind:p1,p2,...`, e.g. `crown:5`, `kpartite:2,3,4`, `petersen`) or from an
-edge-list file: a header line "n m", then m lines "u v" with 0-based vertex
-indices; blank lines and lines starting with '#' are ignored.
+edge-list file: a UTF-8 text file with a header line "n m", then m lines
+"u v" with 0-based vertex indices; blank lines and lines starting with '#'
+are ignored.  A graph has at most `graphs.MAX_VERTICES` vertices.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 capacity.
+Exit codes: 0 success, 1 verification failure, 2 input error (including an
+unreadable or undecodable file), 3 capacity (including too many vertices).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 from typing import Sequence
 
 from .engine import WcdimReport, compute_wcdim_fields
@@ -29,7 +32,8 @@ from .engine import compute_wcdim  # noqa: F401  (perfbench/trace.py instruments
 from .errors import CapacityError, InputError
 from .exactlin import FieldSpec, Scalar
 from .families import FAMILY_BUILDERS, FamilySpec, build_family
-from .graphs import Graph, new_graph
+from .graphs import Graph, check_vertex_count
+from .graphs import new_graph  # noqa: F401  (perfbench/trace.py instruments cli.new_graph)
 from .verify import ALL_CHECKS, CheckReport, run_suite, summarize
 
 _SPEC_RE = re.compile(r"^([a-z-]+)(?::(\d+(?:,\d+)*))?$")
@@ -48,45 +52,57 @@ def parse_family_spec(text: str) -> FamilySpec:
 
 
 def parse_graph_file(text: str, name: str = "<input>") -> Graph:
-    """Parse the edge-list file format; duplicate edges are rejected."""
+    """Parse the edge-list file format; duplicate edges are rejected.
+
+    Each edge sets its two adjacency bits as its line is read, so every
+    check runs once, here: a duplicate is a bit already set.  A header
+    above MAX_VERTICES raises CapacityError before anything per vertex is
+    allocated.
+    """
     header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    masks: list[int] = []
+    n = found = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if len(parts) != 2:
-            raise InputError(f"{name} line {lineno}: expected two integers, got {line!r}")
+            raise InputError(f"{name} line {lineno}: expected two integers, got {raw.strip()!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise InputError(f"{name} line {lineno}: expected two integers, got {line!r}") from None
+            got = raw.strip()
+            raise InputError(f"{name} line {lineno}: expected two integers, got {got!r}") from None
         if header is None:
             if u < 0 or v < 0:
                 raise InputError(f"{name} line {lineno}: header counts must be non-negative")
+            check_vertex_count(u, f"{name} line {lineno}: the graph")
             header = (u, v)
+            n = u
+            masks = [0] * n
             continue
-        n = header[0]
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"{name} line {lineno}: vertex index out of range for n = {n}")
         if u == v:
             raise InputError(f"{name} line {lineno}: self-loop {u} {v}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        if masks[u] >> v & 1:
             raise InputError(f"{name} line {lineno}: duplicate edge {u} {v}")
-        seen.add(key)
-        edges.append((u, v))
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+        found += 1
     if header is None:
         raise InputError(f"{name}: missing header line 'n m'")
-    if len(edges) != header[1]:
-        raise InputError(f"{name}: header promises {header[1]} edges, found {len(edges)}")
-    return new_graph(header[0], edges)
+    if found != header[1]:
+        raise InputError(f"{name}: header promises {header[1]} edges, found {found}")
+    return Graph.unchecked(n, tuple(masks))
 
 
 def load_graph(source: str) -> tuple[Graph, str]:
-    """Resolve a CLI input to (graph, descriptor): family spec first, then file."""
+    """Resolve a CLI input to (graph, descriptor): family spec first, then file.
+
+    The file is read as UTF-8; a file that is not, or that cannot be read,
+    raises InputError naming it.
+    """
     m = _SPEC_RE.match(source.strip())
     if m and m.group(1) in FAMILY_BUILDERS:
         spec = parse_family_spec(source)
@@ -94,7 +110,13 @@ def load_graph(source: str) -> tuple[Graph, str]:
     path = Path(source)
     if not path.is_file():
         raise InputError(f"{source!r} is neither a known family spec nor a readable file")
-    return parse_graph_file(path.read_text(), name=str(path)), str(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise InputError(f"{path}: cannot be read ({exc.strerror or exc})") from None
+    return parse_graph_file(text, name=str(path)), str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +242,21 @@ def render_text(doc: ReportDocument, verbose: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_stats(reports: Sequence[WcdimReport]) -> str:
-    """Where one compute's time and rows went: the enumeration, then one line per field.
+def render_stats(g: Graph, input_ms: float, reports: Sequence[WcdimReport]) -> str:
+    """Where one compute's time and rows went: the input, the enumeration,
+    then one line per field.
 
-    The enumeration line counts the quotients the decomposition enumerated
-    (pieces) and gives the exact set count, not the number of rows fed.
+    The input line times reading and parsing the file, or building the
+    family, and gives the graph's vertex and edge counts.  The enumeration
+    line counts the quotients the decomposition enumerated (pieces) and
+    gives the exact set count, not the number of rows fed.
     """
     first = reports[0].stats
     pieces = f"{first.pieces} piece" + ("" if first.pieces == 1 else "s")
-    lines = [f"stats: enumeration of {pieces} in {first.enumerate_ms:.3f} ms, {first.sets} sets"]
+    lines = [
+        f"stats: input in {input_ms:.3f} ms, n = {g.n}, m = {g.edge_count}",
+        f"stats: enumeration of {pieces} in {first.enumerate_ms:.3f} ms, {first.sets} sets",
+    ]
     for r in reports:
         s = r.stats
         lines.append(
@@ -248,7 +276,9 @@ def _field_args(chars: Sequence[int] | None) -> list[FieldSpec]:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    start = perf_counter()
     g, descriptor = load_graph(args.input)
+    input_ms = (perf_counter() - start) * 1e3
     reports = compute_wcdim_fields(g, _field_args(args.char), with_sum_rank=args.verbose)
     sections = [_section_from_report(r, args.basis) for r in reports]
     doc = ReportDocument(descriptor, g.n, g.edge_count, tuple(sections))
@@ -257,7 +287,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(render_text(doc, args.verbose))
     if args.stats:
-        sys.stderr.write(render_stats(reports))
+        sys.stderr.write(render_stats(g, input_ms, reports))
     return 0
 
 

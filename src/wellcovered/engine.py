@@ -284,8 +284,8 @@ def path_weight_structure(g: Graph, f: FieldSpec = FieldSpec(0)) -> PathStructur
     if n < 5:
         raise InputError(f"path structure check needs n >= 5, got {n}")
     for v in range(n):
-        expected = {u for u in (v - 1, v + 1) if 0 <= u < n}
-        if set(g.adj[v]) != expected:
+        expected = sum(1 << u for u in (v - 1, v + 1) if 0 <= u < n)
+        if g.masks[v] != expected:
             raise InputError("graph is not a path with consecutive labels")
     report = compute_wcdim(g, f)
     for idx, w in enumerate(report.basis):

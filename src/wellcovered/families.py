@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
-from .graphs import Graph, new_graph
+from .graphs import Graph, check_vertex_count, new_graph
 
 
 @dataclass(frozen=True)
@@ -28,46 +28,49 @@ class FamilySpec:
         return f"{self.kind}:{','.join(str(p) for p in self.params)}"
 
 
+def _cycle_masks(n: int) -> list[int]:
+    """Masks of the cycle 0-1-...-(n-1)-0, for n >= 3."""
+    return [1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)]
+
+
 def complete(n: int) -> Graph:
     if n < 1:
         raise InputError(f"complete graph needs n >= 1, got {n}")
-    return new_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    check_vertex_count(n)
+    full = (1 << n) - 1
+    return Graph.unchecked(n, tuple(full ^ 1 << v for v in range(n)))
 
 
 def empty_graph(n: int) -> Graph:
     if n < 1:
         raise InputError(f"empty graph needs n >= 1, got {n}")
-    return new_graph(n, [])
+    check_vertex_count(n)
+    return Graph.unchecked(n, (0,) * n)
 
 
 def complete_multipartite(sizes: Sequence[int]) -> Graph:
     """Blocks occupy contiguous index ranges in input order; edges join distinct blocks."""
     if not sizes or any(s < 1 for s in sizes):
         raise InputError(f"block sizes must be a nonempty list of positive ints, got {list(sizes)}")
-    starts = [0]
+    n = sum(sizes)
+    check_vertex_count(n)
+    full = (1 << n) - 1
+    masks: list[int] = []
     for s in sizes:
-        starts.append(starts[-1] + s)
-    n = starts[-1]
-    edges = []
-    for a in range(len(sizes)):
-        for b in range(a + 1, len(sizes)):
-            for u in range(starts[a], starts[a + 1]):
-                for v in range(starts[b], starts[b + 1]):
-                    edges.append((u, v))
-    return new_graph(n, edges)
+        others = full ^ ((1 << s) - 1) << len(masks)
+        masks += [others] * s
+    return Graph.unchecked(n, tuple(masks))
 
 
 def turan(n: int, r: int) -> Graph:
     """Complete r-partite graph on n vertices with block sizes as equal as possible."""
-    if r < 1 or r > n:
-        raise InputError(f"turan graph needs 1 <= r <= n, got n={n}, r={r}")
-    q, rem = divmod(n, r)
-    return complete_multipartite([q + 1] * rem + [q] * (r - rem))
+    return complete_multipartite(turan_block_sizes(n, r))
 
 
 def turan_block_sizes(n: int, r: int) -> list[int]:
     if r < 1 or r > n:
         raise InputError(f"turan graph needs 1 <= r <= n, got n={n}, r={r}")
+    check_vertex_count(n)
     q, rem = divmod(n, r)
     return [q + 1] * rem + [q] * (r - rem)
 
@@ -79,30 +82,41 @@ def crown(n: int) -> Graph:
     """
     if n < 1:
         raise InputError(f"crown graph needs n >= 1, got {n}")
+    check_vertex_count(2 * n)
     if n < 3:
         warnings.warn(f"crown({n}) is below the range n >= 3 of its dimension formula")
-    return new_graph(2 * n, [(i, n + j) for i in range(n) for j in range(n) if i != j])
+    side = (1 << n) - 1
+    left = [(side ^ 1 << i) << n for i in range(n)]
+    right = [side ^ 1 << j for j in range(n)]
+    return Graph.unchecked(2 * n, tuple(left + right))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise InputError(f"path needs n >= 1, got {n}")
-    return new_graph(n, [(i, i + 1) for i in range(n - 1)])
+    check_vertex_count(n)
+    masks = ((1 << v - 1 if v else 0) | (1 << v + 1 if v < n - 1 else 0) for v in range(n))
+    return Graph.unchecked(n, tuple(masks))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InputError(f"cycle needs n >= 3, got {n}")
-    return new_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    check_vertex_count(n)
+    return Graph.unchecked(n, tuple(_cycle_masks(n)))
 
 
 def gear(n: int) -> Graph:
     """Rim vertices 0..2n-1 in a cycle; hub 2n adjacent to the even rim vertices."""
     if n < 3:
         raise InputError(f"gear graph needs n >= 3, got {n}")
-    edges = [(i, (i + 1) % (2 * n)) for i in range(2 * n)]
-    edges.extend((i, 2 * n) for i in range(0, 2 * n, 2))
-    return new_graph(2 * n + 1, edges)
+    hub = 2 * n
+    check_vertex_count(hub + 1)
+    masks = _cycle_masks(hub)
+    for i in range(0, hub, 2):
+        masks[i] |= 1 << hub
+    masks.append(sum(1 << i for i in range(0, hub, 2)))
+    return Graph.unchecked(hub + 1, tuple(masks))
 
 
 def petersen() -> Graph:

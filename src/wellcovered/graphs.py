@@ -1,9 +1,21 @@
 """Immutable simple undirected graphs and the constructions built on them.
 
-Vertices are always labelled 0..n-1.  Adjacency is stored as one frozenset
-of neighbour indices per vertex; independent-set enumeration downstream
-lives on fast neighbourhood intersection, which is why this representation
-was chosen over matrices.
+Vertices are always labelled 0..n-1.  Adjacency is stored as one bitmask
+per vertex: bit u of `masks[v]` is set exactly when u and v are adjacent.
+This is the form every consumer works in: the clique kernel branches on
+`P & masks[v]`, the modular decomposition compares neighbourhoods as
+integers, and every construction here shifts, swaps and ORs whole rows.
+The neighbour sets of `Graph.adj` are only a derived view, built on first
+use, for the tests and their brute-force oracle.
+
+Outside data is checked once, where it enters: `new_graph` checks its edge
+list, the edge-list parser in `cli` checks every line, and the public
+`Graph(n, masks)` constructor checks the masks it is given.  The package's
+own constructions are symmetric and loop-free by construction and build
+their result with `Graph.unchecked`, without a second pass over the edges.
+
+Every graph has at most `MAX_VERTICES` vertices; larger inputs raise
+CapacityError before anything per vertex is allocated.
 """
 
 from __future__ import annotations
@@ -11,81 +23,138 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import CapacityError, InputError
+
+# Enumeration keeps n co-adjacency masks of n bits each: n^2 bits, which is
+# 32 MB at this bound.  A vertex count above it is refused before any
+# per-vertex allocation, so an impossible header fails at once instead of
+# running the process out of memory.
+MAX_VERTICES = 1 << 14
 
 
-@dataclass(frozen=True)
+def check_vertex_count(n: int, what: str = "graph") -> None:
+    """Raise CapacityError if a graph on n vertices would exceed MAX_VERTICES."""
+    if n > MAX_VERTICES:
+        raise CapacityError(f"{what} has {n} vertices; at most {MAX_VERTICES} are supported")
+
+
+def bits(mask: int) -> list[int]:
+    """The set bits of a mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+@dataclass(frozen=True, repr=False)
 class Graph:
-    """Simple undirected graph: no loops, no multi-edges, symmetric adjacency."""
+    """Simple undirected graph: no loops, no multi-edges, symmetric adjacency.
+
+    `masks[v]` is the bitmask of v's neighbours.  The constructor checks that
+    every mask lies within 0..n-1, has no loop and is mirrored by the masks
+    of its members, and raises InputError otherwise.  The repr lists the
+    neighbour sets, which read more easily than n-bit integers.
+    """
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0 or len(self.adj) != self.n:
-            raise InputError(f"adjacency length {len(self.adj)} != n = {self.n}")
-        for v, nbrs in enumerate(self.adj):
-            for u in nbrs:
-                if not 0 <= u < self.n:
-                    raise InputError(f"neighbour {u} of vertex {v} out of range")
-                if u == v:
-                    raise InputError(f"self-loop at vertex {v}")
-                if v not in self.adj[u]:
+        n = self.n
+        masks = tuple(self.masks)
+        object.__setattr__(self, "masks", masks)
+        if n < 0 or len(masks) != n:
+            raise InputError(f"adjacency length {len(masks)} != n = {n}")
+        for v, mask in enumerate(masks):
+            if not isinstance(mask, int) or mask < 0:
+                raise InputError(f"adjacency of vertex {v} is not a non-negative bitmask: {mask!r}")
+            if mask >> n:
+                raise InputError(f"neighbour {mask.bit_length() - 1} of vertex {v} out of range")
+            if mask >> v & 1:
+                raise InputError(f"self-loop at vertex {v}")
+            for u in bits(mask):
+                if not masks[u] >> v & 1:
                     raise InputError(f"asymmetric adjacency between {u} and {v}")
 
+    @classmethod
+    def unchecked(cls, n: int, masks: tuple[int, ...]) -> Graph:
+        """A graph on masks its caller has already made valid, built without checking.
+
+        For the package's own constructions and the parser, which establish
+        the invariants as they build; outside data goes through `Graph(n,
+        masks)` or `new_graph`.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "masks", masks)
+        return g
+
+    @cached_property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """Neighbour sets, derived from the masks on first use."""
+        return tuple(frozenset(bits(mask)) for mask in self.masks)
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n}, adj={self.adj!r})"
+
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return v >= 0 and bool(self.masks[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list as sorted (u, v) pairs with u < v."""
-        return sorted((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
+        return [(u, v) for u, mask in enumerate(self.masks) for v in bits(mask >> u << u)]
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
 
 def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; edges are symmetrised and deduplicated."""
     if n < 0:
         raise InputError(f"vertex count must be non-negative, got {n}")
-    adj: list[set[int]] = [set() for _ in range(n)]
+    check_vertex_count(n)
+    masks = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"edge ({u}, {v}) out of range for n = {n}")
         if u == v:
             raise InputError(f"self-loop ({u}, {v}) not allowed")
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(n, tuple(frozenset(s) for s in adj))
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph.unchecked(n, tuple(masks))
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Relabel vertices: vertex v of g becomes perm[v] of the result."""
     if sorted(perm) != list(range(g.n)):
         raise InputError("perm is not a permutation of the vertex range")
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for v in range(g.n):
-        for u in g.adj[v]:
-            adj[perm[v]].add(perm[u])
-    return Graph(g.n, tuple(frozenset(s) for s in adj))
+    masks = [0] * g.n
+    for v, mask in enumerate(g.masks):
+        out = 0
+        for u in bits(mask):
+            out |= 1 << perm[u]
+        masks[perm[v]] = out
+    return Graph.unchecked(g.n, tuple(masks))
 
 
 def complement(g: Graph) -> Graph:
-    everyone = frozenset(range(g.n))
-    return Graph(g.n, tuple(everyone - g.adj[v] - {v} for v in range(g.n)))
+    full = (1 << g.n) - 1
+    return Graph.unchecked(g.n, tuple(full ^ mask ^ 1 << v for v, mask in enumerate(g.masks)))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union; h's vertices are re-indexed by offset |V(g)|."""
-    off = g.n
-    adj = list(g.adj) + [frozenset(off + u for u in nbrs) for nbrs in h.adj]
-    return Graph(g.n + h.n, tuple(adj))
+    check_vertex_count(g.n + h.n)
+    return Graph.unchecked(g.n + h.n, g.masks + tuple(mask << g.n for mask in h.masks))
 
 
 def blowup(g: Graph, v: int, t: int) -> Graph:
@@ -99,15 +168,23 @@ def blowup(g: Graph, v: int, t: int) -> Graph:
         raise InputError(f"vertex {v} out of range for n = {g.n}")
     if t < 1:
         raise InputError(f"blowup size must be positive, got {t}")
-    n = g.n
-    perm = list(range(n))
-    perm[v], perm[n - 1] = perm[n - 1], perm[v]
-    swapped = relabel(g, perm)
-    nbrs = sorted(swapped.adj[n - 1])
-    edges = [(a, b) for a, b in swapped.edges() if a != n - 1 and b != n - 1]
-    for copy in range(t):
-        edges.extend((u, n - 1 + copy) for u in nbrs)
-    return new_graph(n + t - 1, edges)
+    last = g.n - 1
+    check_vertex_count(last + t)
+    swap = 1 << v | 1 << last
+    masks = list(g.masks)
+    masks[v], masks[last] = masks[last], masks[v]
+    copies = ((1 << t) - 1) << last
+    for u in range(last):
+        mask = masks[u]
+        if (mask >> v ^ mask >> last) & 1:
+            mask ^= swap
+        if mask >> last & 1:
+            mask |= copies
+        masks[u] = mask
+    nbrs = masks[last]
+    if (nbrs >> v ^ nbrs >> last) & 1:
+        nbrs ^= swap
+    return Graph.unchecked(last + t, tuple(masks[:last]) + (nbrs,) * t)
 
 
 def multi_blowup(g: Graph, ts: Sequence[int]) -> Graph:
@@ -117,19 +194,24 @@ def multi_blowup(g: Graph, ts: Sequence[int]) -> Graph:
 
 def multi_blowup_slots(g: Graph, ts: Sequence[int]) -> tuple[Graph, list[list[int]]]:
     """Like multi_blowup, but also report where each original vertex's copies
-    ended up: slots[v] lists the final indices of the ts[v] twins of v."""
+    ended up: slots[v] lists the final indices of the ts[v] twins of v.
+
+    The labels are those of calling `blowup` on each original vertex in
+    turn; only the labels are tracked through that sequence, and the result
+    is built once from them.
+    """
     if len(ts) != g.n:
         raise InputError(f"expected {g.n} blowup sizes, got {len(ts)}")
     if any(t < 1 for t in ts):
         raise InputError("blowup sizes must all be positive")
-    h = g
+    check_vertex_count(sum(ts))
+    size = g.n
     pos = list(range(g.n))  # current index of each not-yet-processed original
     slots: list[list[int]] = []
     for i in range(g.n):
         cur = pos[i]
-        last = h.n - 1
-        h = blowup(h, cur, ts[i])
-        # the swap inside blowup moved the vertex previously at `last` to `cur`
+        last = size - 1
+        # blowup's swap moves the vertex previously at `last` to `cur`
         for j in range(i + 1, g.n):
             if pos[j] == last:
                 pos[j] = cur
@@ -138,23 +220,31 @@ def multi_blowup_slots(g: Graph, ts: Sequence[int]) -> tuple[Graph, list[list[in
                 if x == last:
                     s[idx] = cur
         slots.append(list(range(last, last + ts[i])))
-    return h, slots
+        size += ts[i] - 1
+    slot_masks = [sum(1 << x for x in s) for s in slots]
+    masks = [0] * size
+    for v, mask in enumerate(g.masks):
+        out = 0
+        for u in bits(mask):
+            out |= slot_masks[u]
+        for x in slots[v]:
+            masks[x] = out
+    return Graph.unchecked(size, tuple(masks)), slots
 
 
 def lex_product(g: Graph, h: Graph) -> Graph:
     """Lexicographic product: vertex (u, w) is flattened to u * |V(h)| + w;
     (u, w) ~ (u', w') iff uu' is an edge of g, or u = u' and ww' is an edge of h."""
     b = h.n
-    edges = []
-    for u in range(g.n):
-        for w in range(b):
-            for w2 in h.adj[w]:
-                if w < w2:
-                    edges.append((u * b + w, u * b + w2))
-        for u2 in g.adj[u]:
-            if u < u2:
-                edges.extend((u * b + w, u2 * b + w2) for w in range(b) for w2 in range(b))
-    return new_graph(g.n * b, edges)
+    check_vertex_count(g.n * b)
+    block = (1 << b) - 1
+    masks = []
+    for u, mask in enumerate(g.masks):
+        outer = 0
+        for u2 in bits(mask):
+            outer |= block << u2 * b
+        masks += [outer | inner << u * b for inner in h.masks]
+    return Graph.unchecked(g.n * b, tuple(masks))
 
 
 def random_graph(n: int, edge_prob: Fraction | float | int, seed: int) -> Graph:
@@ -166,10 +256,14 @@ def random_graph(n: int, edge_prob: Fraction | float | int, seed: int) -> Graph:
     p = Fraction(edge_prob)
     if not 0 <= p <= 1:
         raise InputError(f"edge probability must lie in [0, 1], got {p}")
+    if n < 0:
+        raise InputError(f"vertex count must be non-negative, got {n}")
+    check_vertex_count(n)
     rng = random.Random(seed)
-    edges = []
+    masks = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
             if rng.randrange(p.denominator) < p.numerator:
-                edges.append((u, v))
-    return new_graph(n, edges)
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+    return Graph.unchecked(n, tuple(masks))

@@ -4,7 +4,10 @@ A vertex set is maximal independent exactly when it is a maximal clique of
 the complement graph, so enumeration runs Bron-Kerbosch with pivoting
 (`kernels.maximal_cliques`) over complement adjacency bitmasks.  A greedy
 pass would only find some maximal set; the linear systems downstream need
-all of them, which is why full clique enumeration is used.
+all of them, which is why full clique enumeration is used.  Everything
+here reads the graph's own adjacency bitmasks, `Graph.masks`: a
+co-adjacency mask is one XOR away, and the decomposition compares
+neighbourhoods as integers.
 
 `mis_masks` returns the sets as bitmasks in the kernel's depth-first
 discovery order.  `enumerate_mis` sorts them into the canonical order
@@ -30,7 +33,7 @@ from typing import Iterable, Iterator
 
 from . import kernels
 from .errors import CapacityError, InputError
-from .graphs import Graph
+from .graphs import Graph, bits
 
 DEFAULT_MIS_LIMIT = 10**6
 
@@ -52,16 +55,6 @@ class MisList:
         return self.sets[i]
 
 
-def _adjacency(g: Graph) -> list[int]:
-    adj = []
-    for nbrs in g.adj:
-        mask = 0
-        for u in nbrs:
-            mask |= 1 << u
-        adj.append(mask)
-    return adj
-
-
 def _cliques(co_masks: list[int], limit: int, within: int, what: str) -> list[int]:
     try:
         return kernels.maximal_cliques(co_masks, limit, within)
@@ -76,11 +69,11 @@ def mis_masks(g: Graph, limit: int = DEFAULT_MIS_LIMIT) -> list[int]:
     exponential in n, so unbounded enumeration would be a foot-gun).
     """
     full = (1 << g.n) - 1
-    co_masks = [full & ~mask & ~(1 << v) for v, mask in enumerate(_adjacency(g))]
+    co_masks = [full ^ mask ^ 1 << v for v, mask in enumerate(g.masks)]
     return _cliques(co_masks, limit, full, "graph")
 
 
-def _parts(adj: list[int], s: int, flip: int) -> list[int]:
+def _parts(adj: tuple[int, ...], s: int, flip: int) -> list[int]:
     """The components of G[s] (flip 0) or of its complement (flip -1), as bitmasks."""
     parts = []
     while s:
@@ -98,16 +91,7 @@ def _parts(adj: list[int], s: int, flip: int) -> list[int]:
     return parts
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _twin(adj: list[int], s: int, r: int) -> int:
+def _twin(adj: tuple[int, ...], s: int, r: int) -> int:
     """The lowest twin of r in G[s] (same neighbours apart from each other), or -1."""
     ar = adj[r] & s
     rbit = 1 << r
@@ -121,7 +105,9 @@ def _twin(adj: list[int], s: int, r: int) -> int:
     return -1
 
 
-def _contract(r: int, u: int, adj: list[int], count: list[int], family: list[list[int]]) -> None:
+def _contract(
+    r: int, u: int, adj: tuple[int, ...], count: list[int], family: list[list[int]],
+) -> None:
     """Merge the count and family of u's module into those of its twin r."""
     fr, fu = family[r], family[u]
     if adj[r] >> u & 1:  # adjacent modules: each set lies in one of them
@@ -133,9 +119,9 @@ def _contract(r: int, u: int, adj: list[int], count: list[int], family: list[lis
     family[u] = []
 
 
-def _merge_twins(adj: list[int], s: int, count: list[int], family: list[list[int]]) -> int:
+def _merge_twins(adj: tuple[int, ...], s: int, count: list[int], family: list[list[int]]) -> int:
     """Contract twin modules of G[s] until none is left; returns what is left of s."""
-    verts = _bits(s)
+    verts = bits(s)
     keys = [adj[v] & s for v in verts]
     keys += [k | 1 << v for k, v in zip(keys, verts)]
     if len(set(keys)) == len(keys):
@@ -180,9 +166,9 @@ def mis_family(g: Graph, limit: int = DEFAULT_MIS_LIMIT) -> tuple[int, list[int]
     if n < 2:
         masks = mis_masks(g, limit)
         return len(masks), masks, 1
-    adj = _adjacency(g)
+    adj = g.masks
     full = (1 << n) - 1
-    co_masks = [full & ~a & ~(1 << v) for v, a in enumerate(adj)]
+    co_masks = [full ^ a ^ 1 << v for v, a in enumerate(adj)]
     count = [1] * n
     family = [[1 << v] for v in range(n)]
     alive = full
@@ -210,16 +196,16 @@ def mis_family(g: Graph, limit: int = DEFAULT_MIS_LIMIT) -> tuple[int, list[int]
         total = 0
         out = []
         # modules with more than one set, varied in the first set of Q that holds them
-        unvaried = sum(1 << v for v in _bits(s) if len(family[v]) > 1)
+        unvaried = sum(1 << v for v in bits(s) if len(family[v]) > 1)
         for q in _cliques(co_masks, limit, s, "an enumerated quotient of the graph"):
             base = 0
             c = 1
-            for v in _bits(q):
+            for v in bits(q):
                 base |= family[v][0]
                 c *= count[v]
             total += c
             out.append(base)
-            for v in _bits(q & unvaried):
+            for v in bits(q & unvaried):
                 fam = family[v]
                 out += [base ^ fam[0] | t for t in fam[1:]]
             unvaried &= ~q
@@ -243,28 +229,27 @@ def enumerate_mis(g: Graph, limit: int = DEFAULT_MIS_LIMIT) -> MisList:
     return MisList(tuple(sets), g.n)
 
 
-def _check_vertices(g: Graph, s: Iterable[int]) -> list[int]:
-    members = list(s)
-    for v in members:
+def _vertex_mask(g: Graph, s: Iterable[int]) -> int:
+    mask = 0
+    for v in s:
         if not 0 <= v < g.n:
             raise InputError(f"vertex {v} out of range for n = {g.n}")
-    return members
+        mask |= 1 << v
+    return mask
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
     """True iff no two members of s are adjacent in g."""
-    members = _check_vertices(g, s)
-    mset = set(members)
-    return all(not (g.adj[v] & mset) for v in mset)
+    mask = _vertex_mask(g, s)
+    return not any(g.masks[v] & mask for v in bits(mask))
 
 
 def is_maximal_independent(g: Graph, s: Iterable[int]) -> bool:
     """True iff s is independent and no vertex outside s can be added."""
-    members = _check_vertices(g, s)
-    mset = set(members)
-    if any(g.adj[v] & mset for v in mset):
+    mask = _vertex_mask(g, s)
+    if any(g.masks[v] & mask for v in bits(mask)):
         return False
-    return all(v in mset or (g.adj[v] & mset) for v in range(g.n))
+    return all(mask >> v & 1 or g.masks[v] & mask for v in range(g.n))
 
 
 def is_well_covered(g: Graph, limit: int = DEFAULT_MIS_LIMIT) -> bool:

@@ -88,6 +88,49 @@ class TestLoadGraph:
             load_graph("no-such-thing:1")
 
 
+class TestInputFailures:
+    """Every bad input ends in a documented exit code, with no traceback."""
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "utf16.txt"
+        p.write_bytes(C4_FILE.encode("utf-16"))  # starts with the bytes FF FE
+        assert main(["compute", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: not UTF-8 text")
+
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "c4.txt"
+        p.write_text(C4_FILE)
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        # the suite may run as root, which no file mode keeps out
+        monkeypatch.setattr(type(p), "read_text", denied)
+        assert main(["compute", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: cannot be read (Permission denied)\n"
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        assert main(["compute", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_header_above_the_vertex_bound_exits_3(self, tmp_path, capsys):
+        p = tmp_path / "huge.txt"
+        p.write_text("3000000 0\n")
+        assert main(["compute", str(p)]) == 3
+        assert capsys.readouterr().err == (
+            f"capacity error: {p} line 1: the graph has 3000000 vertices; "
+            "at most 16384 are supported\n"
+        )
+
+    @pytest.mark.parametrize(
+        "spec", ["empty:3000000", "crown:8193", "kpartite:16384,1", "turan:100000,7"],
+    )
+    def test_family_above_the_vertex_bound_exits_3(self, spec, capsys):
+        assert main(["compute", spec]) == 3
+        assert "at most 16384 are supported" in capsys.readouterr().err
+
+
 class TestMachineFormat:
     def test_round_trip_with_fractional_basis(self):
         doc = ReportDocument(
@@ -246,23 +289,35 @@ class TestStats:
         assert with_stats.out == plain.out
         assert plain.err == ""
         lines = with_stats.err.splitlines()
-        assert lines[0].startswith("stats: enumeration ") and lines[0].endswith(" ms, 9 sets")
-        assert len(lines) == 1 + max(1, flags.count("--char"))
+        assert lines[0].startswith("stats: input in ") and lines[0].endswith(" ms, n = 14, m = 42")
+        assert lines[1].startswith("stats: enumeration ") and lines[1].endswith(" ms, 9 sets")
+        assert len(lines) == 2 + max(1, flags.count("--char"))
+
+    def test_input_line_for_a_file(self, tmp_path, capsys):
+        p = tmp_path / "c4.txt"
+        p.write_text(C4_FILE)
+        assert main(["compute", str(p), "--machine"]) == 0
+        plain = capsys.readouterr()
+        assert main(["compute", str(p), "--machine", "--stats"]) == 0
+        with_stats = capsys.readouterr()
+        assert with_stats.out == plain.out
+        first = with_stats.err.splitlines()[0]
+        assert first.startswith("stats: input in ") and first.endswith(" ms, n = 4, m = 4")
 
     def test_enumeration_line_counts_pieces_and_every_set(self, capsys):
         assert main(["compute", "crown:7", "--stats"]) == 0
-        assert capsys.readouterr().err.startswith("stats: enumeration of 1 piece in ")
+        assert capsys.readouterr().err.splitlines()[1].startswith("stats: enumeration of 1 piece in ")
         # a complete multipartite graph is a cograph: its 3 sets, the parts,
         # come out of the decomposition without any enumeration
         assert main(["compute", "kpartite:2,3,4", "--char", "2", "--stats"]) == 0
-        enum, gf2 = capsys.readouterr().err.splitlines()
+        enum, gf2 = capsys.readouterr().err.splitlines()[1:]
         assert enum.startswith("stats: enumeration of 0 pieces in ") and enum.endswith(" ms, 3 sets")
         assert gf2.endswith("rows fed 2, kept 2, vanished 0, stopped at full rank: no")
 
     def test_each_field_says_how_it_was_obtained(self, capsys):
         argv = ["compute", "crown:5", "--char", "0", "--char", "3", "--char", "10007", "--stats"]
         assert main(argv) == 0
-        q, gf3, gfp = capsys.readouterr().err.splitlines()[1:]
+        q, gf3, gfp = capsys.readouterr().err.splitlines()[2:]
         # crown(5) drops rank exactly in characteristic 3 = 5 - 2, so 3 divides D
         assert q.startswith("stats: Q: integer, elimination ")
         assert gf3.startswith("stats: GF(3): own elimination, elimination ")
