@@ -34,7 +34,7 @@ from .exactlin import FieldSpec, Scalar
 from .families import FAMILY_BUILDERS, FamilySpec, build_family
 from .graphs import Graph, check_vertex_count
 from .graphs import new_graph  # noqa: F401  (perfbench/trace.py instruments cli.new_graph)
-from .verify import ALL_CHECKS, CheckReport, run_suite, summarize
+from .verify import ALL_CHECKS, DEFAULT_CHARS, CheckReport, run_suite, summarize
 
 _SPEC_RE = re.compile(r"^([a-z-]+)(?::(\d+(?:,\d+)*))?$")
 
@@ -320,31 +320,20 @@ def _render_check_text(reports: Sequence[CheckReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the command line spells each section without its hyphen: `verify multiblowup`
+_SECTION_ARGS = {name.replace("-", ""): name for name in ALL_CHECKS}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    selector = args.selector
-    checks = ALL_CHECKS if selector == "all" else (
-        {"multiblowup": "multi-blowup"}.get(selector, selector),
-    )
-    kind = args.kind
-    if kind is not None and selector != "family":
+    if args.kind is not None and args.selector != "family":
         raise InputError("a family kind is only valid after 'verify family'")
-    trials = {}
-    if args.trials is not None:
-        trials = dict(
-            blowup_trials=args.trials,
-            multi_blowup_trials=args.trials,
-            lex_trials=args.trials,
-            union_trials=args.trials,
-            kron_trials=args.trials,
-        )
-    chars = tuple(args.char) if args.char else None
     reports = run_suite(
         seed=args.seed,
-        chars=chars if chars is not None else (0, 2, 3, 5, 7),
-        checks=checks,
-        family_kind=kind,
+        chars=args.char or DEFAULT_CHARS,
+        checks=ALL_CHECKS if args.selector == "all" else (_SECTION_ARGS[args.selector],),
+        family_kind=args.kind,
         family_max_n=args.max_n,
-        **trials,
+        trials=args.trials,
     )
     if args.machine:
         sys.stdout.write(_render_check_machine(reports))
@@ -359,19 +348,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_families(args: argparse.Namespace) -> int:
-    rows = [
-        ("complete:n", "complete graph on n vertices"),
-        ("empty:n", "edgeless graph on n vertices"),
-        ("kpartite:s1,s2,...", "complete multipartite graph with the given block sizes"),
-        ("turan:n,r", "Turan graph: r blocks on n vertices, sizes as equal as possible"),
-        ("crown:n", "complete bipartite K_{n,n} minus a perfect matching"),
-        ("path:n", "path on n vertices"),
-        ("cycle:n", "cycle on n vertices (n >= 3)"),
-        ("gear:n", "2n-cycle plus a hub adjacent to the even rim vertices"),
-        ("petersen", "the Petersen graph"),
-    ]
-    for spec, desc in rows:
-        sys.stdout.write(f"{spec:22} {desc}\n")
+    for kind, family in FAMILY_BUILDERS.items():
+        spec = f"{kind}:{family.params}" if family.params else kind
+        sys.stdout.write(f"{spec:22} {family.about}\n")
     return 0
 
 
@@ -400,12 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run formula-vs-engine checks")
     p_verify.add_argument(
         "selector",
-        choices=["all", "family", "blowup", "multiblowup", "lex", "union", "kron"],
+        choices=["all", *_SECTION_ARGS],
     )
     p_verify.add_argument("kind", nargs="?", help="family kind (with 'verify family')")
     p_verify.add_argument("--seed", type=int, default=1)
     p_verify.add_argument("--max-n", type=int, default=None, help="family sweep upper bound")
-    p_verify.add_argument("--trials", type=int, default=None, help="random trials per check")
+    p_verify.add_argument(
+        "--trials", type=int, default=None,
+        help="random trials in every section that draws them (default: each section's own)",
+    )
     p_verify.add_argument("--char", type=int, action="append", help="restrict characteristics")
     p_verify.add_argument("--machine", action="store_true", help="machine-readable output")
     p_verify.set_defaults(func=cmd_verify)

@@ -77,8 +77,7 @@ class WcdimReport:
     `space` holds the row space the field was read from (at most n rows):
     for Q and for every GF(p) with p not dividing D it is the shared integer
     space.  `basis`, the canonical basis of the well-covered space, is read
-    off those rows the first time it is accessed and kept from then on;
-    `elapsed` covers enumeration and elimination, not the basis.
+    off those rows the first time it is accessed and kept from then on.
     """
 
     n: int
@@ -87,7 +86,6 @@ class WcdimReport:
     wcdim: int
     diff_rank: int
     sum_rank: int | None
-    elapsed: float = dataclass_field(compare=False)
     space: RowSpace = dataclass_field(repr=False, compare=False)
     stats: Stats = dataclass_field(repr=False, compare=False)
 
@@ -162,9 +160,7 @@ def compute_wcdim_fields(
     the same rows, until it reaches the rank over Q.  The rows come from
     `mis_family`, where `limit` bounds each enumerated quotient, or with
     `decompose=False` from every set of g, where it bounds their count.
-    Each report's `elapsed` is the shared enumeration and integer
-    elimination time plus the time spent on its own field.  An empty field
-    list enumerates nothing.
+    An empty field list enumerates nothing.
     """
     if not fields:
         return []
@@ -212,7 +208,6 @@ def compute_wcdim_fields(
                 wcdim=n - r,
                 diff_rank=r,
                 sum_rank=sum_rank,
-                elapsed=enum_s + integer_s + field_s,
                 space=space,
                 stats=Stats(
                     enumerate_ms=enum_s * 1e3,

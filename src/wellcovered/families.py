@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import InputError
 from .graphs import Graph, check_vertex_count, new_graph
@@ -127,27 +127,46 @@ def petersen() -> Graph:
     return new_graph(10, edges)
 
 
-# kind -> (builder over the params tuple, expected arity; None means any length >= 1)
+class FamilyBuilder(NamedTuple):
+    """One family kind: how to build it and how `wellcovered families` lists it."""
+
+    build: Callable[[tuple[int, ...]], Graph]
+    arity: int | None  # parameter count; None means any length >= 1
+    params: str  # the parameters as written after "kind:" in a spec
+    about: str
+
+
 FAMILY_BUILDERS = {
-    "complete": (lambda p: complete(*p), 1),
-    "empty": (lambda p: empty_graph(*p), 1),
-    "kpartite": (lambda p: complete_multipartite(list(p)), None),
-    "turan": (lambda p: turan(*p), 2),
-    "crown": (lambda p: crown(*p), 1),
-    "path": (lambda p: path(*p), 1),
-    "cycle": (lambda p: cycle(*p), 1),
-    "gear": (lambda p: gear(*p), 1),
-    "petersen": (lambda p: petersen(), 0),
+    "complete": FamilyBuilder(lambda p: complete(*p), 1, "n", "complete graph on n vertices"),
+    "empty": FamilyBuilder(lambda p: empty_graph(*p), 1, "n", "edgeless graph on n vertices"),
+    "kpartite": FamilyBuilder(
+        lambda p: complete_multipartite(list(p)), None, "s1,s2,...",
+        "complete multipartite graph with the given block sizes",
+    ),
+    "turan": FamilyBuilder(
+        lambda p: turan(*p), 2, "n,r",
+        "Turan graph: r blocks on n vertices, sizes as equal as possible",
+    ),
+    "crown": FamilyBuilder(
+        lambda p: crown(*p), 1, "n", "complete bipartite K_{n,n} minus a perfect matching",
+    ),
+    "path": FamilyBuilder(lambda p: path(*p), 1, "n", "path on n vertices"),
+    "cycle": FamilyBuilder(lambda p: cycle(*p), 1, "n", "cycle on n vertices (n >= 3)"),
+    "gear": FamilyBuilder(
+        lambda p: gear(*p), 1, "n", "2n-cycle plus a hub adjacent to the even rim vertices",
+    ),
+    "petersen": FamilyBuilder(lambda p: petersen(), 0, "", "the Petersen graph"),
 }
 
 
 def build_family(spec: FamilySpec) -> Graph:
     if spec.kind not in FAMILY_BUILDERS:
         raise InputError(f"unknown graph family {spec.kind!r}")
-    builder, arity = FAMILY_BUILDERS[spec.kind]
+    family = FAMILY_BUILDERS[spec.kind]
+    arity = family.arity
     if arity is None:
         if not spec.params:
             raise InputError(f"family {spec.kind!r} needs at least one parameter")
     elif len(spec.params) != arity:
         raise InputError(f"family {spec.kind!r} takes {arity} parameter(s), got {len(spec.params)}")
-    return builder(spec.params)
+    return family.build(spec.params)

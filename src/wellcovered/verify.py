@@ -15,14 +15,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import families, formulas
 from .engine import build_sum_system, compute_wcdim_fields
 from .engine import compute_wcdim  # noqa: F401  (perfbench/trace.py instruments verify.compute_wcdim)
 from .errors import CapacityError, InputError
-from .exactlin import FieldSpec, kronecker, move_dependent_row_first, rank, reduce_first_row
-from .families import FamilySpec, build_family
+from .exactlin import FieldSpec, kronecker, rank, reduce_first_row
+from .exactlin import move_dependent_row_first  # noqa: F401  (perfbench/trace.py instruments it)
+from .families import FAMILY_BUILDERS, FamilySpec, build_family
 from .graphs import Graph, blowup, disjoint_union, lex_product, multi_blowup, random_graph
 from .mis import DEFAULT_MIS_LIMIT, enumerate_mis
 
@@ -30,23 +32,39 @@ PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
 
-# characteristic sweeps per check, mirroring the acceptance gate
-FAMILY_CHARS = {
-    "petersen": (0, 2, 3, 5),
-    "complete": (0, 2, 3, 5, 7),
-    "empty": (0, 2, 3, 5, 7),
-    "crown": (0, 2, 3, 5, 7),
-    "kpartite": (0, 2, 3),
-    "turan": (0, 2, 3, 5),
-    "path": (0, 2, 3, 5),
-    "cycle": (0, 2, 3, 5),
-    "gear": (0, 2, 3, 5),
+
+class Family(NamedTuple):
+    chars: tuple[int, ...]  # characteristics swept
+    sizes: tuple[int, int] | None  # default lowest and highest first parameter
+    predict: Callable[[tuple[int, ...], FieldSpec], int]  # dimension of (params, field)
+
+
+# the family section sweeps the kinds in this order; petersen has no
+# parameter and kpartite draws its block sizes
+FAMILIES = {
+    "petersen": Family((0, 2, 3, 5), None, lambda p, f: 0),
+    "complete": Family((0, 2, 3, 5, 7), (1, 8), lambda p, f: 1),
+    "empty": Family((0, 2, 3, 5, 7), (1, 8), lambda p, f: p[0]),
+    "crown": Family((0, 2, 3, 5, 7), (3, 9), lambda p, f: formulas.f_crown(p[0], f).value),
+    "path": Family((0, 2, 3, 5), (1, 10), lambda p, f: formulas.f_path(p[0]).value),
+    "cycle": Family((0, 2, 3, 5), (3, 12), lambda p, f: formulas.f_cycle(p[0]).value),
+    "gear": Family((0, 2, 3, 5), (3, 6), lambda p, f: formulas.f_gear(p[0]).value),
+    "turan": Family((0, 2, 3, 5), (1, 10), lambda p, f: formulas.f_turan(*p).value),
+    "kpartite": Family((0, 2, 3), None, lambda p, f: formulas.f_multipartite(list(p)).value),
 }
-BLOWUP_CHARS = (0, 2, 3)
-MULTI_BLOWUP_CHARS = (0, 2, 3)
-LEX_CHARS = (0, 2)
-UNION_CHARS = (0, 2, 5)
-KRON_CHARS = (0, 2, 3)
+
+# section -> (characteristics swept, default number of random trials); the
+# family section sweeps each kind over its own characteristics and draws no
+# trials, so a trial count leaves it alone
+SECTIONS = {
+    "family": (tuple(sorted({c for family in FAMILIES.values() for c in family.chars})), None),
+    "blowup": ((0, 2, 3), 100),
+    "multi-blowup": ((0, 2, 3), 50),
+    "union": ((0, 2, 5), 50),
+    "lex": ((0, 2), 50),
+    "kron": ((0, 2, 3), 30),
+}
+ALL_CHECKS = tuple(SECTIONS)
 
 DEFAULT_SIZES = tuple(range(1, 8))
 DEFAULT_CHARS = (0, 2, 3, 5, 7)
@@ -73,29 +91,6 @@ def _random_descriptor(n: int, seed: int) -> str:
     return f"random(n={n},p=1/2,seed={seed})"
 
 
-def _family_prediction(spec: FamilySpec, f: FieldSpec) -> int:
-    kind, params = spec.kind, spec.params
-    if kind == "petersen":
-        return 0
-    if kind == "complete":
-        return 1
-    if kind == "empty":
-        return params[0]
-    if kind == "crown":
-        return formulas.f_crown(params[0], f).value
-    if kind == "kpartite":
-        return formulas.f_multipartite(list(params)).value
-    if kind == "turan":
-        return formulas.f_turan(*params).value
-    if kind == "path":
-        return formulas.f_path(params[0]).value
-    if kind == "cycle":
-        return formulas.f_cycle(params[0]).value
-    if kind == "gear":
-        return formulas.f_gear(params[0]).value
-    raise InputError(f"no dimension formula for family {kind!r}")
-
-
 def check_family(
     spec: FamilySpec,
     chars: Sequence[FieldSpec],
@@ -109,7 +104,8 @@ def check_family(
     if not chars:
         raise InputError("check_family needs at least one characteristic")
     g = build_family(spec)
-    predicted = [_family_prediction(spec, f) for f in chars]
+    predict = FAMILIES[spec.kind].predict
+    predicted = [predict(spec.params, f) for f in chars]
     try:
         engine = [r.wcdim for r in compute_wcdim_fields(g, chars, limit=limit, decompose=False)]
     except CapacityError as exc:
@@ -258,12 +254,20 @@ def check_kron_remark(
 ) -> list[CheckReport]:
     """Replay the reduced-Kronecker rank table and the product rank shortcut.
 
-    M and A are the 0/1 sum systems of g and h; after moving a dependent row
-    (if any) to the front of each, C is the first-row reduction of A (x) M.
-    The published table predicts rank(C) from k = rank(reduced M),
-    q = rank(reduced A) and the row-dependency flags, and the product's
-    dimension is asserted to be ab - rank(C).  One report per field, in
-    field order; each graph is enumerated and each sum system built once.
+    M and A are the 0/1 sum systems of g and h, and C is the first-row
+    reduction of A (x) M.  The published table predicts rank(C) from
+    k = rank(reduced M), q = rank(reduced A) and the row-dependency flags,
+    and the product's dimension is asserted to be ab - rank(C).  One report
+    per field, in field order; each graph is enumerated, and M, A and C are
+    built, once.
+
+    The published construction first moves a dependent row of M and of A to
+    the front; this replay moves none, because no rank it reads depends on
+    the row order.  rank(M) and rank(A) are ranks of row sets.  The reduced
+    ranks k, q and rank(C) are ranks of the differences from the first row,
+    which span the direction space of the rows' affine hull whichever row
+    comes first, and A (x) M of reordered factors is a row permutation of
+    A (x) M.
     """
     desc = instance or f"g[{_graph_descriptor(g)}];h[{_graph_descriptor(h)}]"
     if not fields:
@@ -274,17 +278,17 @@ def check_kron_remark(
         products = compute_wcdim_fields(lex_product(g, h), fields, limit, decompose=False)
     except CapacityError as exc:
         return _skips("kron", desc, fields, exc)
-    sum_g = build_sum_system(mis_g)
-    sum_h = build_sum_system(mis_h)
+    M = build_sum_system(mis_g)
+    A = build_sum_system(mis_h)
+    reduced_m, reduced_a = reduce_first_row(M), reduce_first_row(A)
+    C = reduce_first_row(kronecker(A, M))
     reports = []
     for f, rp in zip(fields, products):
-        M = move_dependent_row_first(sum_g, f)
-        A = move_dependent_row_first(sum_h, f)
-        k = rank(reduce_first_row(M), f)
-        q = rank(reduce_first_row(A), f)
+        k = rank(reduced_m, f)
+        q = rank(reduced_a, f)
         rank_m = rank(M, f)
         rank_a = rank(A, f)
-        rank_c = rank(reduce_first_row(kronecker(A, M)), f)
+        rank_c = rank(C, f)
         want_rank = formulas.kron_rank_case(k, q, rank_m < M.rows, rank_a < A.rows)
         want_dim = g.n * h.n - rank_c
         got_dim = rp.wcdim
@@ -306,162 +310,126 @@ def _effective(check_chars: Sequence[int], chars: Sequence[int]) -> list[FieldSp
     return [FieldSpec(c) for c in check_chars if c in set(chars)]
 
 
-ALL_CHECKS = ("family", "blowup", "multi-blowup", "union", "lex", "kron")
-
-# default upper parameter bounds for the family sweeps
-FAMILY_RANGES = {
-    "complete": (1, 8),
-    "empty": (1, 8),
-    "crown": (3, 9),
-    "turan": (1, 10),
-    "path": (1, 10),
-    "cycle": (3, 12),
-    "gear": (3, 6),
-}
-
-
 def _family_specs(rng: random.Random, kind: str | None, max_n: int | None) -> list[FamilySpec]:
-    def hi(k: str) -> int:
-        lo, default_hi = FAMILY_RANGES[k]
-        return max(lo, max_n) if max_n is not None else default_hi
-
+    """Every instance the family section checks, kind by kind in FAMILIES order."""
     specs: list[FamilySpec] = []
-    wanted = lambda k: kind is None or kind == k
-    if wanted("petersen"):
-        specs.append(FamilySpec("petersen"))
-    for k in ("complete", "empty", "crown", "path", "cycle", "gear"):
-        if wanted(k):
-            specs.extend(FamilySpec(k, (n,)) for n in range(FAMILY_RANGES[k][0], hi(k) + 1))
-    if wanted("turan"):
-        for n in range(1, hi("turan") + 1):
-            specs.extend(FamilySpec("turan", (n, r)) for r in range(1, n + 1))
-    if wanted("kpartite"):
-        for _ in range(20):
-            k = rng.randint(1, 5)
-            specs.append(FamilySpec("kpartite", tuple(rng.randint(1, 4) for _ in range(k))))
+    for k, family in FAMILIES.items():
+        if kind not in (None, k):
+            continue
+        arity = FAMILY_BUILDERS[k].arity
+        if arity == 0:
+            specs.append(FamilySpec(k))
+        elif arity is None:
+            for _ in range(20):
+                blocks = rng.randint(1, 5)
+                specs.append(FamilySpec(k, tuple(rng.randint(1, 4) for _ in range(blocks))))
+        else:
+            lo, hi = family.sizes
+            ns = range(lo, (hi if max_n is None else max(lo, max_n)) + 1)
+            if arity == 1:
+                specs.extend(FamilySpec(k, (n,)) for n in ns)
+            else:  # turan:n,r, with every r from 1 to n
+                specs.extend(FamilySpec(k, (n, r)) for n in ns for r in range(1, n + 1))
     return specs
+
+
+def _draw(rng: random.Random, cap: int) -> tuple[Graph, str]:
+    """A G(n, 1/2) with n from DEFAULT_SIZES up to cap, and the descriptor that rebuilds it."""
+    n = rng.choice([s for s in DEFAULT_SIZES if s <= cap])
+    sub = rng.randrange(2**32)
+    return random_graph(n, Fraction(1, 2), sub), _random_descriptor(n, sub)
+
+
+def _pairs(rng: random.Random, count: int, cap: int) -> Iterator[tuple[Graph, Graph, str]]:
+    for _ in range(count):
+        g, dg = _draw(rng, cap)
+        h, dh = _draw(rng, cap)
+        yield g, h, f"g[{dg}];h[{dh}]"
+
+
+def _designed_pairs() -> list[tuple[Graph, Graph, str]]:
+    """The lex section's hand-picked pairs; the kron section replays the first two."""
+    k2, e2 = families.complete(2), families.empty_graph(2)
+    return [
+        (k2, k2, "g[complete:2];h[complete:2]"),
+        (k2, e2, "g[complete:2];h[empty:2]"),
+        (families.cycle(4), e2, "g[cycle:4];h[empty:2]"),
+    ]
 
 
 def run_suite(
     seed: int = 1,
-    sizes: Sequence[int] = DEFAULT_SIZES,
     chars: Sequence[int] = DEFAULT_CHARS,
     checks: Sequence[str] = ALL_CHECKS,
     family_kind: str | None = None,
     family_max_n: int | None = None,
-    blowup_trials: int = 100,
-    multi_blowup_trials: int = 50,
-    lex_trials: int = 50,
-    union_trials: int = 50,
-    kron_trials: int = 30,
-    limit: int = DEFAULT_MIS_LIMIT,
+    trials: int | None = None,
 ) -> list[CheckReport]:
-    """The deterministic check suite; empty sizes produce an empty report.
+    """The deterministic check suite, section by section in SECTIONS order.
 
-    Each section draws from its own stream seeded with (seed, section name),
-    so running one section alone replays exactly the instances it would see
+    `trials` sets the number of random instances of every section that
+    draws them; None keeps each section's default from SECTIONS.  Each
+    section draws from its own stream seeded with (seed, section name), so
+    running one section alone replays exactly the instances it would see
     inside the full suite.  Every random instance descriptor embeds the
     sub-seed that regenerates its graph.  A negative trial count, an unknown
     check section or family kind, an invalid characteristic, or
     characteristics that no requested section sweeps (which would pass
-    after comparing nothing) raise InputError, whatever the sizes.
+    after comparing nothing) raise InputError.
     """
-    if min(blowup_trials, multi_blowup_trials, lex_trials, union_trials, kron_trials) < 0:
+    if trials is not None and trials < 0:
         raise InputError("trial counts must be non-negative")
     for c in checks:
-        if c not in ALL_CHECKS:
+        if c not in SECTIONS:
             raise InputError(f"unknown check section {c!r}")
-    if family_kind is not None and family_kind not in FAMILY_CHARS:
+    if family_kind is not None and family_kind not in FAMILIES:
         raise InputError(f"unknown graph family {family_kind!r}")
     for c in chars:
         FieldSpec(c)  # reject invalid characteristics up front
-    kinds = FAMILY_CHARS if family_kind is None else (family_kind,)
-    sweeps = {
-        "family": {c for k in kinds for c in FAMILY_CHARS[k]},
-        "blowup": BLOWUP_CHARS,
-        "multi-blowup": MULTI_BLOWUP_CHARS,
-        "union": UNION_CHARS,
-        "lex": LEX_CHARS,
-        "kron": KRON_CHARS,
-    }
-    swept = set().union(*(sweeps[c] for c in checks))
+
+    def sweep(section: str) -> tuple[int, ...]:
+        if section == "family" and family_kind is not None:
+            return FAMILIES[family_kind].chars
+        return SECTIONS[section][0]
+
+    swept = {c for section in checks for c in sweep(section)}
     if not swept & set(chars):
         raise InputError(
             f"no requested check sweeps characteristic(s) {sorted(set(chars))}; "
             f"they sweep {sorted(swept)}"
         )
-    sizes = tuple(s for s in sizes if s >= 1)
-    if not sizes:
-        return []
     reports: list[CheckReport] = []
-
-    def section_rng(name: str) -> random.Random:
-        return random.Random(f"{seed}:{name}")
-
-    def draw(rng: random.Random, cap: int) -> tuple[Graph, str]:
-        pool = [s for s in sizes if s <= cap] or [min(sizes)]
-        n = rng.choice(pool)
-        sub = rng.randrange(2**32)
-        return random_graph(n, Fraction(1, 2), sub), _random_descriptor(n, sub)
-
-    if "family" in checks:
-        rng = section_rng("family")
-        for spec in _family_specs(rng, family_kind, family_max_n):
-            fs = _effective(FAMILY_CHARS[spec.kind], chars)
-            if fs:
-                reports.append(check_family(spec, fs, limit))
-
-    if "blowup" in checks:
-        rng = section_rng("blowup")
-        fs = _effective(BLOWUP_CHARS, chars)
-        for _ in range(blowup_trials):
-            g, desc = draw(rng, 7)
-            v = rng.randrange(g.n)
-            t = rng.randint(1, 3)
-            reports.extend(check_blowup(g, v, t, fs, instance=desc, limit=limit))
-
-    if "multi-blowup" in checks:
-        rng = section_rng("multi-blowup")
-        fs = _effective(MULTI_BLOWUP_CHARS, chars)
-        for _ in range(multi_blowup_trials):
-            g, desc = draw(rng, 7)
-            ts = [rng.randint(1, 3) for _ in range(g.n)]
-            reports.extend(check_multi_blowup(g, ts, fs, instance=desc, limit=limit))
-
-    if "union" in checks:
-        rng = section_rng("union")
-        fs = _effective(UNION_CHARS, chars)
-        for _ in range(union_trials):
-            g, dg = draw(rng, 7)
-            h, dh = draw(rng, 7)
-            reports.extend(check_union(g, h, fs, instance=f"g[{dg}];h[{dh}]", limit=limit))
-
-    designed = [
-        (families.complete(2), "complete:2", families.complete(2), "complete:2"),
-        (families.complete(2), "complete:2", families.empty_graph(2), "empty:2"),
-        (families.cycle(4), "cycle:4", families.empty_graph(2), "empty:2"),
-    ]
-
-    if "lex" in checks:
-        rng = section_rng("lex")
-        fs = _effective(LEX_CHARS, chars)
-        for g, dg, h, dh in designed:
-            reports.extend(check_lex(g, h, fs, instance=f"g[{dg}];h[{dh}]", limit=limit))
-        for _ in range(lex_trials):
-            g, dg = draw(rng, 4)
-            h, dh = draw(rng, 4)
-            reports.extend(check_lex(g, h, fs, instance=f"g[{dg}];h[{dh}]", limit=limit))
-
-    if "kron" in checks:
-        rng = section_rng("kron")
-        fs = _effective(KRON_CHARS, chars)
-        for g, dg, h, dh in designed[:2]:
-            reports.extend(check_kron_remark(g, h, fs, instance=f"g[{dg}];h[{dh}]", limit=limit))
-        for _ in range(kron_trials):
-            g, dg = draw(rng, 4)
-            h, dh = draw(rng, 4)
-            reports.extend(check_kron_remark(g, h, fs, instance=f"g[{dg}];h[{dh}]", limit=limit))
-
+    for section, (_, default_trials) in SECTIONS.items():
+        fs = _effective(sweep(section), chars)
+        if section not in checks or not fs:
+            continue
+        rng = random.Random(f"{seed}:{section}")
+        count = default_trials if trials is None else trials
+        if section == "family":
+            for spec in _family_specs(rng, family_kind, family_max_n):
+                kind_fs = _effective(FAMILIES[spec.kind].chars, chars)
+                if kind_fs:
+                    reports.append(check_family(spec, kind_fs))
+        elif section == "blowup":
+            for _ in range(count):
+                g, desc = _draw(rng, 7)
+                v = rng.randrange(g.n)
+                t = rng.randint(1, 3)
+                reports.extend(check_blowup(g, v, t, fs, instance=desc))
+        elif section == "multi-blowup":
+            for _ in range(count):
+                g, desc = _draw(rng, 7)
+                ts = [rng.randint(1, 3) for _ in range(g.n)]
+                reports.extend(check_multi_blowup(g, ts, fs, instance=desc))
+        elif section == "union":
+            for g, h, desc in _pairs(rng, count, 7):
+                reports.extend(check_union(g, h, fs, instance=desc))
+        elif section == "lex":
+            for g, h, desc in chain(_designed_pairs(), _pairs(rng, count, 4)):
+                reports.extend(check_lex(g, h, fs, instance=desc))
+        else:  # kron
+            for g, h, desc in chain(_designed_pairs()[:2], _pairs(rng, count, 4)):
+                reports.extend(check_kron_remark(g, h, fs, instance=desc))
     return reports
 
 

@@ -164,14 +164,14 @@ def test_c08_gears():
 
 
 def test_c09_blowup_lemma_seeded():
-    reports = run_suite(seed=1, checks=("blowup",), blowup_trials=100, chars=(0, 2, 3))
+    reports = run_suite(seed=1, checks=("blowup",), trials=100, chars=(0, 2, 3))
     assert len(reports) == 300
     failures = [r for r in reports if r.verdict != "pass"]
     report(9, "blowup lemma m + t - 1 on 100 seeded graphs", failures)
 
 
 def test_c10_multi_blowup_theorem_seeded():
-    reports = run_suite(seed=1, checks=("multi-blowup",), multi_blowup_trials=50, chars=(0, 2, 3))
+    reports = run_suite(seed=1, checks=("multi-blowup",), trials=50, chars=(0, 2, 3))
     assert len(reports) == 150
     failures = [r for r in reports if r.verdict != "pass"]
     report(10, "multi-blowup theorem (m - n) + sum(t) on 50 seeded graphs", failures)
@@ -211,7 +211,7 @@ def test_c11b_lex_theorem_seeded_pairs():
     # What is checked is that the engine agrees with the brute-force oracle
     # and with the fibre-structure dimension, and that check_lex fails
     # exactly the pairs on which the closed form misses the oracle
-    reports = run_suite(seed=1, checks=("lex",), lex_trials=50)
+    reports = run_suite(seed=1, checks=("lex",), trials=50)
     assert len(reports) == 106
     failures = []
     refuted = []
@@ -253,7 +253,7 @@ def test_c11b_lex_theorem_seeded_pairs():
 
 
 def test_c12a_kron_rank_table_seeded():
-    reports = run_suite(seed=1, checks=("kron",), kron_trials=30)
+    reports = run_suite(seed=1, checks=("kron",), trials=30)
     failures = [r for r in reports if r.verdict != "pass" and "rank table" in r.detail]
     report("12a", "four-case rank table for the reduced Kronecker system", failures)
 
@@ -275,7 +275,7 @@ def test_c12b_kron_dimension_shortcut_seeded():
     # is the dimension of the weightings constant on those sets: an upper
     # bound on the product's dimension, equal to it when every product set
     # is uniform (h has one set, or g is complete)
-    reports = run_suite(seed=1, checks=("kron",), kron_trials=30)
+    reports = run_suite(seed=1, checks=("kron",), trials=30)
     assert len(reports) == 96
     failures = []
     strict = []
@@ -318,7 +318,7 @@ def test_c12b_kron_dimension_shortcut_seeded():
 
 
 def test_c13_union_additivity_seeded():
-    reports = run_suite(seed=1, checks=("union",), union_trials=50, chars=(0, 2, 5))
+    reports = run_suite(seed=1, checks=("union",), trials=50, chars=(0, 2, 5))
     assert len(reports) == 150
     failures = [r for r in reports if r.verdict != "pass"]
     report(13, "disjoint union additivity on 50 seeded pairs", failures)

@@ -150,7 +150,7 @@ class TestComputeWcdim:
         assert full.rows_fed < full.sets - 1 and full.rows_vanished == full.rows_fed - 20
 
     def test_reports_of_the_same_computation_are_equal(self):
-        # elapsed, stats and the row space stay out of the comparison
+        # stats and the row space stay out of the comparison
         assert compute_wcdim(crown(5)) == compute_wcdim(crown(5))
         assert compute_wcdim(crown(5)) != compute_wcdim(crown(5), FieldSpec(3))
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -343,6 +344,29 @@ class TestKronRankTable:
             rank_c = rank(reduce_first_row(kronecker(a, m)), f)
             predicted = kron_rank_case(k, q, self.rank_drop_flags(m, f), self.rank_drop_flags(a, f))
             assert predicted == rank_c, (g.edges(), h.edges(), char)
+
+    @pytest.mark.parametrize("char", [0, 2, 3])
+    def test_ranks_the_check_reads_ignore_row_order(self, char):
+        # why check_kron_remark moves no dependent row to the front: every
+        # rank it reads is the same for every row order of M and of A
+        f = FieldSpec(char)
+
+        def orders(m):
+            return [ExactMatrix.from_rows(rows, m.cols) for rows in permutations(m.row_list())]
+
+        for n in range(1, 5):
+            for g in all_graphs(n):
+                ranks = {
+                    (rank(m, f), rank(reduce_first_row(m), f)) for m in orders(sum_system_of(g))
+                }
+                assert len(ranks) == 1, (g.edges(), char)
+        small = [orders(sum_system_of(g)) for n in range(1, 4) for g in all_graphs(n)]
+        for m_orders in small:
+            for a_orders in small:
+                ranks = {
+                    rank(reduce_first_row(kronecker(a, m)), f) for a in a_orders for m in m_orders
+                }
+                assert len(ranks) == 1, (m_orders[0], a_orders[0], char)
 
     def test_row_count_keyed_table_has_a_counterexample(self):
         # two disjoint edges: the sum system has four rows of rank three, so

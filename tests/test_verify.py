@@ -263,25 +263,16 @@ class TestBatchedChecks:
 
 
 class TestRunSuite:
-    def test_empty_sizes_give_empty_report(self):
-        assert run_suite(seed=1, sizes=()) == []
-
     def test_deterministic(self):
-        a = run_suite(seed=3, lex_trials=4, blowup_trials=4, multi_blowup_trials=4,
-                      union_trials=4, kron_trials=4)
-        b = run_suite(seed=3, lex_trials=4, blowup_trials=4, multi_blowup_trials=4,
-                      union_trials=4, kron_trials=4)
-        assert a == b
+        assert run_suite(seed=3, trials=4) == run_suite(seed=3, trials=4)
 
     def test_section_filter(self):
-        reports = run_suite(seed=1, checks=("union",), union_trials=5)
+        reports = run_suite(seed=1, checks=("union",), trials=5)
         assert reports and all(r.check == "union" for r in reports)
 
     def test_sections_replay_identically_inside_the_full_suite(self):
-        full = [r for r in run_suite(seed=5, blowup_trials=6, multi_blowup_trials=2,
-                                     lex_trials=2, union_trials=2, kron_trials=2)
-                if r.check == "blowup"]
-        alone = run_suite(seed=5, checks=("blowup",), blowup_trials=6)
+        full = [r for r in run_suite(seed=5, trials=4) if r.check == "blowup"]
+        alone = run_suite(seed=5, checks=("blowup",), trials=4)
         assert full == alone
 
     def test_default_suite_verdict_profile(self):
@@ -296,7 +287,7 @@ class TestRunSuite:
         assert any(r.verdict == "fail" for r in reports if r.check == "lex")
 
     def test_failures_are_reproducible_from_their_descriptors(self):
-        reports = run_suite(seed=1, checks=("lex",), lex_trials=10)
+        reports = run_suite(seed=1, checks=("lex",), trials=10)
         failed = [r for r in reports if r.verdict == "fail"]
         assert failed
         pat = re.compile(r"random\(n=(\d+),p=1/2,seed=(\d+)\)")
@@ -315,13 +306,37 @@ class TestRunSuite:
             run_suite(seed=1, checks=("nonsense",))
 
     @pytest.mark.parametrize(
-        "section", ["blowup", "multi_blowup", "lex", "union", "kron"]
+        "section",
+        ["blowup", "multi-blowup", "lex", "union", "kron"],
+        ids=["blowup", "multi_blowup", "lex", "union", "kron"],
     )
     def test_negative_trial_count_rejected(self, section):
         from wellcovered import InputError
 
         with pytest.raises(InputError):
-            run_suite(seed=1, **{f"{section}_trials": -1})
+            run_suite(seed=1, checks=(section,), trials=-1)
+
+    @pytest.mark.parametrize(
+        "section, check, designed, default",
+        [
+            ("blowup", "check_blowup", 0, 100),
+            ("multi-blowup", "check_multi_blowup", 0, 50),
+            ("union", "check_union", 0, 50),
+            ("lex", "check_lex", 3, 50),
+            ("kron", "check_kron_remark", 2, 30),
+        ],
+    )
+    def test_default_trial_counts(self, monkeypatch, section, check, designed, default):
+        # each check is looked up on the module when the suite calls it
+        from wellcovered import verify
+
+        instances = []
+        monkeypatch.setattr(
+            verify, check, lambda *a, instance, **kw: instances.append(instance) or []
+        )
+        assert run_suite(seed=1, checks=(section,)) == []
+        assert len(instances) == designed + default
+        assert sum("random(" in i for i in instances) == default
 
     @pytest.mark.parametrize(
         "request_, swept",
@@ -342,21 +357,13 @@ class TestRunSuite:
 
     def test_a_section_that_sweeps_a_given_characteristic_still_runs(self):
         # family and union sweep 5; the other sections are skipped silently
-        reports = run_suite(seed=1, chars=(5,), union_trials=2, blowup_trials=0,
-                            multi_blowup_trials=0, lex_trials=0, kron_trials=0)
+        reports = run_suite(seed=1, chars=(5,), trials=2)
         assert {r.check for r in reports} == {"family", "union"}
         assert all(5 in r.characteristics for r in reports)
-        assert run_suite(seed=1, checks=("blowup",), blowup_trials=0) == []
+        assert run_suite(seed=1, checks=("blowup",), trials=0) == []
 
     def test_unknown_family_kind_rejected(self):
         from wellcovered import InputError
 
         with pytest.raises(InputError, match="moebius"):
             run_suite(seed=1, checks=("family",), family_kind="moebius")
-
-    @pytest.mark.parametrize("bad", [{"chars": (4,)}, {"checks": ("nonsense",)}])
-    def test_bad_argument_rejected_with_empty_sizes(self, bad):
-        from wellcovered import InputError
-
-        with pytest.raises(InputError):
-            run_suite(seed=1, sizes=(), **bad)
