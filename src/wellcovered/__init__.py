@@ -14,6 +14,7 @@ from .engine import (
     build_sum_system,
     compute_wcdim,
     compute_wcdim_fields,
+    compute_wcdim_sets,
     is_well_covered_weighting,
     path_weight_structure,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "complete_multipartite",
     "compute_wcdim",
     "compute_wcdim_fields",
+    "compute_wcdim_sets",
     "crown",
     "cycle",
     "disjoint_union",

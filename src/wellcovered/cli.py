@@ -325,8 +325,6 @@ _SECTION_ARGS = {name.replace("-", ""): name for name in ALL_CHECKS}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.kind is not None and args.selector != "family":
-        raise InputError("a family kind is only valid after 'verify family'")
     reports = run_suite(
         seed=args.seed,
         chars=args.char or DEFAULT_CHARS,
@@ -381,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         "selector",
         choices=["all", *_SECTION_ARGS],
     )
-    p_verify.add_argument("kind", nargs="?", help="family kind (with 'verify family')")
+    p_verify.add_argument("kind", nargs="?", help="family kind (restricts the family section)")
     p_verify.add_argument("--seed", type=int, default=1)
     p_verify.add_argument("--max-n", type=int, default=None, help="family sweep upper bound")
     p_verify.add_argument(

@@ -20,9 +20,10 @@ so it does not depend on the baseline or on the row order; the engine is
 free to feed the rows in whatever order reaches full rank soonest.  A
 report keeps its field's row space and reads the basis off it on demand,
 the first time `WcdimReport.basis` is accessed, so callers that need only
-the dimension never pay for it.  `build_difference_system` and
-`build_sum_system` assemble the batch systems for callers and tests that
-want them explicitly.
+the dimension never pay for it.  `compute_wcdim_sets` eliminates any family
+of sets the same way.  The batch `build_difference_system` and
+`build_sum_system` have no caller in the package; they remain only as
+public API and as targets of the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -155,12 +156,9 @@ def compute_wcdim_fields(
 ) -> list[WcdimReport]:
     """Well-covered dimension of g over each field, from one enumeration.
 
-    One integer row space serves Q and every GF(p) with p not dividing its
-    common pivot D; only a field with p | D is eliminated on its own, over
-    the same rows, until it reaches the rank over Q.  The rows come from
-    `mis_family`, where `limit` bounds each enumerated quotient, or with
-    `decompose=False` from every set of g, where it bounds their count.
-    An empty field list enumerates nothing.
+    `compute_wcdim_sets` eliminates the sets of `mis_family`, where `limit`
+    bounds each enumerated quotient, or with `decompose=False` every set of
+    g, where it bounds their count.  An empty field list enumerates nothing.
     """
     if not fields:
         return []
@@ -170,13 +168,35 @@ def compute_wcdim_fields(
     else:
         masks = mis_masks(g, limit)
         count, pieces = len(masks), 1
-    enum_s = time.perf_counter() - t0
-    n = g.n
-    base = masks[0]
+    enumerated = ((time.perf_counter() - t0) * 1e3, count, pieces)
+    return compute_wcdim_sets(g.n, masks, fields, with_sum_rank, enumerated=enumerated)
+
+
+def compute_wcdim_sets(
+    n: int,
+    sets: Sequence[int],
+    fields: Sequence[FieldSpec],
+    with_sum_rank: bool = False,
+    *,
+    enumerated: tuple[float, int, int] | None = None,
+) -> list[WcdimReport]:
+    """n minus the rank of the rows M_i - M_0 of a family of sets, over each field.
+
+    `sets` is any nonempty family of vertex bitmasks.  One integer row space
+    serves Q and every GF(p) with p not dividing its common pivot D; only a
+    field with p | D is eliminated on its own, over the same rows, until it
+    reaches the rank over Q.  `enumerated` is the (milliseconds, exact set
+    count, pieces) of the enumeration that found the sets, by default
+    (0, len(sets), 0); the reports carry that count as `mis_count`.
+    """
+    if not sets:
+        raise InputError("the family of sets must be nonempty")
+    enum_ms, count, pieces = enumerated or (0.0, len(sets), 0)
+    base = sets[0]
     # depth-first discovery order clusters similar sets; eight interleaved
     # strided passes spread them out, so full rank comes after about n rows
     # instead of after most of the list
-    order = [m for start in range(8) for m in masks[start::8]]
+    order = [m for start in range(8) for m in sets[start::8]]
     del order[0]  # the baseline itself, whose row M_0 - M_0 is zero
     t1 = time.perf_counter()
     integer = RowSpace(n, FieldSpec(0))
@@ -200,25 +220,11 @@ def compute_wcdim_fields(
         sum_rank = r + space.independent(base, 0, f) if with_sum_rank else None
         field_s = time.perf_counter() - t2
         elim_s = integer_s if space is integer else field_s
+        stats = Stats(enum_ms, count, pieces, method, elim_s * 1e3, fed, r, fed < len(order))
         reports.append(
             WcdimReport(
-                n=n,
-                field=f,
-                mis_count=count,
-                wcdim=n - r,
-                diff_rank=r,
-                sum_rank=sum_rank,
-                space=space,
-                stats=Stats(
-                    enumerate_ms=enum_s * 1e3,
-                    sets=count,
-                    pieces=pieces,
-                    method=method,
-                    elimination_ms=elim_s * 1e3,
-                    rows_fed=fed,
-                    rows_kept=r,
-                    stopped_at_full_rank=fed < len(order),
-                ),
+                n=n, field=f, mis_count=count, wcdim=n - r, diff_rank=r, sum_rank=sum_rank,
+                space=space, stats=stats,
             )
         )
     return reports

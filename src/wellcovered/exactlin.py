@@ -1,27 +1,25 @@
 """Exact linear algebra over the rationals and over prime fields GF(p).
 
-No floating point anywhere.  The batch routines `rank` and
-`nullspace_basis` work on a whole `ExactMatrix`: over Q they eliminate
-fraction-free, clearing rational denominators row-wise and dividing every
-row an elimination step produces by the gcd of its entries; over GF(p) rows
-are residues with pivots normalised to 1, and the batch GF(p) rank is
-`kernels.gf_rank`.
-
-`RowSpace` is the incremental reduced echelon form the engine streams rows
-into.  It has two representations.  Over GF(2) it is an XOR basis of
-bitmasks.  Over Q and over every odd GF(p) it is one fraction-free
-Gauss-Jordan elimination over the integers, each row a single packed Python
-int; over GF(p) each pivot is chosen so that D stays a unit mod p, and the
-integer rows times D^-1 mod p are the RREF over GF(p).  An integer space over
-Q also serves every GF(p) with p not dividing its common pivot D: for such
-p the rank and the RREF over GF(p) are the integer ones reduced mod p.  A
-GF(p) with p | D is eliminated on its own.
+No floating point anywhere.  `RowSpace`, the incremental reduced echelon
+form the engine streams rows into, is the package's one elimination.  Over
+GF(2) it is an XOR basis of bitmasks.  Over Q and over every odd GF(p) it
+is one fraction-free Gauss-Jordan elimination over the integers, each row a
+single packed Python int; over GF(p) each pivot is chosen so that D stays a
+unit mod p, and the integer rows times D^-1 mod p are the RREF over GF(p).
+An integer space over Q also serves every GF(p) with p not dividing its
+common pivot D: for such p the rank and the RREF over GF(p) are the integer
+ones reduced mod p.  A GF(p) with p | D is eliminated on its own.
 
 Nullspace bases are read off the reduced row echelon form, which makes them
 canonical: free columns are taken in ascending order and each basis vector
 carries a 1 in its own free column.  Since the RREF depends only on the row
 space, the basis is the same for any spanning set of the rows, whatever its
 order, scaling or size; over Q fractions appear only in the basis vectors.
+
+The batch routines on a whole `ExactMatrix` (`rank`, whose GF(p) rank is
+`kernels.gf_rank`, `nullspace_basis`, `kronecker`, `reduce_first_row` and
+`move_dependent_row_first`) have no caller in the package; they remain only
+as public API and as targets of the benchmark's tracer.
 
 Prime-power fields are deliberately not implemented: for integer matrices
 (every system built here is one), row reduction never leaves the prime

@@ -1,9 +1,9 @@
-"""The two inner-loop kernels: maximal clique enumeration and GF(p) rank.
+"""The inner-loop kernel, maximal clique enumeration, and the batch GF(p) rank.
 
 Vertex sets are bitmasks held in Python integers, so there is no limit on
-the vertex count.  `mis` enumerates through `maximal_cliques` and
-`exactlin` ranks through `gf_rank`; both are looked up on this module at
-call time, so a tracer can wrap them.
+the vertex count.  `mis` enumerates through `maximal_cliques`; `gf_rank`
+serves only `exactlin`'s batch `rank`, which the package no longer calls.
+Both are looked up on this module at call time, so a tracer can wrap them.
 """
 
 # the benchmark stamps its results with this name (wellcovered.KERNEL_IMPLEMENTATION)

@@ -1,7 +1,8 @@
 """Oracle harness: replay every closed-form predictor against the engine.
 
-Each check compares two independently computed integers (formula vs
-nullity of an exactly eliminated system) with no tolerance.  Failed reports
+Every check compares a formula with the engine, exact integers with no
+tolerance; even the Kronecker check reads its ranks off the engine's row
+spaces, so nothing here runs a second elimination.  Failed reports
 always carry the instance descriptor needed to rebuild the inputs: family
 parameters, or the (n, p, seed) triple of a random graph.  Capacity
 overruns are recorded as skips, never as passes or failures.  The engine
@@ -19,14 +20,17 @@ from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import families, formulas
-from .engine import build_sum_system, compute_wcdim_fields
-from .engine import compute_wcdim  # noqa: F401  (perfbench/trace.py instruments verify.compute_wcdim)
+from .engine import compute_wcdim_fields, compute_wcdim_sets
 from .errors import CapacityError, InputError
-from .exactlin import FieldSpec, kronecker, rank, reduce_first_row
-from .exactlin import move_dependent_row_first  # noqa: F401  (perfbench/trace.py instruments it)
+from .exactlin import FieldSpec
 from .families import FAMILY_BUILDERS, FamilySpec, build_family
-from .graphs import Graph, blowup, disjoint_union, lex_product, multi_blowup, random_graph
-from .mis import DEFAULT_MIS_LIMIT, enumerate_mis
+from .graphs import Graph, bits, blowup, disjoint_union, lex_product, multi_blowup, random_graph
+from .mis import DEFAULT_MIS_LIMIT, mis_masks
+
+# perfbench/trace.py instruments these names here; nothing in this module calls them
+from .engine import build_sum_system, compute_wcdim  # noqa: F401
+from .exactlin import kronecker, move_dependent_row_first, rank, reduce_first_row  # noqa: F401
+from .mis import enumerate_mis  # noqa: F401
 
 PASS = "pass"
 FAIL = "fail"
@@ -54,8 +58,7 @@ FAMILIES = {
 }
 
 # section -> (characteristics swept, default number of random trials); the
-# family section sweeps each kind over its own characteristics and draws no
-# trials, so a trial count leaves it alone
+# family section sweeps each kind over its own characteristics and draws none
 SECTIONS = {
     "family": (tuple(sorted({c for family in FAMILIES.values() for c in family.chars})), None),
     "blowup": ((0, 2, 3), 100),
@@ -105,19 +108,15 @@ def check_family(
         raise InputError("check_family needs at least one characteristic")
     g = build_family(spec)
     predict = FAMILIES[spec.kind].predict
-    predicted = [predict(spec.params, f) for f in chars]
+    predicted = tuple(predict(spec.params, f) for f in chars)
+    swept = tuple(f.characteristic for f in chars)
     try:
-        engine = [r.wcdim for r in compute_wcdim_fields(g, chars, limit=limit, decompose=False)]
+        reports = compute_wcdim_fields(g, chars, limit=limit, decompose=False)
     except CapacityError as exc:
-        return CheckReport(
-            "family", str(spec), tuple(f.characteristic for f in chars),
-            (), (), SKIP, str(exc),
-        )
+        return CheckReport("family", str(spec), swept, (), (), SKIP, str(exc))
+    engine = tuple(r.wcdim for r in reports)
     verdict = PASS if predicted == engine else FAIL
-    return CheckReport(
-        "family", str(spec), tuple(f.characteristic for f in chars),
-        tuple(predicted), tuple(engine), verdict,
-    )
+    return CheckReport("family", str(spec), swept, predicted, engine, verdict)
 
 
 def _skips(
@@ -257,41 +256,34 @@ def check_kron_remark(
     M and A are the 0/1 sum systems of g and h, and C is the first-row
     reduction of A (x) M.  The published table predicts rank(C) from
     k = rank(reduced M), q = rank(reduced A) and the row-dependency flags,
-    and the product's dimension is asserted to be ab - rank(C).  One report
-    per field, in field order; each graph is enumerated, and M, A and C are
-    built, once.
-
-    The published construction first moves a dependent row of M and of A to
-    the front; this replay moves none, because no rank it reads depends on
-    the row order.  rank(M) and rank(A) are ranks of row sets.  The reduced
-    ranks k, q and rank(C) are ranks of the differences from the first row,
-    which span the direction space of the rows' affine hull whichever row
-    comes first, and A (x) M of reordered factors is a row permutation of
-    A (x) M.
+    and the product's dimension is asserted to be ab - rank(C).  Every rank
+    is read off the engine: k and rank(M) are the difference and sum ranks
+    of g's sets, q and rank(A) those of h's, and rank(C) is the difference
+    rank of the uniform sets S x T, the rows of A (x) M.  These ranks belong
+    to set families, so they do not depend on the row order.  One report per
+    field, in field order; each graph is enumerated once.
     """
     desc = instance or f"g[{_graph_descriptor(g)}];h[{_graph_descriptor(h)}]"
     if not fields:
         return []
     try:
-        mis_g = enumerate_mis(g, limit)
-        mis_h = enumerate_mis(h, limit)
+        sets_g, sets_h = mis_masks(g, limit), mis_masks(h, limit)
         products = compute_wcdim_fields(lex_product(g, h), fields, limit, decompose=False)
     except CapacityError as exc:
         return _skips("kron", desc, fields, exc)
-    M = build_sum_system(mis_g)
-    A = build_sum_system(mis_h)
-    reduced_m, reduced_a = reduce_first_row(M), reduce_first_row(A)
-    C = reduce_first_row(kronecker(A, M))
+    a = g.n
+    # the row of A (x) M for sets T of h and S of g is 1 in column j*a + u
+    # for j in T and u in S: S shifted by j*a for every j in T
+    uniform = [s * sum(1 << (j * a) for j in bits(t)) for t in sets_h for s in sets_g]
+    rgs = compute_wcdim_sets(a, sets_g, fields, with_sum_rank=True)
+    rhs = compute_wcdim_sets(h.n, sets_h, fields, with_sum_rank=True)
+    rcs = compute_wcdim_sets(a * h.n, uniform, fields)
     reports = []
-    for f, rp in zip(fields, products):
-        k = rank(reduced_m, f)
-        q = rank(reduced_a, f)
-        rank_m = rank(M, f)
-        rank_a = rank(A, f)
-        rank_c = rank(C, f)
-        want_rank = formulas.kron_rank_case(k, q, rank_m < M.rows, rank_a < A.rows)
-        want_dim = g.n * h.n - rank_c
-        got_dim = rp.wcdim
+    for f, rg, rh, rc, rp in zip(fields, rgs, rhs, rcs, products):
+        k, rank_m, q, rank_a = rg.diff_rank, rg.sum_rank, rh.diff_rank, rh.sum_rank
+        rank_c = rc.diff_rank
+        want_rank = formulas.kron_rank_case(k, q, rank_m < len(sets_g), rank_a < len(sets_h))
+        want_dim, got_dim = rc.wcdim, rp.wcdim
         detail = ""
         if want_rank != rank_c:
             # diagnostic: key the table on rank(X) == rank(reduced X) instead of
@@ -373,15 +365,19 @@ def run_suite(
     running one section alone replays exactly the instances it would see
     inside the full suite.  Every random instance descriptor embeds the
     sub-seed that regenerates its graph.  A negative trial count, an unknown
-    check section or family kind, an invalid characteristic, or
-    characteristics that no requested section sweeps (which would pass
-    after comparing nothing) raise InputError.
+    check section or family kind, an invalid characteristic, an option no
+    requested section reads, or characteristics that no requested section
+    sweeps (which would pass after comparing nothing) raise InputError.
     """
     if trials is not None and trials < 0:
         raise InputError("trial counts must be non-negative")
     for c in checks:
         if c not in SECTIONS:
             raise InputError(f"unknown check section {c!r}")
+    if "family" not in checks and (family_kind is not None or family_max_n is not None):
+        raise InputError("a family kind or size bound is only valid with the family section")
+    if trials is not None and all(SECTIONS[c][1] is None for c in checks):
+        raise InputError("a trial count is only valid with a section that draws random trials")
     if family_kind is not None and family_kind not in FAMILIES:
         raise InputError(f"unknown graph family {family_kind!r}")
     for c in chars:

@@ -375,6 +375,21 @@ class TestVerifyCommand:
         counts = [out.count(f"verdict = {v}") for v in ("pass", "fail", "skip")]
         assert counts == [844, 81, 0]
 
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (1, "0bea668095d040346068534cdab904fd8bda5247b34a418902559f8c13e80156"),
+            (2, "04598c26652c710dd67895b71c0819a06535c79eab6125df5aa0486f563238ab"),
+            (3, "76d0cb1c86b989537ef01f1f142c6b61bd950684dcde467dedb4b6ebee87be7d"),
+            (4, "acee2a5ba762b8310c9518d7d59617b316ac664ddf3134473e09b33c8e80c9ac"),
+            (5, "695f97c884b8ed100c97e286d583d283eeec810a62a147fe1007ab9ca2c18f7d"),
+        ],
+    )
+    def test_kron_machine_output_is_pinned(self, capsys, seed, digest):
+        argv = ["verify", "kron", "--seed", str(seed), "--trials", "200", "--machine"]
+        assert main(argv) == 1
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_union_section_passes(self, capsys):
         assert main(["verify", "union", "--seed", "1", "--trials", "5"]) == 0
         out = capsys.readouterr().out
@@ -414,6 +429,29 @@ class TestVerifyCommand:
 
     def test_unknown_family_kind(self, capsys):
         assert main(["verify", "family", "moebius"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lex", "--max-n", "3"], "family kind or size bound"),
+            (["kron", "--max-n", "3", "--trials", "1"], "family kind or size bound"),
+            (["family", "crown", "--trials", "0"], "trial count"),
+            (["family", "--trials", "5"], "trial count"),
+        ],
+        ids=["lex-max-n", "kron-max-n", "crown-trials", "family-trials"],
+    )
+    def test_an_option_no_requested_section_reads_exits_2(self, capsys, argv, message):
+        # `verify lex --max-n 3` used to run as if --max-n were absent, and
+        # `verify family crown --trials 0` checked all 7 crown specs
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_all_takes_the_family_bound_and_the_trial_count(self, capsys):
+        main(["verify", "all", "--max-n", "3", "--trials", "1", "--machine"])
+        out = capsys.readouterr().out
+        assert "instance = path:3\n" in out and "instance = path:4\n" not in out
+        assert out.count("check = blowup\n") == 3  # one trial, three characteristics
 
     @pytest.mark.parametrize(
         "argv",

@@ -10,6 +10,7 @@ from wellcovered import (
     build_sum_system,
     complete,
     compute_wcdim,
+    compute_wcdim_sets,
     crown,
     cycle,
     disjoint_union,
@@ -28,7 +29,7 @@ from wellcovered import (
 )
 from wellcovered.mis import MisList
 
-from helpers import ref_wcdim
+from helpers import ref_rank, ref_wcdim
 
 Q = FieldSpec(0)
 
@@ -159,6 +160,39 @@ class TestComputeWcdim:
             g = random_graph(seed % 8, 0.5, seed * 13 + 7)
             for char in (0, 2, 5):
                 assert compute_wcdim(g, FieldSpec(char)).wcdim == ref_wcdim(g, char)
+
+
+class TestComputeWcdimSets:
+    def test_matches_reference_ranks_on_any_family(self):
+        # arbitrary families of vertex sets, not just maximal independent ones;
+        # every field comes from one call, as the Kronecker check asks for them
+        rng = random.Random(3)
+        chars = (0, 2, 3, 5)
+        methods = set()
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            sets = [rng.randrange(1 << n) for _ in range(rng.randint(1, 12))]
+            rows = [[m >> v & 1 for v in range(n)] for m in sets]
+            diff = [[x - y for x, y in zip(row, rows[0])] for row in rows[1:]]
+            reports = compute_wcdim_sets(n, sets, [FieldSpec(c) for c in chars], True)
+            for c, r in zip(chars, reports):
+                assert (r.diff_rank, r.sum_rank) == (ref_rank(diff, c), ref_rank(rows, c))
+                assert r.wcdim == n - r.diff_rank and r.mis_count == r.stats.sets == len(sets)
+                methods.add(r.stats.method)
+        # the families reach every path: Q, read off (p not dividing D), own elimination
+        assert methods == {"integer", "read off (p ∤ D)", "own elimination"}
+
+    def test_matches_the_graph_computation_on_its_sets(self):
+        g = crown(4)
+        fs = [FieldSpec(c) for c in (0, 2, 3)]
+        sets = [sum(1 << v for v in s) for s in enumerate_mis(g)]
+        assert compute_wcdim_sets(g.n, sets, fs, True) == [
+            compute_wcdim(g, f, with_sum_rank=True) for f in fs
+        ]
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(InputError):
+            compute_wcdim_sets(3, [], [Q])
 
 
 class TestWeightingPredicate:

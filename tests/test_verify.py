@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -18,6 +19,7 @@ from wellcovered import (
 from wellcovered.engine import build_sum_system
 from wellcovered.exactlin import rank
 from wellcovered.families import FamilySpec
+from wellcovered.formulas import kron_rank_case
 from wellcovered.mis import enumerate_mis
 from wellcovered.verify import (
     _lex_fibre_dimension,
@@ -31,7 +33,7 @@ from wellcovered.verify import (
     summarize,
 )
 
-from helpers import all_graphs
+from helpers import all_graphs, brute_force_mis, ref_rank
 
 Q = FieldSpec(0)
 
@@ -141,7 +143,47 @@ class TestFibreDimension:
                 assert got == truth, (g.edges(), h.edges(), char)
 
 
+def reduced(rows):
+    """The first-row reduction: every later row minus the first."""
+    return [[x - y for x, y in zip(row, rows[0])] for row in rows[1:]]
+
+
+def kron_oracle(g, h, chars):
+    """The kron check's (predicted, engine) pair per characteristic, from reference code.
+
+    M and A are the brute-force sum systems of g and h, C the first-row
+    reduction of A (x) M, and the engine value the product's dimension.
+    """
+    a, b = g.n, h.n
+    M = [[int(u in s) for u in range(a)] for s in brute_force_mis(g)]
+    A = [[int(j in t) for j in range(b)] for t in brute_force_mis(h)]
+    C = reduced([[x * y for x in row_a for y in row_m] for row_a in A for row_m in M])
+    product = brute_force_mis(lex_product(g, h))
+    P = reduced([[int(v in s) for v in range(a * b)] for s in product])
+    out = []
+    for c in chars:
+        k, q = ref_rank(reduced(M), c), ref_rank(reduced(A), c)
+        rank_m, rank_a, rank_c = ref_rank(M, c), ref_rank(A, c), ref_rank(C, c)
+        want = kron_rank_case(k, q, rank_m < len(M), rank_a < len(A))
+        out.append(((want, a * b - rank_c), (rank_c, a * b - ref_rank(P, c))))
+    return out
+
+
 class TestCheckKron:
+    def test_matches_the_reference_oracle(self):
+        # every pair of graphs on at most 3 vertices, plus seeded pairs on up to 4
+        small = [g for n in (1, 2, 3) for g in all_graphs(n)]
+        rng = random.Random(11)
+        seeded = [
+            tuple(random_graph(rng.randint(1, 4), 0.5, rng.randrange(2**32)) for _ in "gh")
+            for _ in range(20)
+        ]
+        for g, h in [(g, h) for g in small for h in small] + seeded:
+            reports = check_kron_remark(g, h, fields(0, 2, 3))
+            assert [(r.predicted, r.engine) for r in reports] == kron_oracle(g, h, (0, 2, 3)), (
+                g.edges(), h.edges()
+            )
+
     def test_both_complete(self):
         report = check_kron_remark(complete(2), complete(2), [Q])[0]
         assert report.verdict == "pass"
@@ -199,9 +241,11 @@ class TestBatchedChecks:
         from wellcovered import engine, verify
 
         calls = []
-        for mod, name in ((engine, "mis_masks"), (verify, "enumerate_mis")):
-            real = getattr(mod, name)
-            monkeypatch.setattr(mod, name, lambda *a, _real=real: calls.append(a) or _real(*a))
+        # the engine enumerates each graph it computes, and the kron check
+        # enumerates its two factors itself
+        for mod in (engine, verify):
+            real = mod.mis_masks
+            monkeypatch.setattr(mod, "mis_masks", lambda *a, _real=real: calls.append(a) or _real(*a))
         fs = fields(0, 2, 3, 5)
         # crown(4) has dimension 3, but 4 over GF(2), so a report that read
         # another field's result would differ from the single-field call
@@ -225,7 +269,7 @@ class TestBatchedChecks:
 
         calls = []
         monkeypatch.setattr(engine, "mis_masks", lambda *a: calls.append(a))
-        monkeypatch.setattr(verify, "enumerate_mis", lambda *a: calls.append(a))
+        monkeypatch.setattr(verify, "mis_masks", lambda *a: calls.append(a))
         g, h = cycle(5), path(3)
         assert check_blowup(g, 0, 2, []) == []
         assert check_multi_blowup(g, [2] * 5, []) == []
@@ -361,6 +405,43 @@ class TestRunSuite:
         assert {r.check for r in reports} == {"family", "union"}
         assert all(5 in r.characteristics for r in reports)
         assert run_suite(seed=1, checks=("blowup",), trials=0) == []
+
+    @pytest.mark.parametrize(
+        "request_, message",
+        [
+            ({"checks": ("lex",), "family_kind": "crown"}, "family kind or size bound"),
+            ({"checks": ("union", "kron"), "family_max_n": 3}, "family kind or size bound"),
+            ({"checks": ("family",), "trials": 0}, "trial count"),
+        ],
+        ids=["lex-kind", "union-kron-max-n", "family-trials"],
+    )
+    def test_options_no_requested_section_reads_are_rejected(self, request_, message):
+        from wellcovered import InputError
+
+        with pytest.raises(InputError, match=message):
+            run_suite(seed=1, **request_)
+
+    def test_the_full_suite_takes_every_option(self):
+        reports = run_suite(seed=1, family_kind="crown", family_max_n=4, trials=0)
+        family = [r.instance for r in reports if r.check == "family"]
+        assert family == ["crown:3", "crown:4"]
+        # with no random trial, only the designed lex and kron pairs remain
+        assert {r.check for r in reports} == {"family", "lex", "kron"}
+        assert all("random(" not in r.instance for r in reports)
+
+    def test_no_batch_elimination_runs(self, monkeypatch):
+        # every check reads its ranks off the engine's row spaces
+        from wellcovered import exactlin, kernels
+
+        want = run_suite(seed=1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a batch elimination ran")
+
+        monkeypatch.setattr(exactlin.ExactMatrix, "__post_init__", refuse)
+        monkeypatch.setattr(exactlin, "_rref", refuse)
+        monkeypatch.setattr(kernels, "gf_rank", refuse)
+        assert run_suite(seed=1) == want
 
     def test_unknown_family_kind_rejected(self):
         from wellcovered import InputError
