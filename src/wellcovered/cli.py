@@ -30,7 +30,7 @@ from typing import Sequence
 from .engine import WcdimReport, compute_wcdim_fields
 from .engine import compute_wcdim  # noqa: F401  (perfbench/trace.py instruments cli.compute_wcdim)
 from .errors import CapacityError, InputError
-from .exactlin import FieldSpec, Scalar
+from .exactlin import FieldSpec
 from .families import FAMILY_BUILDERS, FamilySpec, build_family
 from .graphs import Graph, check_vertex_count
 from .graphs import new_graph  # noqa: F401  (perfbench/trace.py instruments cli.new_graph)
@@ -125,12 +125,25 @@ def load_graph(source: str) -> tuple[Graph, str]:
 
 @dataclass(frozen=True)
 class ReportSection:
+    """One field's counts and, when asked for, its basis as the lines it prints as.
+
+    `basis_lines` holds each basis vector's entries as `str` prints them,
+    joined by spaces; `basis` parses them back into Fraction vectors.
+    """
+
     characteristic: int
     mis_count: int
     diff_rank: int
     wcdim: int
     sum_rank: int | None = None
-    basis: tuple[tuple[Scalar, ...], ...] | None = None
+    basis_lines: tuple[str, ...] | None = None
+
+    @functools.cached_property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...] | None:
+        """The basis vectors, with Fraction entries in every field."""
+        if self.basis_lines is None:
+            return None
+        return tuple(tuple(Fraction(x) for x in line.split()) for line in self.basis_lines)
 
 
 @dataclass(frozen=True)
@@ -148,12 +161,16 @@ def _section_from_report(r: WcdimReport, with_basis: bool) -> ReportSection:
         diff_rank=r.diff_rank,
         wcdim=r.wcdim,
         sum_rank=r.sum_rank,
-        basis=r.basis if with_basis else None,
+        basis_lines=r.basis_lines if with_basis else None,
     )
 
 
 def render_machine(doc: ReportDocument) -> str:
-    """Line-oriented key-value form; parse_machine inverts it exactly."""
+    """Line-oriented key-value form; parse_machine inverts it exactly.
+
+    Each basis line is a section's `basis_lines` entry as it stands, so the
+    basis is never formatted here.
+    """
     lines = [f"graph = {doc.graph}", f"n = {doc.n}", f"edge_count = {doc.edge_count}"]
     for s in doc.sections:
         lines.append(f"characteristic = {s.characteristic}")
@@ -162,66 +179,90 @@ def render_machine(doc: ReportDocument) -> str:
         lines.append(f"wcdim = {s.wcdim}")
         if s.sum_rank is not None:
             lines.append(f"sum_rank = {s.sum_rank}")
-        if s.basis is not None:
-            lines.append(f"basis_size = {len(s.basis)}")
-            for idx, vec in enumerate(s.basis):
-                lines.append(f"basis {idx} = " + " ".join(str(x) for x in vec))
+        if s.basis_lines is not None:
+            lines.append(f"basis_size = {len(s.basis_lines)}")
+            lines.extend(f"basis {idx} = {line}" for idx, line in enumerate(s.basis_lines))
     return "\n".join(lines) + "\n"
 
 
+def _integer(key: str, value: str) -> int:
+    """The value of an integer line, which must read as `str` prints the integer."""
+    try:
+        x = int(value)
+    except ValueError:
+        x = None
+    if x is None or str(x) != value:
+        raise InputError(f"{key} = {value!r}: expected an integer")
+    return x
+
+
+def _basis_line(value: str, n: int, checked: set[str]) -> str:
+    """One basis line: n entries, each a number as `str` prints its Fraction.
+
+    `checked` holds the entries already found well formed.
+    """
+    entries = value.split()
+    if len(entries) != n:
+        raise InputError(f"basis vector {value!r} has {len(entries)} entries, not n = {n}")
+    for x in entries:
+        if x not in checked:
+            try:
+                ok = str(Fraction(x)) == x
+            except (ValueError, ZeroDivisionError):
+                ok = False
+            if not ok:
+                raise InputError(f"basis entry {x!r} is not a number in lowest terms")
+            checked.add(x)
+    return " ".join(entries)
+
+
 def parse_machine(text: str) -> ReportDocument:
-    """Parse the machine-readable form back into a ReportDocument."""
-    graph = None
-    n = edge_count = None
-    sections: list[ReportSection] = []
-    cur: dict | None = None
+    """Parse the machine-readable form back into a ReportDocument.
 
-    def flush() -> None:
-        if cur is not None:
-            basis = cur.get("basis")
-            sections.append(
-                ReportSection(
-                    characteristic=cur["characteristic"],
-                    mis_count=cur["mis_count"],
-                    diff_rank=cur["diff_rank"],
-                    wcdim=cur["wcdim"],
-                    sum_rank=cur.get("sum_rank"),
-                    basis=tuple(basis) if basis is not None else None,
-                )
-            )
-
+    The lines must come in the order render_machine prints them, each value
+    as it prints it: integers and basis entries in lowest terms, exactly
+    basis_size basis lines numbered from 0, each with n entries.  Blank lines
+    and spaces around keys and values are skipped.  Anything else raises
+    InputError, so render_machine gives back every text this accepts, up to
+    those blanks and spaces.
+    """
+    pairs = []
     for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        key, _, value = raw.partition(" = ")
-        key, value = key.strip(), value.strip()
-        if key == "graph":
-            graph = value
-        elif key == "n":
-            n = int(value)
-        elif key == "edge_count":
-            edge_count = int(value)
-        elif key == "characteristic":
-            flush()
-            cur = {"characteristic": int(value)}
-        elif key in ("mis_count", "diff_rank", "wcdim", "sum_rank"):
-            if cur is None:
-                raise InputError(f"{key} line before any characteristic block")
-            cur[key] = int(value)
-        elif key == "basis_size":
-            if cur is None:
-                raise InputError("basis_size line before any characteristic block")
-            cur["basis"] = []
-        elif key.startswith("basis "):
-            if cur is None or "basis" not in cur:
-                raise InputError("basis line before its basis_size header")
-            vec = tuple(Fraction(tok) for tok in value.split())
-            cur["basis"].append(vec)
-        else:
-            raise InputError(f"unrecognised machine report line {raw!r}")
-    flush()
-    if graph is None or n is None or edge_count is None:
-        raise InputError("machine report is missing its graph header")
+        if raw.strip():
+            key, _, value = raw.partition(" = ")
+            pairs.append((key.strip(), value.strip(), raw))
+    pos = 0
+
+    def take(key: str) -> str:
+        nonlocal pos
+        if pos == len(pairs) or pairs[pos][0] != key:
+            got = repr(pairs[pos][2]) if pos < len(pairs) else "the end of the report"
+            raise InputError(f"expected a {key} line, got {got}")
+        pos += 1
+        return pairs[pos - 1][1]
+
+    def integer(key: str) -> int:
+        return _integer(key, take(key))
+
+    def optional(key: str) -> int | None:
+        return integer(key) if pos < len(pairs) and pairs[pos][0] == key else None
+
+    graph = take("graph")
+    n = integer("n")
+    edge_count = integer("edge_count")
+    sections = []
+    checked: set[str] = set()
+    while pos < len(pairs):
+        characteristic = integer("characteristic")
+        counts = [integer(key) for key in ("mis_count", "diff_rank", "wcdim")]
+        sum_rank = optional("sum_rank")
+        size = optional("basis_size")
+        lines = None
+        if size is not None:
+            if size < 0:
+                raise InputError(f"basis_size = {size}: expected a count")
+            lines = tuple(_basis_line(take(f"basis {i}"), n, checked) for i in range(size))
+        sections.append(ReportSection(characteristic, *counts, sum_rank, lines))
     return ReportDocument(graph, n, edge_count, tuple(sections))
 
 
@@ -236,20 +277,23 @@ def render_text(doc: ReportDocument, verbose: bool) -> str:
                 line += f", sum rank: {s.sum_rank}"
             line += ")"
         lines.append(line)
-        if s.basis is not None:
-            for vec in s.basis:
-                lines.append("    basis " + " ".join(str(x) for x in vec))
+        if s.basis_lines is not None:
+            lines.extend("    basis " + line for line in s.basis_lines)
     return "\n".join(lines) + "\n"
 
 
-def render_stats(g: Graph, input_ms: float, reports: Sequence[WcdimReport]) -> str:
+def render_stats(
+    g: Graph, input_ms: float, reports: Sequence[WcdimReport], output_ms: float, basis_lines: int
+) -> str:
     """Where one compute's time and rows went: the input, the enumeration,
-    then one line per field.
+    one line per field, then the output.
 
     The input line times reading and parsing the file, or building the
     family, and gives the graph's vertex and edge counts.  The enumeration
     line counts the quotients the decomposition enumerated (pieces) and
-    gives the exact set count, not the number of rows fed.
+    gives the exact set count, not the number of rows fed.  The output line
+    times reading the basis off the row spaces and rendering the report,
+    and counts the basis lines printed.
     """
     first = reports[0].stats
     pieces = f"{first.pieces} piece" + ("" if first.pieces == 1 else "s")
@@ -264,6 +308,8 @@ def render_stats(g: Graph, input_ms: float, reports: Sequence[WcdimReport]) -> s
             f"rows fed {s.rows_fed}, kept {s.rows_kept}, vanished {s.rows_vanished}, "
             f"stopped at full rank: {'yes' if s.stopped_at_full_rank else 'no'}"
         )
+    plural = "" if basis_lines == 1 else "s"
+    lines.append(f"stats: basis and render in {output_ms:.3f} ms, {basis_lines} basis line{plural}")
     return "\n".join(lines) + "\n"
 
 
@@ -280,14 +326,15 @@ def cmd_compute(args: argparse.Namespace) -> int:
     g, descriptor = load_graph(args.input)
     input_ms = (perf_counter() - start) * 1e3
     reports = compute_wcdim_fields(g, _field_args(args.char), with_sum_rank=args.verbose)
+    start = perf_counter()
     sections = [_section_from_report(r, args.basis) for r in reports]
     doc = ReportDocument(descriptor, g.n, g.edge_count, tuple(sections))
-    if args.machine:
-        sys.stdout.write(render_machine(doc))
-    else:
-        sys.stdout.write(render_text(doc, args.verbose))
+    out = render_machine(doc) if args.machine else render_text(doc, args.verbose)
+    output_ms = (perf_counter() - start) * 1e3
+    sys.stdout.write(out)
     if args.stats:
-        sys.stderr.write(render_stats(g, input_ms, reports))
+        basis_lines = sum(len(s.basis_lines or ()) for s in sections)
+        sys.stderr.write(render_stats(g, input_ms, reports, output_ms, basis_lines))
     return 0
 
 

@@ -19,11 +19,12 @@ canonical basis is defined as the one read off the RREF of the row space,
 so it does not depend on the baseline or on the row order; the engine is
 free to feed the rows in whatever order reaches full rank soonest.  A
 report keeps its field's row space and reads the basis off it on demand,
-the first time `WcdimReport.basis` is accessed, so callers that need only
-the dimension never pay for it.  `compute_wcdim_sets` eliminates any family
-of sets the same way.  The batch `build_difference_system` and
-`build_sum_system` have no caller in the package; they remain only as
-public API and as targets of the benchmark's tracer.
+the first time `WcdimReport.basis` (vectors) or `basis_lines` (text) is
+accessed, so callers that need only the dimension never pay for it.
+`compute_wcdim_sets` eliminates any family of sets the same way.  The
+batch `build_difference_system` and `build_sum_system` have no caller in
+the package; they remain only as public API and as targets of the
+benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -78,7 +79,9 @@ class WcdimReport:
     `space` holds the row space the field was read from (at most n rows):
     for Q and for every GF(p) with p not dividing D it is the shared integer
     space.  `basis`, the canonical basis of the well-covered space, is read
-    off those rows the first time it is accessed and kept from then on.
+    off those rows the first time it is accessed and kept from then on;
+    `basis_lines`, the same basis as the text `compute --basis` prints, is
+    read off them separately, the same way.
     """
 
     n: int
@@ -92,9 +95,20 @@ class WcdimReport:
 
     @cached_property
     def basis(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Fractions over Q, residues in 0..p-1 over GF(p)."""
         if self.wcdim == 0:
             return ()
         return tuple(self.space.basis(self.field))
+
+    @cached_property
+    def basis_lines(self) -> tuple[str, ...]:
+        """`basis` as text, one line per vector: its entries as `str` prints them, joined by spaces.
+
+        Read off the same rows as `basis`, but without building the vectors.
+        """
+        if self.wcdim == 0:
+            return ()
+        return tuple(self.space.basis_lines(self.field))
 
 
 def build_difference_system(mis: MisList, baseline: int = 0) -> ExactMatrix:

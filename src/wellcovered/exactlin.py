@@ -15,6 +15,10 @@ canonical: free columns are taken in ascending order and each basis vector
 carries a 1 in its own free column.  Since the RREF depends only on the row
 space, the basis is the same for any spanning set of the rows, whatever its
 order, scaling or size; over Q fractions appear only in the basis vectors.
+`RowSpace.basis` gives them as scalars and `RowSpace.basis_lines` as the
+text `compute --basis` prints, off the same rows by the same loop: the
+lines never go through scalar vectors, and each distinct entry is
+formatted once.
 
 The batch routines on a whole `ExactMatrix` (`rank`, whose GF(p) rank is
 `kernels.gf_rank`, `nullspace_basis`, `kronecker`, `reduce_first_row` and
@@ -33,7 +37,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from . import kernels
 from .errors import InputError
@@ -256,6 +260,14 @@ def _basis_from_rref(
 _LANE_FORMATS = {8 * memoryview(bytes(8)).cast(c).itemsize: c for c in "QLIHB"}
 
 
+def _bits(m: int, width: int = 1) -> Iterator[int]:
+    """The index j of every lane of the given width whose lowest bit is set in m, ascending."""
+    while m:
+        low = m & -m
+        yield (low.bit_length() - 1) // width
+        m ^= low
+
+
 class RowSpace:
     """Incremental reduced row echelon form of the span of rows fed in one at a time.
 
@@ -309,6 +321,7 @@ class RowSpace:
         self._piv = 0
         self._pivots: list[int] = []
         self._t = 1
+        self._rref_at: tuple[int, tuple] | None = None  # (rank, `_sparse_rref()`)
         if f.characteristic != 2:
             self._set_width(self._width_for(self._t))
 
@@ -382,47 +395,92 @@ class RowSpace:
         """The canonical nullspace basis over f (default: the space's own field).
 
         As `nullspace_basis` gives it for any spanning set of the rows: one
-        vector per free column, ascending, with a 1 in its own column.  An
+        vector per free column, ascending, with a 1 in its own column; the
+        entries are Fractions over Q and residues in 0..p-1 over GF(p).  An
         integer space reads it straight off its RREF, for its own field and
         for every prime field it `reads_off`: the entry in pivot column c of
-        the vector for free column j is -R_c[j] / D.  A GF(2) space
-        back-substitutes its XOR basis.
+        the vector for free column j is -R_c[j] / D.  A GF(2) space reads it
+        off its XOR basis, back-substituted to the RREF.  `basis_lines` gives
+        the same basis as text.
+        """
+        return self._read_basis(f, text=False)
+
+    def basis_lines(self, f: FieldSpec | None = None) -> list[str]:
+        """`basis(f)` as text: each vector's entries as `str` prints them, joined by spaces.
+
+        The lines come straight off the rows `basis` reads, without a vector
+        of scalars: each distinct entry is formatted once.
+        """
+        return self._read_basis(f, text=True)
+
+    def _read_basis(self, f: FieldSpec | None, text: bool) -> list:
+        """The basis over f as scalar tuples, or as lines of text when `text`.
+
+        Each vector starts as a template of zeros with a one in its free
+        column; the rows' nonzero entries are then filled in, each distinct
+        one made once, as a scalar or as its string.
         """
         if f is None:
             f = self.field
         elif f != self.field and not self.reads_off(f):
             raise ValueError(f"{f} cannot be read off this {self.field} row space")
-        if self.field.characteristic == 2:
-            return self._xor_basis()
-        p = f.characteristic
-        d = self.common_pivot
-        pivots = sorted(self._pivots)
-        rows = [self._unpack(self._cols[c]) for c in pivots]
-        entries: dict[int, Scalar] = {}
+        n, p = self.n, f.characteristic
+        d, piv, rows = self._sparse_rref()
         if p:
-            zero: Scalar = 0
-            one: Scalar = 1
             scale = -pow(d, -1, p)
-        else:
-            zero, one = Fraction(0), Fraction(1)
-        basis = []
-        for j in range(self.n):
-            if self._piv >> j & 1:
-                continue
-            vec = [zero] * self.n
-            vec[j] = one
-            for c, row in zip(pivots, rows):
-                x = row[j]
-                if x:
-                    value = entries.get(x)
-                    if value is None:
-                        value = entries[x] = x * scale % p if p else Fraction(-x, d)
-                    vec[c] = value
-            basis.append(tuple(vec))
-        return basis
 
-    def _xor_basis(self) -> list[tuple[Scalar, ...]]:
-        """The GF(2) nullspace basis, off the XOR basis back-substituted to its RREF."""
+            def value(x: int) -> Scalar:
+                return x * scale % p
+        else:
+
+            def value(x: int) -> Scalar:
+                return Fraction(-x, d)
+
+        # the entry for lane value x is -x/D, so 0 gives zero and -D gives one
+        make = (lambda x: str(value(x))) if text else value
+        entries: dict[int, object] = {}  # each distinct lane value, made once
+        template = [make(0)] * n
+        one = make(-d)
+        vecs = {}
+        for j in range(n):
+            if not piv >> j & 1:
+                vec = vecs[j] = template.copy()
+                vec[j] = one
+        for c, row in rows:
+            for j, x in row:
+                entry = entries.get(x)
+                if entry is None:
+                    entry = entries[x] = make(x)
+                vecs[j][c] = entry
+        finish = " ".join if text else tuple
+        return [finish(vec) for vec in vecs.values()]
+
+    def _sparse_rref(self) -> tuple[int, int, list[tuple[int, list[tuple[int, int]]]]]:
+        """D, the pivot bitmask, and (c, the row of pivot column c off its pivot) per pivot.
+
+        A row is D times the RREF row, as the (column, entry) pairs of its
+        nonzero entries off its own pivot; they all lie in free columns,
+        since every other pivot column is 0 in an RREF.  The rows are kept
+        until the rank changes, so every field read off the space shares them.
+        """
+        if self._rref_at is not None and self._rref_at[0] == self.rank:
+            return self._rref_at[1]
+        if self.field.characteristic == 2:
+            # back-substituted, the XOR basis is the RREF itself (D = 1), and
+            # every entry off a pivot is 1, its own negative
+            d, piv = 1, sum(self._xor)
+            rows = [
+                (c.bit_length() - 1, [(j, 1) for j in _bits(x ^ c)])
+                for c, x in self._xor_rref().items()
+            ]
+        else:
+            d, piv = self.common_pivot, self._piv
+            rows = [(c, self._nonzero_lanes(self._cols[c])) for c in self._pivots]
+        self._rref_at = (self.rank, (d, piv, rows))
+        return d, piv, rows
+
+    def _xor_rref(self) -> dict[int, int]:
+        """The XOR basis back-substituted to the GF(2) RREF, keyed by pivot bit."""
         piv = sum(self._xor)  # the keys are distinct powers of two
         reduced: dict[int, int] = {}
         # every other pivot in a row lies above its own, so reduce from the top
@@ -434,9 +492,7 @@ class RowSpace:
                 x ^= reduced[low]
                 m ^= low
             reduced[c] = x
-        pivots = sorted(reduced)
-        rows = [[reduced[c] >> v & 1 for v in range(self.n)] for c in pivots]
-        return _basis_from_rref(rows, [c.bit_length() - 1 for c in pivots], self.n, 2)
+        return reduced
 
     def _reduce_bits(self, x: int) -> int:
         """The GF(2) row x reduced until its lowest bit has no basis row (0 if it vanishes)."""
@@ -571,6 +627,17 @@ class RowSpace:
             w = b // 8
             lanes = (int.from_bytes(raw[k : k + w], "little") for k in range(0, len(raw), w))
         return [x - half for x in lanes]
+
+    def _nonzero_lanes(self, v: int) -> list[tuple[int, int]]:
+        """(j, signed lane j) for each nonzero lane j of the packed row v, ascending."""
+        b = self._width
+        bias = self._ones << (b - 1)
+        z = (v + bias) ^ bias  # lane j of z is 0 exactly when lane j of v is
+        shift = 1
+        while shift < b:  # fold every lane's bits into its lowest bit
+            z |= z >> shift
+            shift <<= 1
+        return [(j, self._lane(v, j)) for j in _bits(z & self._ones, b)]
 
 
 def kronecker(a: ExactMatrix, m: ExactMatrix) -> ExactMatrix:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -144,16 +145,52 @@ class TestMachineFormat:
                     diff_rank=4,
                     wcdim=2,
                     sum_rank=5,
-                    basis=((Fraction(1, 2), Fraction(-1, 3)), (1, 0)),
+                    basis_lines=("1/2 -1/3 0 0 0 1", "1 0 0 0 1 0"),
                 ),
                 ReportSection(characteristic=2, mis_count=5, diff_rank=4, wcdim=2),
             ),
         )
         assert parse_machine(render_machine(doc)) == doc
+        assert doc.sections[0].basis == (
+            (Fraction(1, 2), Fraction(-1, 3), 0, 0, 0, 1),
+            (1, 0, 0, 0, 1, 0),
+        )
 
     def test_reject_unknown_key(self):
         with pytest.raises(InputError):
             parse_machine("graph = x\nn = 1\nedge_count = 0\nbogus = 3\n")
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("basis 0 = 1 1 0 0", "basis 0 = 1 x 0 0", "'x' is not a number"),
+            ("n = 4", "n = two", "n = 'two': expected an integer"),
+            ("basis 1 = 0 0 1 1", "basis 1 = 0 0 1/0 1", "'1/0' is not a number"),
+            ("basis 1 = 0 0 1 1", "basis 1 = 0 0 2/4 1", "'2/4' is not a number"),
+            ("wcdim = 2\n", "", "expected a wcdim line, got 'basis_size = 2'"),
+            ("basis_size = 2", "basis_size = 5", "expected a basis 2 line, got the end"),
+            ("basis 1 = ", "basis 7 = ", "expected a basis 1 line, got 'basis 7 = "),
+            ("basis 1 = 0 0 1 1", "basis 1 = 0 0 1 1 0", "has 5 entries, not n = 4"),
+            ("mis_count = 2", "mis_count = 02", "mis_count = '02': expected an integer"),
+            ("basis_size = 2\nbasis 0 = 1 1 0 0\nbasis 1 = 0 0 1 1\n", "basis_size = -1\n",
+             "basis_size = -1: expected a count"),
+        ],
+        ids=[
+            "bad-entry", "bad-integer", "zero-denominator", "not-lowest-terms",
+            "missing-wcdim", "short-basis", "basis-out-of-order", "vector-length", "leading-zero",
+            "negative-basis-size",
+        ],
+    )
+    def test_reject_what_does_not_round_trip(self, old, new, message):
+        text = (
+            "graph = cycle:4\nn = 4\nedge_count = 4\n"
+            "characteristic = 0\nmis_count = 2\ndiff_rank = 2\nwcdim = 2\n"
+            "basis_size = 2\nbasis 0 = 1 1 0 0\nbasis 1 = 0 0 1 1\n"
+        )
+        assert render_machine(parse_machine(text)) == text
+        assert old in text
+        with pytest.raises(InputError, match=re.escape(message)):
+            parse_machine(text.replace(old, new))
 
 
 class TestComputeCommand:
@@ -248,9 +285,11 @@ class TestBasisOnDemand:
     def basis_reads(self, monkeypatch):
         from wellcovered.exactlin import RowSpace
 
+        # a basis is read off a row space as vectors or as lines
         calls = []
-        real = RowSpace.basis
-        monkeypatch.setattr(RowSpace, "basis", lambda *a: calls.append(a) or real(*a))
+        for name in ("basis", "basis_lines"):
+            real = getattr(RowSpace, name)
+            monkeypatch.setattr(RowSpace, name, lambda *a, real=real: calls.append(a) or real(*a))
         return calls
 
     @pytest.mark.parametrize("flags", [[], ["--machine"], ["--verbose"]])
@@ -269,6 +308,79 @@ class TestBasisOnDemand:
         assert main(["compute", "crown:6", "--char", "0", "--char", "3", "--basis", "--machine"]) == 0
         assert capsys.readouterr().out == CROWN6_BASIS_MACHINE
         assert len(basis_reads) == 2  # one per field
+
+
+# sha256 of `compute G --char 0 --char 2 --char 3 --char 10007 --basis`, with
+# --machine and without, as the Fraction-vector renderer printed them; crown:5
+# takes GF(3)'s own elimination, since 3 divides its common pivot
+PINNED_BASIS_OUTPUT = {
+    "crown:5": (
+        "380de7d7e9f1426bcc5ad7f94ff50a5e4403453d6075096e94d96f5d7ad065c8",
+        "878e1a444b380178aa791e91fde93011fb997af9b805d3605e9ae01cddcffc68",
+    ),
+    "crown:20": (
+        "27bbede6a0979fe9004fa969a8549365578e2d0c4567fee266c20547fbf592ad",
+        "53bcca3bb94a5281b1026efd5d50f02d3c6259e6e5055f881a1360370298116d",
+    ),
+    "crown:40": (
+        "c7941485bd677431264644a8ae90b33d8d80b90c2a7dd42a47b3f30557099abe",
+        "de4c8a7cf3e6af78f98e360f72599105455d0a8aaeb8fe0556c026398cd1073e",
+    ),
+    "cycle:6": (
+        "1dc25ce37707c118ac4a2b48ecfdbc664a978ddd7c429a03ec1701763644f0b8",
+        "e127de17e2b27d4a09608607f6ddf20f14fc5798db6a84f88dc374fe2f98248c",
+    ),
+    "gear:4": (
+        "37dc1c74243228d3788b41a5ea340886b61220a375cecfa5a49d37e9b5c4eb79",
+        "129ebe5cc7b06d8281268f9d9cf2a66053f959967d36bdb40ab9c761f6287746",
+    ),
+    "kpartite:2,3,4": (
+        "719fd24b8420ccd1a568e3633c14cf109ec5e9268bafb01fcfa2a0ab413584c9",
+        "b55fbed8a849835901e20665a24ba55fb9bcf39ccd56c2bf7bc83bf0ae2cb7a3",
+    ),
+    "petersen": (
+        "9416cb6d95f494ca1280257403e4bc7eb069a7b8042333b8b8cbde31d71e5c28",
+        "3fdac841e382caeb8e21b9263ecac4e35553e973f94ef4e1610d1e3a57393a34",
+    ),
+}
+
+# a graph whose basis over Q has halves, so D = 2 and GF(2) takes its own
+# elimination, the XOR basis
+HALVES_FILE = "7 10\n0 1\n0 3\n0 5\n1 2\n1 5\n2 3\n2 4\n3 6\n4 5\n4 6\n"
+HALVES_BASIS_TEXT = """\
+graph G: 7 vertices, 10 edges
+  over Q: wcdim = 2
+    basis 1 1 0 0 0 1 0
+    basis 0 -1/2 -1/2 1/2 1/2 0 1
+  over GF(2): wcdim = 2
+    basis 0 1 1 1 1 0 0
+    basis 1 1 0 0 0 1 0
+  over GF(3): wcdim = 2
+    basis 1 1 0 0 0 1 0
+    basis 0 1 1 2 2 0 1
+  over GF(10007): wcdim = 2
+    basis 1 1 0 0 0 1 0
+    basis 0 5003 5003 5004 5004 0 1
+"""
+ALL_CHARS = ["--char", "0", "--char", "2", "--char", "3", "--char", "10007"]
+
+
+class TestBasisOutputIsPinned:
+    @pytest.mark.parametrize("spec", PINNED_BASIS_OUTPUT)
+    def test_machine_and_text(self, capsys, spec):
+        for flags, digest in zip((["--machine"], []), PINNED_BASIS_OUTPUT[spec]):
+            assert main(["compute", spec, *ALL_CHARS, "--basis", *flags]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_fractions_and_the_xor_basis(self, tmp_path, capsys):
+        p = tmp_path / "G"
+        p.write_text(HALVES_FILE)
+        assert main(["compute", str(p), *ALL_CHARS, "--basis"]) == 0
+        assert capsys.readouterr().out.replace(str(p), "G") == HALVES_BASIS_TEXT
+        assert main(["compute", str(p), *ALL_CHARS, "--basis", "--machine"]) == 0
+        machine = capsys.readouterr().out
+        assert "basis 1 = 0 -1/2 -1/2 1/2 1/2 0 1\n" in machine
+        assert render_machine(parse_machine(machine)) == machine
 
 
 class TestStats:
@@ -291,7 +403,10 @@ class TestStats:
         lines = with_stats.err.splitlines()
         assert lines[0].startswith("stats: input in ") and lines[0].endswith(" ms, n = 14, m = 42")
         assert lines[1].startswith("stats: enumeration ") and lines[1].endswith(" ms, 9 sets")
-        assert len(lines) == 2 + max(1, flags.count("--char"))
+        assert len(lines) == 3 + max(1, flags.count("--char"))
+        basis_lines = 0 if "--basis" not in flags else 6 * max(1, flags.count("--char"))
+        assert lines[-1].startswith("stats: basis and render in ")
+        assert lines[-1].endswith(f" ms, {basis_lines} basis lines")
 
     def test_input_line_for_a_file(self, tmp_path, capsys):
         p = tmp_path / "c4.txt"
@@ -310,14 +425,14 @@ class TestStats:
         # a complete multipartite graph is a cograph: its 3 sets, the parts,
         # come out of the decomposition without any enumeration
         assert main(["compute", "kpartite:2,3,4", "--char", "2", "--stats"]) == 0
-        enum, gf2 = capsys.readouterr().err.splitlines()[1:]
+        enum, gf2 = capsys.readouterr().err.splitlines()[1:-1]
         assert enum.startswith("stats: enumeration of 0 pieces in ") and enum.endswith(" ms, 3 sets")
         assert gf2.endswith("rows fed 2, kept 2, vanished 0, stopped at full rank: no")
 
     def test_each_field_says_how_it_was_obtained(self, capsys):
         argv = ["compute", "crown:5", "--char", "0", "--char", "3", "--char", "10007", "--stats"]
         assert main(argv) == 0
-        q, gf3, gfp = capsys.readouterr().err.splitlines()[2:]
+        q, gf3, gfp = capsys.readouterr().err.splitlines()[2:-1]
         # crown(5) drops rank exactly in characteristic 3 = 5 - 2, so 3 divides D
         assert q.startswith("stats: Q: integer, elimination ")
         assert gf3.startswith("stats: GF(3): own elimination, elimination ")

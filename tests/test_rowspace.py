@@ -116,6 +116,28 @@ def test_zero_vertex_graph():
     assert_matches_batch_path(new_graph(0, []))
 
 
+def test_basis_lines_are_the_vectors_printed():
+    methods, lines = set(), []
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    graphs += [crown(k) for k in range(3, 13)]
+    # bases over Q with halves, so 2 divides D and GF(2) takes the XOR basis
+    graphs += [random_graph(n, 0.4, seed) for n, seed in ((9, 238), (10, 437), (7, 1118))]
+    for g in graphs:
+        for r in compute_wcdim_fields(g, FIELDS):
+            vectors = r.space.basis(r.field)
+            assert r.space.basis_lines(r.field) == [" ".join(map(str, v)) for v in vectors]
+            assert list(r.basis_lines) == [" ".join(map(str, v)) for v in r.basis]
+            methods.add((r.stats.method, r.field.characteristic == 2))
+            lines += r.basis_lines
+    assert any("/2" in line for line in lines)
+    # the integer space, a field read off it, and an own elimination both by
+    # the XOR basis (GF(2)) and by the packed integers (GF(3), GF(5))
+    assert methods == {
+        ("integer", False), (READ_OFF, False), (READ_OFF, True),
+        ("own elimination", True), ("own elimination", False),
+    }
+
+
 @pytest.mark.parametrize("f", FIELDS, ids=str)
 def test_basis_ignores_row_order_and_baseline(f):
     rng = random.Random(5)
@@ -299,6 +321,7 @@ class TestRowSpace:
         assert p or space.rank == m
         basis = space.basis()
         assert basis == ref_nullspace(dense, n, p)
+        assert space.basis_lines() == [" ".join(map(str, v)) for v in basis]
         stored = ExactMatrix.from_rows(space.rows(), n)
         assert nullspace_basis(stored, f) == basis
         if not p:
