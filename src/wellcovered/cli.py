@@ -154,13 +154,13 @@ class ReportDocument:
     sections: tuple[ReportSection, ...]
 
 
-def _section_from_report(r: WcdimReport, with_basis: bool) -> ReportSection:
+def _section_from_report(r: WcdimReport, with_basis: bool, verbose: bool) -> ReportSection:
     return ReportSection(
         characteristic=r.field.characteristic,
         mis_count=r.mis_count,
         diff_rank=r.diff_rank,
         wcdim=r.wcdim,
-        sum_rank=r.sum_rank,
+        sum_rank=r.sum_rank if verbose else None,
         basis_lines=r.basis_lines if with_basis else None,
     )
 
@@ -295,17 +295,17 @@ def render_stats(
     times reading the basis off the row spaces and rendering the report,
     and counts the basis lines printed.
     """
-    first = reports[0].stats
+    first, sets = reports[0].stats, reports[0].mis_count
     pieces = f"{first.pieces} piece" + ("" if first.pieces == 1 else "s")
     lines = [
         f"stats: input in {input_ms:.3f} ms, n = {g.n}, m = {g.edge_count}",
-        f"stats: enumeration of {pieces} in {first.enumerate_ms:.3f} ms, {first.sets} sets",
+        f"stats: enumeration of {pieces} in {first.enumerate_ms:.3f} ms, {sets} sets",
     ]
     for r in reports:
         s = r.stats
         lines.append(
             f"stats: {r.field}: {s.method}, elimination {s.elimination_ms:.3f} ms, "
-            f"rows fed {s.rows_fed}, kept {s.rows_kept}, vanished {s.rows_vanished}, "
+            f"rows fed {s.rows_fed}, kept {r.diff_rank}, vanished {r.rows_vanished}, "
             f"stopped at full rank: {'yes' if s.stopped_at_full_rank else 'no'}"
         )
     plural = "" if basis_lines == 1 else "s"
@@ -325,9 +325,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     start = perf_counter()
     g, descriptor = load_graph(args.input)
     input_ms = (perf_counter() - start) * 1e3
-    reports = compute_wcdim_fields(g, _field_args(args.char), with_sum_rank=args.verbose)
+    reports = compute_wcdim_fields(g, _field_args(args.char))
     start = perf_counter()
-    sections = [_section_from_report(r, args.basis) for r in reports]
+    sections = [_section_from_report(r, args.basis, args.verbose) for r in reports]
     doc = ReportDocument(descriptor, g.n, g.edge_count, tuple(sections))
     out = render_machine(doc) if args.machine else render_text(doc, args.verbose)
     output_ms = (perf_counter() - start) * 1e3

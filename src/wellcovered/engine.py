@@ -10,18 +10,20 @@ bitmasks, and the rows M_i - M_0 are streamed into one integer `RowSpace`,
 a fraction-free Gauss-Jordan elimination that keeps at most n rows, each
 D times its RREF row, and stops absorbing once its rank is n (the
 enumeration itself always runs to the end, so the set count is exact).
-By default the sets are `mis.mis_family`'s: modular decomposition gives
-the exact count and a few sets spanning the same rows, enumerating only
-the quotients with no module left; `decompose=False` feeds every set.
-That one space answers over Q and over every GF(p) with p not dividing D;
-only a field with p | D is eliminated on its own, over the same rows.  The
-canonical basis is defined as the one read off the RREF of the row space,
-so it does not depend on the baseline or on the row order; the engine is
-free to feed the rows in whatever order reaches full rank soonest.  A
-report keeps its field's row space and reads the basis off it on demand,
-the first time `WcdimReport.basis` (vectors) or `basis_lines` (text) is
-accessed, so callers that need only the dimension never pay for it.
-`compute_wcdim_sets` eliminates any family of sets the same way.  The
+`compute_wcdim_fields` feeds `mis.mis_family`'s sets: modular
+decomposition gives the exact count and a few sets spanning the same
+rows, enumerating only the quotients with no module left.  That one space
+answers over Q and over every GF(p) with p not dividing D; only a field
+with p | D is eliminated on its own, over the same rows.  The canonical
+basis is defined as the one read off the RREF of the row space, so it
+does not depend on the baseline or on the row order; the engine is free
+to feed the rows in whatever order reaches full rank soonest.  A report
+keeps its field's row space and reads the basis off it on demand, the
+first time `WcdimReport.basis` (vectors) or `basis_lines` (text) is
+accessed, and the sum rank the first time `sum_rank` is, so callers that
+need only the dimension never pay for them.  `compute_wcdim_sets`
+eliminates any family of sets the same way; every set of g, without the
+decomposition, is `compute_wcdim_sets(g.n, mis_masks(g), fields)`.  The
 batch `build_difference_system` and `build_sum_system` have no caller in
 the package; they remain only as public API and as targets of the
 benchmark's tracer.
@@ -41,7 +43,7 @@ from .exactlin import ExactMatrix, FieldSpec, RowSpace, Scalar
 # perfbench/trace.py instruments engine.rank and engine.nullspace_basis
 from .exactlin import nullspace_basis, rank  # noqa: F401
 from .graphs import Graph
-from .mis import DEFAULT_MIS_LIMIT, MisList, enumerate_mis, mis_family, mis_masks
+from .mis import DEFAULT_MIS_LIMIT, MisList, enumerate_mis, mis_family
 
 
 class Stats(NamedTuple):
@@ -53,23 +55,18 @@ class Stats(NamedTuple):
     the field was read from, so a read-off field shows the shared integer
     elimination.  `stopped_at_full_rank` is True when the space reached the
     largest rank it can have (n, or for an own elimination the rank over
-    Q) before the rows ran out, leaving the rest unfed.  `sets` is the exact
-    set count and `pieces` the number of quotients enumerated to find the
-    fed sets (0 when the decomposition needed none); rows are those fed.
+    Q) before the rows ran out, leaving the rest unfed.  `pieces` is the
+    number of quotients enumerated to find the fed sets (0 when the
+    decomposition needed none); rows are those fed.  The exact set count
+    and the rows kept are the report's `mis_count` and `diff_rank`.
     """
 
     enumerate_ms: float
-    sets: int
     pieces: int
     method: str
     elimination_ms: float
     rows_fed: int
-    rows_kept: int
     stopped_at_full_rank: bool
-
-    @property
-    def rows_vanished(self) -> int:
-        return self.rows_fed - self.rows_kept
 
 
 @dataclass(frozen=True)
@@ -89,9 +86,24 @@ class WcdimReport:
     mis_count: int
     wcdim: int
     diff_rank: int
-    sum_rank: int | None
     space: RowSpace = dataclass_field(repr=False, compare=False)
+    base: int = dataclass_field(repr=False, compare=False)
     stats: Stats = dataclass_field(repr=False, compare=False)
+
+    @cached_property
+    def sum_rank(self) -> int:
+        """Rank of the sets themselves (the sum system), read off on first access.
+
+        The sets span span{M_0} + span{M_i - M_0}, with M_0 the baseline
+        `base`, so this is diff_rank + 1 exactly when M_0 is independent of
+        the difference rows, and diff_rank otherwise.
+        """
+        return self.diff_rank + self.space.independent(self.base, 0, self.field)
+
+    @property
+    def rows_vanished(self) -> int:
+        """Rows fed to the field's space that reduced to zero."""
+        return self.stats.rows_fed - self.diff_rank
 
     @cached_property
     def basis(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -165,46 +177,44 @@ def compute_wcdim_fields(
     g: Graph,
     fields: Sequence[FieldSpec],
     limit: int = DEFAULT_MIS_LIMIT,
-    with_sum_rank: bool = False,
-    decompose: bool = True,
 ) -> list[WcdimReport]:
     """Well-covered dimension of g over each field, from one enumeration.
 
     `compute_wcdim_sets` eliminates the sets of `mis_family`, where `limit`
-    bounds each enumerated quotient, or with `decompose=False` every set of
-    g, where it bounds their count.  An empty field list enumerates nothing.
+    bounds each enumerated quotient.  An empty field list enumerates nothing.
     """
     if not fields:
         return []
     t0 = time.perf_counter()
-    if decompose:
-        count, masks, pieces = mis_family(g, limit)
-    else:
-        masks = mis_masks(g, limit)
-        count, pieces = len(masks), 1
+    count, masks, pieces = mis_family(g, limit)
     enumerated = ((time.perf_counter() - t0) * 1e3, count, pieces)
-    return compute_wcdim_sets(g.n, masks, fields, with_sum_rank, enumerated=enumerated)
+    return compute_wcdim_sets(g.n, masks, fields, enumerated=enumerated)
 
 
 def compute_wcdim_sets(
     n: int,
     sets: Sequence[int],
     fields: Sequence[FieldSpec],
-    with_sum_rank: bool = False,
     *,
     enumerated: tuple[float, int, int] | None = None,
 ) -> list[WcdimReport]:
     """n minus the rank of the rows M_i - M_0 of a family of sets, over each field.
 
-    `sets` is any nonempty family of vertex bitmasks.  One integer row space
-    serves Q and every GF(p) with p not dividing its common pivot D; only a
-    field with p | D is eliminated on its own, over the same rows, until it
-    reaches the rank over Q.  `enumerated` is the (milliseconds, exact set
-    count, pieces) of the enumeration that found the sets, by default
-    (0, len(sets), 0); the reports carry that count as `mis_count`.
+    `sets` is any nonempty family of bitmasks of vertices 0..n-1; an empty
+    family, a negative n or a set outside 0..2^n - 1 raises InputError.  One
+    integer row space serves Q and every GF(p) with p not dividing its
+    common pivot D; only a field with p | D is eliminated on its own, over
+    the same rows, until it reaches the rank over Q.  `enumerated` is the
+    (milliseconds, exact set count, pieces) of the enumeration that found
+    the sets, by default (0, len(sets), 0); the reports carry that count as
+    `mis_count`.  An empty field list builds no space.
     """
     if not sets:
         raise InputError("the family of sets must be nonempty")
+    if n < 0 or min(sets) < 0 or max(sets) >> n:
+        raise InputError(f"n = {n} must be non-negative and every set a bitmask of vertices 0..n-1")
+    if not fields:
+        return []
     enum_ms, count, pieces = enumerated or (0.0, len(sets), 0)
     base = sets[0]
     # depth-first discovery order clusters similar sets; eight interleaved
@@ -229,16 +239,13 @@ def compute_wcdim_sets(
             space, method = RowSpace(n, f), "own elimination"
             fed = _feed(space, order, base, integer.rank)
         r = space.rank
-        # the sets span span{M_0} + span{M_i - M_0}, so the sum system's rank
-        # is r + 1 exactly when M_0 is independent of the difference rows
-        sum_rank = r + space.independent(base, 0, f) if with_sum_rank else None
         field_s = time.perf_counter() - t2
         elim_s = integer_s if space is integer else field_s
-        stats = Stats(enum_ms, count, pieces, method, elim_s * 1e3, fed, r, fed < len(order))
+        stats = Stats(enum_ms, pieces, method, elim_s * 1e3, fed, fed < len(order))
         reports.append(
             WcdimReport(
-                n=n, field=f, mis_count=count, wcdim=n - r, diff_rank=r, sum_rank=sum_rank,
-                space=space, stats=stats,
+                n=n, field=f, mis_count=count, wcdim=n - r, diff_rank=r,
+                space=space, base=base, stats=stats,
             )
         )
     return reports
@@ -248,10 +255,9 @@ def compute_wcdim(
     g: Graph,
     f: FieldSpec = FieldSpec(0),
     limit: int = DEFAULT_MIS_LIMIT,
-    with_sum_rank: bool = False,
 ) -> WcdimReport:
     """Well-covered dimension of g over f; the report reads its basis on demand."""
-    return compute_wcdim_fields(g, (f,), limit, with_sum_rank)[0]
+    return compute_wcdim_fields(g, (f,), limit)[0]
 
 
 def is_well_covered_weighting(

@@ -5,10 +5,12 @@ tolerance; even the Kronecker check reads its ranks off the engine's row
 spaces, so nothing here runs a second elimination.  Failed reports
 always carry the instance descriptor needed to rebuild the inputs: family
 parameters, or the (n, p, seed) triple of a random graph.  Capacity
-overruns are recorded as skips, never as passes or failures.  The engine
-runs without modular decomposition (`decompose=False`): the blowup, union
-and lex checks replace vertices by graphs, which is what the decomposition
-relies on, so they must not test it against itself.
+overruns are recorded as skips, never as passes or failures.  Every check
+reaches the engine one way: it enumerates every set of each graph once
+with `mis_masks` and eliminates them once for all fields with
+`compute_wcdim_sets`.  So the engine runs without modular decomposition:
+the blowup, union and lex checks replace vertices by graphs, which is what
+the decomposition relies on, so they must not test it against itself.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import families, formulas
-from .engine import compute_wcdim_fields, compute_wcdim_sets
+from .engine import WcdimReport, compute_wcdim_sets
 from .errors import CapacityError, InputError
 from .exactlin import FieldSpec
 from .families import FAMILY_BUILDERS, FamilySpec, build_family
@@ -111,27 +113,38 @@ def check_family(
     predicted = tuple(predict(spec.params, f) for f in chars)
     swept = tuple(f.characteristic for f in chars)
     try:
-        reports = compute_wcdim_fields(g, chars, limit=limit, decompose=False)
+        sets = mis_masks(g, limit)
     except CapacityError as exc:
         return CheckReport("family", str(spec), swept, (), (), SKIP, str(exc))
-    engine = tuple(r.wcdim for r in reports)
+    engine = tuple(r.wcdim for r in compute_wcdim_sets(g.n, sets, chars))
     verdict = PASS if predicted == engine else FAIL
     return CheckReport("family", str(spec), swept, predicted, engine, verdict)
 
 
-def _skips(
-    check: str, desc: str, fields: Sequence[FieldSpec], exc: CapacityError,
+def _replay(
+    check: str, desc: str, graphs: Callable[[], Sequence[Graph]], fields: Sequence[FieldSpec],
+    limit: int, compare: Callable[..., tuple[tuple[int, ...], tuple[int, ...], str]],
 ) -> list[CheckReport]:
-    # a capacity overrun comes from the enumeration, which every field shares
-    return [CheckReport(check, desc, (f.characteristic,), (), (), SKIP, str(exc)) for f in fields]
+    """One report per field, in field order, comparing a formula with the engine.
 
-
-def _compared(
-    check: str, desc: str, f: FieldSpec,
-    predicted: tuple[int, ...], engine: tuple[int, ...], detail: str = "",
-) -> CheckReport:
-    verdict = PASS if predicted == engine else FAIL
-    return CheckReport(check, desc, (f.characteristic,), predicted, engine, verdict, detail)
+    `graphs` builds the graphs the formula relates; each is enumerated once
+    and eliminated once for all fields, and `compare` maps their reports
+    over one field, in that order, to (predicted, engine, detail).  A
+    capacity overrun, in building or enumerating a graph every field
+    shares, skips every field.  An empty field list builds nothing.
+    """
+    if not fields:
+        return []
+    try:
+        families = [(g.n, mis_masks(g, limit)) for g in graphs()]
+    except CapacityError as e:
+        return [CheckReport(check, desc, (f.characteristic,), (), (), SKIP, str(e)) for f in fields]
+    reports = []
+    for f, *rs in zip(fields, *(compute_wcdim_sets(n, sets, fields) for n, sets in families)):
+        want, got, detail = compare(*rs)
+        verdict = PASS if want == got else FAIL
+        reports.append(CheckReport(check, desc, (f.characteristic,), want, got, verdict, detail))
+    return reports
 
 
 def check_blowup(
@@ -143,16 +156,10 @@ def check_blowup(
     One report per field, in field order; each graph is enumerated once.
     """
     desc = instance or _graph_descriptor(g)
-    desc = f"{desc};v={v};t={t}"
-    try:
-        base = compute_wcdim_fields(g, fields, limit, decompose=False)
-        blown = compute_wcdim_fields(blowup(g, v, t), fields, limit, decompose=False)
-    except CapacityError as exc:
-        return _skips("blowup", desc, fields, exc)
-    return [
-        _compared("blowup", desc, f, (formulas.f_blowup(rg.wcdim, t).value,), (rb.wcdim,))
-        for f, rg, rb in zip(fields, base, blown)
-    ]
+    return _replay(
+        "blowup", f"{desc};v={v};t={t}", lambda: (g, blowup(g, v, t)), fields, limit,
+        lambda rg, rb: ((formulas.f_blowup(rg.wcdim, t).value,), (rb.wcdim,), ""),
+    )
 
 
 def check_multi_blowup(
@@ -164,19 +171,10 @@ def check_multi_blowup(
     One report per field, in field order; each graph is enumerated once.
     """
     desc = instance or _graph_descriptor(g)
-    desc = f"{desc};ts={list(ts)}"
-    try:
-        base = compute_wcdim_fields(g, fields, limit, decompose=False)
-        blown = compute_wcdim_fields(multi_blowup(g, ts), fields, limit, decompose=False)
-    except CapacityError as exc:
-        return _skips("multi-blowup", desc, fields, exc)
-    return [
-        _compared(
-            "multi-blowup", desc, f,
-            (formulas.f_multi_blowup(rg.wcdim, g.n, ts).value,), (rb.wcdim,),
-        )
-        for f, rg, rb in zip(fields, base, blown)
-    ]
+    return _replay(
+        "multi-blowup", f"{desc};ts={list(ts)}", lambda: (g, multi_blowup(g, ts)), fields, limit,
+        lambda rg, rb: ((formulas.f_multi_blowup(rg.wcdim, g.n, ts).value,), (rb.wcdim,), ""),
+    )
 
 
 def _lex_fibre_dimension(a: int, n: int, m: int, b: int, rank_a: int) -> int:
@@ -203,15 +201,9 @@ def check_lex(
     One report per field, in field order; each graph is enumerated once.
     """
     desc = instance or f"g[{_graph_descriptor(g)}];h[{_graph_descriptor(h)}]"
-    try:
-        rgs = compute_wcdim_fields(g, fields, limit, decompose=False)
-        rhs = compute_wcdim_fields(h, fields, limit, with_sum_rank=True, decompose=False)
-        products = compute_wcdim_fields(lex_product(g, h), fields, limit, decompose=False)
-    except CapacityError as exc:
-        return _skips("lex", desc, fields, exc)
     a, b = g.n, h.n
-    reports = []
-    for f, rg, rh, rp in zip(fields, rgs, rhs, products):
+
+    def compare(rg: WcdimReport, rh: WcdimReport, rp: WcdimReport) -> tuple:
         n, m = rg.wcdim, rh.wcdim
         i, j = rh.mis_count, rg.mis_count
         want, got = formulas.f_lex(a, b, n, m, i, j).value, rp.wcdim
@@ -222,8 +214,9 @@ def check_lex(
                 f"closed form {want} != engine {got}; "
                 f"fibre-structure value {fibre} (a={a},b={b},n={n},m={m},i={i},j={j})"
             )
-        reports.append(_compared("lex", desc, f, (want,), (got,), detail))
-    return reports
+        return (want,), (got,), detail
+
+    return _replay("lex", desc, lambda: (g, h, lex_product(g, h)), fields, limit, compare)
 
 
 def check_union(
@@ -235,16 +228,10 @@ def check_union(
     One report per field, in field order; each graph is enumerated once.
     """
     desc = instance or f"g[{_graph_descriptor(g)}];h[{_graph_descriptor(h)}]"
-    try:
-        rgs = compute_wcdim_fields(g, fields, limit, decompose=False)
-        rhs = compute_wcdim_fields(h, fields, limit, decompose=False)
-        unions = compute_wcdim_fields(disjoint_union(g, h), fields, limit, decompose=False)
-    except CapacityError as exc:
-        return _skips("union", desc, fields, exc)
-    return [
-        _compared("union", desc, f, (formulas.f_union(rg.wcdim, rh.wcdim).value,), (ru.wcdim,))
-        for f, rg, rh, ru in zip(fields, rgs, rhs, unions)
-    ]
+    return _replay(
+        "union", desc, lambda: (g, h, disjoint_union(g, h)), fields, limit,
+        lambda rg, rh, ru: ((formulas.f_union(rg.wcdim, rh.wcdim).value,), (ru.wcdim,), ""),
+    )
 
 
 def check_kron_remark(
@@ -267,19 +254,22 @@ def check_kron_remark(
     if not fields:
         return []
     try:
-        sets_g, sets_h = mis_masks(g, limit), mis_masks(h, limit)
-        products = compute_wcdim_fields(lex_product(g, h), fields, limit, decompose=False)
-    except CapacityError as exc:
-        return _skips("kron", desc, fields, exc)
+        product = lex_product(g, h)
+        sets_g, sets_h, sets_p = mis_masks(g, limit), mis_masks(h, limit), mis_masks(product, limit)
+    except CapacityError as e:
+        return [
+            CheckReport("kron", desc, (f.characteristic,), (), (), SKIP, str(e)) for f in fields
+        ]
     a = g.n
     # the row of A (x) M for sets T of h and S of g is 1 in column j*a + u
     # for j in T and u in S: S shifted by j*a for every j in T
     uniform = [s * sum(1 << (j * a) for j in bits(t)) for t in sets_h for s in sets_g]
-    rgs = compute_wcdim_sets(a, sets_g, fields, with_sum_rank=True)
-    rhs = compute_wcdim_sets(h.n, sets_h, fields, with_sum_rank=True)
+    rgs = compute_wcdim_sets(a, sets_g, fields)
+    rhs = compute_wcdim_sets(h.n, sets_h, fields)
     rcs = compute_wcdim_sets(a * h.n, uniform, fields)
+    rps = compute_wcdim_sets(product.n, sets_p, fields)
     reports = []
-    for f, rg, rh, rc, rp in zip(fields, rgs, rhs, rcs, products):
+    for f, rg, rh, rc, rp in zip(fields, rgs, rhs, rcs, rps):
         k, rank_m, q, rank_a = rg.diff_rank, rg.sum_rank, rh.diff_rank, rh.sum_rank
         rank_c = rc.diff_rank
         want_rank = formulas.kron_rank_case(k, q, rank_m < len(sets_g), rank_a < len(sets_h))
@@ -294,7 +284,9 @@ def check_kron_remark(
             )
         elif want_dim != got_dim:
             detail = f"ab - rank(C) = {want_dim} != engine {got_dim}"
-        reports.append(_compared("kron", desc, f, (want_rank, want_dim), (rank_c, got_dim), detail))
+        want, got = (want_rank, want_dim), (rank_c, got_dim)
+        verdict = PASS if want == got else FAIL
+        reports.append(CheckReport("kron", desc, (f.characteristic,), want, got, verdict, detail))
     return reports
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -282,32 +283,47 @@ basis 4 = 1 0 0 0 0 2 2 0 0 0 0 1
 
 class TestBasisOnDemand:
     @pytest.fixture
-    def basis_reads(self, monkeypatch):
+    def reads(self, monkeypatch):
         from wellcovered.exactlin import RowSpace
 
-        # a basis is read off a row space as vectors or as lines
-        calls = []
-        for name in ("basis", "basis_lines"):
+        # a basis is read off a row space as vectors or as lines, and a sum
+        # rank by testing the baseline set's independence
+        calls = Counter()
+        for name in ("basis", "basis_lines", "independent"):
             real = getattr(RowSpace, name)
-            monkeypatch.setattr(RowSpace, name, lambda *a, real=real: calls.append(a) or real(*a))
+            monkeypatch.setattr(
+                RowSpace, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
+            )
         return calls
 
-    @pytest.mark.parametrize("flags", [[], ["--machine"], ["--verbose"]])
-    def test_compute_without_basis_builds_none(self, capsys, basis_reads, flags):
+    @pytest.mark.parametrize(
+        "flags", [[], ["--machine"], ["--verbose"], ["--verbose", "--machine"]]
+    )
+    def test_compute_without_basis_builds_none(self, capsys, reads, flags):
         assert main(["compute", "crown:6", "--char", "0", "--char", "3", *flags]) == 0
         assert "wcdim = 5" in capsys.readouterr().out
-        assert basis_reads == []
+        assert reads["basis"] == reads["basis_lines"] == 0
+        # the sum rank is read only under --verbose, once per field
+        assert reads["independent"] == (2 if "--verbose" in flags else 0)
 
-    def test_verify_suite_builds_none(self, basis_reads):
+    def test_verify_suite_builds_none(self, reads):
         from wellcovered.verify import run_suite
 
         assert run_suite(seed=1)
-        assert basis_reads == []
+        assert reads["basis"] == reads["basis_lines"] == 0
+        assert reads["independent"] > 0  # the lex and kron checks read sum ranks
 
-    def test_compute_with_basis_output_is_unchanged(self, capsys, basis_reads):
+    def test_checks_that_need_no_sum_rank_read_none(self, reads):
+        from wellcovered.verify import run_suite
+
+        assert run_suite(seed=1, checks=("blowup", "multi-blowup", "union"))
+        assert reads["independent"] == 0
+
+    def test_compute_with_basis_output_is_unchanged(self, capsys, reads):
         assert main(["compute", "crown:6", "--char", "0", "--char", "3", "--basis", "--machine"]) == 0
         assert capsys.readouterr().out == CROWN6_BASIS_MACHINE
-        assert len(basis_reads) == 2  # one per field
+        assert reads["basis"] + reads["basis_lines"] == 2  # one per field
+        assert reads["independent"] == 0
 
 
 # sha256 of `compute G --char 0 --char 2 --char 3 --char 10007 --basis`, with
@@ -381,6 +397,43 @@ class TestBasisOutputIsPinned:
         machine = capsys.readouterr().out
         assert "basis 1 = 0 -1/2 -1/2 1/2 1/2 0 1\n" in machine
         assert render_machine(parse_machine(machine)) == machine
+
+
+# sha256 of `compute G --char 0 --char 2 --char 3 --char 10007 --verbose`, with
+# --machine and without, as printed when the sum rank was computed eagerly;
+# "G" is HALVES_FILE, whose GF(2) is an own (XOR) elimination, and
+# kpartite:2,3,4 decomposes with no piece enumerated
+PINNED_VERBOSE_OUTPUT = {
+    "crown:5": (
+        "fb7a8a03c6aa09fa20032057a65a27f6d01a1b29c26934f38d5c7adaa2639c30",
+        "deec0bd9884465b380ae186f5eb34a4786c8770120837794cd63b0e3e737d4cd",
+    ),
+    "crown:20": (
+        "23a2a7fcbbcf686c6e5c14a04b86a565cccc74e45d8f55a1694ba085fb0fef42",
+        "e327c6cd82bd7c7d4bf770cc8ee2aeaa3a7959146fecdf9d8f3e6d937ec01063",
+    ),
+    "kpartite:2,3,4": (
+        "636c1c1ca8d1724f9b5dfacfbe6e2eb4c37ce625c3511f3a09f8f4c784c4ff2a",
+        "968b37d2a142e01a9ffc65b34bed6b81daa97dd1cd9a94a7c917c4337e2a6143",
+    ),
+    "G": (
+        "0e4161abf6542a8e42ce14d9dab0798bc86c1210b0d7636901f2929d5209712e",
+        "3f7ec5897796c8b528b600e2a3e9c7f88b541ee8abeea475b70ae3c5c7670386",
+    ),
+}
+
+
+class TestVerboseOutputIsPinned:
+    @pytest.mark.parametrize("spec", PINNED_VERBOSE_OUTPUT)
+    def test_machine_and_text(self, tmp_path, capsys, spec):
+        source = spec
+        if spec == "G":
+            source = str(tmp_path / "G")
+            (tmp_path / "G").write_text(HALVES_FILE)
+        for flags, digest in zip((["--machine"], []), PINNED_VERBOSE_OUTPUT[spec]):
+            assert main(["compute", source, *ALL_CHARS, "--verbose", *flags]) == 0
+            out = capsys.readouterr().out.replace(source, spec)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestStats:

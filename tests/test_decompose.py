@@ -2,9 +2,9 @@
 
 `mis_family` contracts twin classes, components and co-components and
 enumerates only the quotients with no module left; `compute_wcdim_fields`
-feeds its family by default and every set with `decompose=False`.  The two
-must agree on the set count, both ranks and the exact basis, and a graph
-with no module must get exactly `mis_masks` back.
+feeds its family, and `compute_wcdim_sets(g.n, mis_masks(g), fields)` feeds
+every set.  The two must agree on the set count, both ranks and the exact
+basis, and a graph with no module must get exactly `mis_masks` back.
 """
 
 import random
@@ -30,7 +30,7 @@ from wellcovered import (
     relabel,
 )
 from wellcovered.cli import main
-from wellcovered.engine import compute_wcdim_fields
+from wellcovered.engine import compute_wcdim_fields, compute_wcdim_sets
 from wellcovered.mis import is_maximal_independent, mis_family, mis_masks
 
 from helpers import all_graphs, brute_force_mis
@@ -39,8 +39,8 @@ FIELDS = (FieldSpec(0), FieldSpec(2), FieldSpec(3))
 
 
 def assert_paths_agree(g, fields=FIELDS):
-    decomposed = compute_wcdim_fields(g, fields, with_sum_rank=True)
-    direct = compute_wcdim_fields(g, fields, with_sum_rank=True, decompose=False)
+    decomposed = compute_wcdim_fields(g, fields)
+    direct = compute_wcdim_sets(g.n, mis_masks(g), fields)
     for a, b in zip(decomposed, direct):
         assert (a.mis_count, a.diff_rank, a.sum_rank) == (b.mis_count, b.diff_rank, b.sum_rank)
         assert a.basis == b.basis
@@ -131,7 +131,7 @@ def test_pieces_count_the_enumerated_quotients():
     assert mis_family(multi_blowup(path(7), [2, 1, 3, 1, 2, 1, 1]))[2] == 1
     assert mis_family(disjoint_union(c5, disjoint_union(c5, c5)))[2] == 3
     report = compute_wcdim(triangles(4))
-    assert (report.stats.sets, report.stats.pieces) == (81, 0)
+    assert (report.mis_count, report.stats.pieces) == (81, 0)
 
 
 def test_the_limit_applies_to_each_enumerated_quotient():
@@ -142,7 +142,7 @@ def test_the_limit_applies_to_each_enumerated_quotient():
     with pytest.raises(CapacityError):
         compute_wcdim(g, limit=4)
     with pytest.raises(CapacityError):
-        compute_wcdim_fields(g, FIELDS, limit=5, decompose=False)
+        mis_masks(g, limit=5)
 
 
 def test_empty_and_tiny_graphs():

@@ -117,7 +117,7 @@ class TestComputeWcdim:
         for seed in range(15):
             g = random_graph(seed % 7 + 1, 0.5, seed + 500)
             for f in (Q, FieldSpec(3)):
-                r = compute_wcdim(g, f, with_sum_rank=True)
+                r = compute_wcdim(g, f)
                 assert r.wcdim == g.n - r.diff_rank
                 assert 0 <= r.wcdim <= g.n
                 assert len(r.basis) == r.wcdim
@@ -131,24 +131,36 @@ class TestComputeWcdim:
         calls = []
         real = RowSpace.basis
         monkeypatch.setattr(RowSpace, "basis", lambda *a: calls.append(a) or real(*a))
-        report = compute_wcdim(path(6), Q, with_sum_rank=True)
+        report = compute_wcdim(path(6), Q)
         full_rank = compute_wcdim(petersen(), Q)
         assert calls == []
         assert report.basis == ((1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1))
         assert report.basis is report.basis and len(calls) == 1
         assert full_rank.basis == () and len(calls) == 1
 
+    def test_sum_rank_is_read_off_once_on_first_access(self, monkeypatch):
+        from wellcovered.exactlin import RowSpace
+
+        calls = []
+        real = RowSpace.independent
+        monkeypatch.setattr(RowSpace, "independent", lambda *a: calls.append(a) or real(*a))
+        report = compute_wcdim(path(6), Q)
+        assert calls == []
+        # the path's sets span a space of dimension diff_rank + 1
+        assert report.sum_rank == report.diff_rank + 1 == 5
+        assert report.sum_rank == 5 and len(calls) == 1  # kept from the first read
+
     def test_stats_count_rows_without_the_baseline(self):
         report = compute_wcdim(crown(40))
         s = report.stats
-        assert (s.sets, s.method) == (42, "integer")
+        assert (report.mis_count, s.method) == (42, "integer")
         # the baseline's own row M_0 - M_0 is never fed: 41 rows, all independent
-        assert (s.rows_fed, s.rows_kept, s.rows_vanished) == (41, 41, 0)
+        assert (s.rows_fed, report.diff_rank, report.rows_vanished) == (41, 41, 0)
         assert not s.stopped_at_full_rank
-        assert report.diff_rank == 41
-        full = compute_wcdim(random_graph(20, 0.5, 3)).stats
-        assert full.stopped_at_full_rank and full.rows_kept == 20
-        assert full.rows_fed < full.sets - 1 and full.rows_vanished == full.rows_fed - 20
+        full = compute_wcdim(random_graph(20, 0.5, 3))
+        assert full.stats.stopped_at_full_rank and full.diff_rank == 20
+        assert full.stats.rows_fed < full.mis_count - 1
+        assert full.rows_vanished == full.stats.rows_fed - 20
 
     def test_reports_of_the_same_computation_are_equal(self):
         # stats and the row space stay out of the comparison
@@ -174,10 +186,10 @@ class TestComputeWcdimSets:
             sets = [rng.randrange(1 << n) for _ in range(rng.randint(1, 12))]
             rows = [[m >> v & 1 for v in range(n)] for m in sets]
             diff = [[x - y for x, y in zip(row, rows[0])] for row in rows[1:]]
-            reports = compute_wcdim_sets(n, sets, [FieldSpec(c) for c in chars], True)
+            reports = compute_wcdim_sets(n, sets, [FieldSpec(c) for c in chars])
             for c, r in zip(chars, reports):
                 assert (r.diff_rank, r.sum_rank) == (ref_rank(diff, c), ref_rank(rows, c))
-                assert r.wcdim == n - r.diff_rank and r.mis_count == r.stats.sets == len(sets)
+                assert r.wcdim == n - r.diff_rank and r.mis_count == len(sets)
                 methods.add(r.stats.method)
         # the families reach every path: Q, read off (p not dividing D), own elimination
         assert methods == {"integer", "read off (p ∤ D)", "own elimination"}
@@ -186,13 +198,33 @@ class TestComputeWcdimSets:
         g = crown(4)
         fs = [FieldSpec(c) for c in (0, 2, 3)]
         sets = [sum(1 << v for v in s) for s in enumerate_mis(g)]
-        assert compute_wcdim_sets(g.n, sets, fs, True) == [
-            compute_wcdim(g, f, with_sum_rank=True) for f in fs
-        ]
+        from_sets = compute_wcdim_sets(g.n, sets, fs)
+        from_graph = [compute_wcdim(g, f) for f in fs]
+        assert from_sets == from_graph
+        # report equality leaves the sum rank out, as it is read on demand
+        assert [r.sum_rank for r in from_sets] == [r.sum_rank for r in from_graph] == [5, 5, 5]
 
     def test_empty_family_rejected(self):
         with pytest.raises(InputError):
             compute_wcdim_sets(3, [], [Q])
+
+    def test_set_beyond_the_vertices_rejected(self):
+        with pytest.raises(InputError):
+            compute_wcdim_sets(3, [1, 0b1000], [Q])
+
+    def test_negative_set_rejected(self):
+        with pytest.raises(InputError):
+            compute_wcdim_sets(3, [1, -2], [Q])
+
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(InputError):
+            compute_wcdim_sets(-1, [0], [Q])
+
+    def test_empty_field_list_builds_no_space(self, monkeypatch):
+        from wellcovered import engine
+
+        monkeypatch.setattr(engine, "RowSpace", lambda *a: pytest.fail("built a row space"))
+        assert compute_wcdim_sets(3, [1, 2], []) == []
 
 
 class TestWeightingPredicate:

@@ -26,7 +26,7 @@ from wellcovered import (
     random_graph,
     rank,
 )
-from wellcovered.engine import compute_wcdim_fields
+from wellcovered.engine import compute_wcdim_fields, compute_wcdim_sets
 from wellcovered.exactlin import ExactMatrix, RowSpace
 from wellcovered.formulas import f_crown
 from wellcovered.mis import mis_masks
@@ -44,7 +44,7 @@ def assert_matches_batch_path(g, fields=FIELDS):
     mis = enumerate_mis(g)
     diff = build_difference_system(mis)
     sums = build_sum_system(mis)
-    reports = compute_wcdim_fields(g, fields, with_sum_rank=True)
+    reports = compute_wcdim_fields(g, fields)
     assert [r.field for r in reports] == list(fields)
     for f, r in zip(fields, reports):
         want_rank = rank(diff, f)
@@ -81,7 +81,7 @@ def test_triangle_unions(k):
     g = triangle_union(k)
     assert_matches_batch_path(g)
     # so the sum ranks checked above over GF(3), GF(5) and GF(10007) were read off
-    reports = compute_wcdim_fields(g, FIELDS[2:], with_sum_rank=True)
+    reports = compute_wcdim_fields(g, FIELDS[2:])
     assert [r.stats.method for r in reports] == [READ_OFF] * 3
 
 
@@ -89,7 +89,8 @@ def test_own_elimination_stops_at_the_rank_over_q():
     # fed every set, 6 disjoint triangles have D = 8, so GF(2) is eliminated
     # on its own; its rank cannot exceed the rank over Q, and here it reaches
     # it early (the decomposition's 13 sets give D = 1 instead)
-    q, gf2 = compute_wcdim_fields(triangle_union(6), (Q, FieldSpec(2)), decompose=False)
+    g = triangle_union(6)
+    q, gf2 = compute_wcdim_sets(g.n, mis_masks(g), (Q, FieldSpec(2)))
     assert gf2.stats.method == "own elimination"
     assert gf2.diff_rank == q.diff_rank == 12 and gf2.stats.stopped_at_full_rank
     assert gf2.stats.rows_fed < q.stats.rows_fed == 728

@@ -238,14 +238,12 @@ class TestBatchedChecks:
         assert {r.check for r in singles} == {"blowup", "multi-blowup", "union", "lex", "kron"}
 
     def test_each_graph_is_enumerated_once_for_all_fields(self, monkeypatch):
-        from wellcovered import engine, verify
+        from wellcovered import verify
 
         calls = []
-        # the engine enumerates each graph it computes, and the kron check
-        # enumerates its two factors itself
-        for mod in (engine, verify):
-            real = mod.mis_masks
-            monkeypatch.setattr(mod, "mis_masks", lambda *a, _real=real: calls.append(a) or _real(*a))
+        # every check enumerates its graphs itself, with mis_masks
+        real = verify.mis_masks
+        monkeypatch.setattr(verify, "mis_masks", lambda *a: calls.append(a) or real(*a))
         fs = fields(0, 2, 3, 5)
         # crown(4) has dimension 3, but 4 over GF(2), so a report that read
         # another field's result would differ from the single-field call
@@ -265,11 +263,11 @@ class TestBatchedChecks:
             assert reports == [check(*args, [f])[0] for f in fs]
 
     def test_empty_field_list_enumerates_nothing(self, monkeypatch):
-        from wellcovered import engine, verify
+        from wellcovered import verify
 
         calls = []
-        monkeypatch.setattr(engine, "mis_masks", lambda *a: calls.append(a))
         monkeypatch.setattr(verify, "mis_masks", lambda *a: calls.append(a))
+        monkeypatch.setattr(verify, "compute_wcdim_sets", lambda *a: calls.append(a))
         g, h = cycle(5), path(3)
         assert check_blowup(g, 0, 2, []) == []
         assert check_multi_blowup(g, [2] * 5, []) == []
@@ -280,10 +278,10 @@ class TestBatchedChecks:
 
     def test_family_check_rejects_an_empty_field_list(self, monkeypatch):
         # one report per call, so an empty list would be a pass with no comparison
-        from wellcovered import InputError, engine, verify
+        from wellcovered import InputError, verify
 
         calls = []
-        monkeypatch.setattr(engine, "mis_masks", lambda *a: calls.append(a))
+        monkeypatch.setattr(verify, "mis_masks", lambda *a: calls.append(a))
         monkeypatch.setattr(verify, "build_family", lambda *a: calls.append(a))
         with pytest.raises(InputError):
             check_family(FamilySpec("petersen"), [])
@@ -304,6 +302,21 @@ class TestBatchedChecks:
             assert [r.characteristics for r in reports] == [(0,), (2,), (3,)]
             assert all(r.predicted == r.engine == () for r in reports)
             assert reports[0].detail and len({r.detail for r in reports}) == 1
+
+    def test_a_graph_too_large_to_build_skips_every_field(self):
+        # g and h fit, but the blowup, union or product has more than
+        # MAX_VERTICES vertices, so building it is the capacity overrun
+        fs = fields(0, 2)
+        g, h = empty_graph(9000), empty_graph(2)
+        for reports in (
+            check_blowup(g, 0, 8000, fs),
+            check_multi_blowup(g, [2] * 9000, fs),
+            check_union(g, g, fs),
+            check_lex(g, h, fs),
+            check_kron_remark(g, h, fs),
+        ):
+            assert [r.verdict for r in reports] == ["skip"] * 2
+            assert all("at most 16384 are supported" in r.detail for r in reports)
 
 
 class TestRunSuite:
