@@ -347,7 +347,7 @@ class RowSpace:
             self._xor[x & -x] = x
         else:
             s = self._residual(plus, minus)
-            if not self._nonzero(s, p):
+            if not s or p and not self._nonzero(s, p):
                 return False
             self._keep(s)
         self.rank += 1
@@ -508,12 +508,17 @@ class RowSpace:
     #
     # Lane width.  Packing is linear over Z, so a lane that overflows in an
     # intermediate sum or product cancels again; only the lanes of a value
-    # that is decoded or stored must lie in (-2^(B-1), 2^(B-1)).  With every
-    # lane of N_j and D at most 2^t in absolute value, a residual of a row
-    # with w nonzero entries has lanes of at most w * 2^t, and B is kept at
-    # least t + bit_length(n) + 1.  Keeping a row needs a bound on the
-    # updated rows before they exist, which `_keep` takes from the update
-    # formula; afterwards t is tightened to the rows actually stored.
+    # that is decoded or stored must lie in (-2^(B-1), 2^(B-1)).  t is an
+    # upper bound, not necessarily the least one, on |D| and on every lane
+    # of every N_j: each is at most 2^t in absolute value.  A residual of a
+    # row with w nonzero entries then has lanes of at most w * 2^t, and B is
+    # kept at least t + bit_length(n) + 1.  Keeping a row needs a bound on
+    # the updated rows before they exist, which `_keep` takes from the
+    # update formula, and t simply becomes that bound while the width still
+    # decodes every residual under it.  Only when it would not are the rows
+    # actually stored rescanned for the least t (`_tighten`), and the lanes
+    # widened if even that does not fit.  Lanes start at 16 bits, so most
+    # spaces never widen at all.
 
     def _residual(self, plus: int, minus: int) -> int:
         """The packed row s = D*x_free - sum_c x_c N_c: x reduced against the space, times D."""
@@ -541,63 +546,87 @@ class RowSpace:
         Its lowest lane c that is nonzero over the field (mod p over GF(p))
         becomes a pivot and D becomes s_c; every kept row turns into
         N_i <- (s_c N_i - N_i[c] s) / D.  The division is exact because each
-        entry of the result is a minor of the kept rows.
+        entry of the result is a minor of the kept rows.  Over Q the lanes
+        of s are decoded only when the width must grow; over GF(p) they are
+        decoded to find c.  The rows are rescanned for the least t only when
+        the update bound would not leave the width decoding every residual.
         """
-        d, t = self.common_pivot, self._t
-        lanes = self._unpack(s)
-        ts = max(map(abs, lanes)).bit_length()  # every lane of s is below 2^ts
-        # |s_c N_i - N_i[c] s| < 2^(t + ts + 1), and |D| >= 2^(bit_length(D) - 1)
+        d, t, b = self.common_pivot, self._t, self._width
+        p = self.field.characteristic
+        if p:
+            lanes = self._unpack(s)
+            c = next(j for j, x in enumerate(lanes) if x % p)
+            sc = lanes[c]
+        else:
+            lanes = None
+            c = ((s & -s).bit_length() - 1) // b
+            sc = self._lane(s, c)
+        # every lane of s is in [-2^ts, 2^ts), and s_c is one of them
+        ts = abs(sc).bit_length() - 1
+        while not self._within((s,), ts):
+            ts += 1
+        # |s_c N_i - N_i[c] s| <= 2^(t + ts + 1), and |D| >= 2^(bit_length(D) - 1);
+        # a row left alone (N_i[c] = 0, s_c = D) is within it, as bit_length(D) <= ts + 1
         bound = max(t + ts + 2 - abs(d).bit_length(), ts)
-        if bound + 1 > self._width:
+        if bound + 1 > b:
+            if lanes is None:
+                lanes = self._unpack(s)
             self._set_width(bound + 1)
             s = self._pack(lanes)
-        b = self._width
-        p = self.field.characteristic
-        c = next(j for j, x in enumerate(lanes) if x % p) if p else ((s & -s).bit_length() - 1) // b
-        sc = lanes[c]
-        cols = self._cols
+            b = self._width
+        cols, mask, half = self._cols, self._mask, self._half
+        shift = b * c - 1
         for i in self._pivots:
             row = cols[i]
-            a = self._lane(row, c)
+            # signed lane c of row, as `_lane` reads it
+            a = (((row >> shift) + 1) >> 1 if c else row) & mask
+            a -= (a & half) << 1
             if a or sc != d:
                 cols[i] = (sc * row - a * s) // d
         cols[c] = s - (sc << (b * c))
         self._piv |= 1 << c
         self._pivots.append(c)
         self.common_pivot = sc
-        self._t = self._tighten(min(max(ts, t - 1), bound), bound)
+        if self._width_for(bound) <= b:
+            self._t = bound
+            return
+        self._t = self._tighten(ts, bound)
         need = self._width_for(self._t)
-        if need > self._width:
+        if need > b:
             self._set_width(need)
 
     def _tighten(self, t: int, bound: int) -> int:
         """The least t' in [t, bound] with every lane of every N_j in [-2^t', 2^t').
 
-        `bound` is known to qualify, and |D| is below 2^t.
+        `bound` is known to qualify, and |D| is at most 2^t.
         """
-        ones = self._ones
-        while t < bound:
-            shift = ones << t  # each lane in [0, 2^(t+1)) once 2^t is added, with no borrow
-            acc = 0
-            for i in self._pivots:
-                acc |= self._cols[i] + shift
-            if not acc & ~((ones << (t + 1)) - ones):
-                break
+        cols = self._cols
+        rows = [cols[i] for i in self._pivots]
+        while t < bound and not self._within(rows, t):
             t += 1
         return t
+
+    def _within(self, rows: Iterable[int], t: int) -> bool:
+        """True iff every lane of every packed row in rows is in [-2^t, 2^t)."""
+        ones = self._ones
+        shift = ones << t  # each lane in [0, 2^(t+1)) once 2^t is added, with no borrow
+        acc = 0
+        for v in rows:
+            acc |= v + shift
+        return not acc & ~((ones << (t + 1)) - ones)
 
     def _width_for(self, t: int) -> int:
         """The least lane width B that decodes any residual: w * 2^t < 2^(B-1) for w <= n."""
         return t + max(self.n, 1).bit_length() + 1
 
     def _set_width(self, least: int) -> None:
-        """Repack the kept rows into lanes of the least power of two >= max(least, 8) bits."""
+        """Repack the kept rows into lanes of the least power of two >= max(least, 16) bits."""
         old = {i: self._unpack(self._cols[i]) for i in self._pivots}
-        width = 1 << max(least - 1, 7).bit_length()
+        width = 1 << max(least - 1, 15).bit_length()
         self._width = width
         self._mask = (1 << width) - 1
         self._half = 1 << (width - 1)
-        self._ones = int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * self.n, "little")
+        self._ones = ((1 << (width * self.n)) - 1) // self._mask
         self._format = _LANE_FORMATS.get(width) if sys.byteorder == "little" else None
         self._cols = [1 << (width * j) for j in range(self.n)]
         for i, row in old.items():

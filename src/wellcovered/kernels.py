@@ -17,7 +17,11 @@ def maximal_cliques(adj_masks, limit, within=None):
     induces (default: the whole graph).
 
     Bron-Kerbosch with pivoting; the pivot is the vertex of P | X with the
-    most candidate neighbours (lowest index on ties).  The search keeps an
+    most candidate neighbours (lowest index on ties).  No vertex of P has
+    more than |P| - 1 of them, nor one of X more than |P|, so the ascending
+    scan for it stops at the first vertex that reaches that most: on a long
+    chain of nested states (an edgeless graph's complement) each state then
+    costs one read instead of one per vertex.  The search keeps an
     explicit stack of (R, P, X) states instead of recursing, so its depth is
     bounded by memory rather than by the interpreter's recursion limit.
     Returns cliques as vertex bitmasks in depth-first discovery order.
@@ -32,6 +36,7 @@ def maximal_cliques(adj_masks, limit, within=None):
             m = p | x
             pivot = -1
             best = -1
+            most = p.bit_count() - (not x)
             while m:
                 low = m & -m
                 v = low.bit_length() - 1
@@ -39,6 +44,8 @@ def maximal_cliques(adj_masks, limit, within=None):
                 if cnt > best:
                     best = cnt
                     pivot = v
+                    if cnt == most:
+                        break
                 m ^= low
             stack.append([r, p, x, p & ~adj_masks[pivot]])
         elif not x:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -74,3 +75,44 @@ def test_pure_lane_limit_contract():
     assert kernels.maximal_cliques(masks, len(cliques)) == cliques
     with pytest.raises(ValueError):
         kernels.maximal_cliques(masks, len(cliques) - 1)
+
+
+class CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_edgeless_graph_reads_each_adjacency_a_bounded_number_of_times():
+    # the complement is complete: a chain of n nested states, one per vertex,
+    # and the pivot scan stops at the first vertex, which has |P| - 1
+    # candidate neighbours; rescanning P at every state costs about n^2 / 2
+    n = 2000
+    full = (1 << n) - 1
+    masks = CountingList(full & ~(1 << v) for v in range(n))
+    assert kernels.maximal_cliques(masks, 10) == [full]
+    assert masks.reads <= 3 * n
+
+
+# sha256 of the clique lists, in discovery order, of the complements of
+# random_graph(n, p, 7000 + n) for n = 0..32, one line per graph; recorded
+# before the pivot scan learned to stop early, which must not change the pivot
+CLIQUE_LIST_DIGESTS = {
+    0.1: "d0d7380d0b9487538cdd9270412ddf8057e32d96cd376ff0b1ab17e59dbf2806",
+    0.3: "09ff546a3fe83795b4dce1d9713cec1263a96f05a774c02800bd84e792edcf11",
+    0.5: "c3ed303185f999f5298d9c18896d93da57a2ca0677271814eeae1a16e0a1af05",
+    0.8: "f2260459c6262845144b2894aa7004b2d484287719cf53be38f507051fd908fe",
+}
+
+
+@pytest.mark.parametrize("p", sorted(CLIQUE_LIST_DIGESTS))
+def test_clique_lists_keep_their_discovery_order(p):
+    h = hashlib.sha256()
+    for n in range(33):
+        cliques = kernels.maximal_cliques(complement_masks(random_graph(n, p, 7000 + n)), 10**6)
+        h.update((" ".join(map(str, cliques)) + "\n").encode())
+    assert h.hexdigest() == CLIQUE_LIST_DIGESTS[p]

@@ -9,6 +9,7 @@ own.  Both must agree on every count and on the exact basis.
 """
 
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -272,18 +273,30 @@ class TestRowSpace:
     def test_random_dense_spaces_keep_their_lane_bound(self, f):
         # the packed rows decode only while every lane fits its width: after
         # each row, |D| and every stored lane are at most 2^t, and a residual
-        # (at most n * 2^t) fits too; over GF(p) every D is a unit mod p
+        # (at most n * 2^t) fits too; over GF(p) every D is a unit mod p.
+        # t is an upper bound, not the least one: sparse rows (support 2-4)
+        # mixed with the dense ones make some keeps shrink |D|, so t is left
+        # above the least bound the stored rows allow
         p = f.characteristic
         rng = random.Random(3)
+        shrank = loose = 0
         for _ in range(300):
-            n = rng.randint(1, 20)
+            n = rng.randint(1, 40)
             space = RowSpace(n, f)
             dense = []
             for _ in range(rng.randint(1, n + 2)):
-                support = (1 << n) - 1 if rng.random() < 0.7 else rng.getrandbits(n)
+                kind = rng.random()
+                if kind < 0.5:
+                    support = (1 << n) - 1
+                elif kind < 0.8:
+                    support = sum(1 << v for v in rng.sample(range(n), min(n, rng.randint(2, 4))))
+                else:
+                    support = rng.getrandbits(n)
                 plus = rng.getrandbits(n) & support
                 minus = support & ~plus
-                space.add(plus, minus)
+                d = abs(space.common_pivot)
+                if space.add(plus, minus) and abs(space.common_pivot) < d:
+                    shrank += 1
                 dense.append([(plus >> v & 1) - (minus >> v & 1) for v in range(n)])
                 if p:
                     assert space.common_pivot % p != 0
@@ -292,6 +305,8 @@ class TestRowSpace:
                 lanes = [x for c in space._pivots for x in space._unpack(space._cols[c])]
                 assert all(abs(x) <= limit for x in lanes)
                 assert space._width - 1 >= space._t + n.bit_length()
+                if max(map(abs, lanes + [space.common_pivot])) <= limit // 2:
+                    loose += 1
             assert space.rank == ref_rank(dense, p)
             basis = ref_nullspace(dense, n, p)
             assert space.basis() == basis
@@ -302,6 +317,51 @@ class TestRowSpace:
                 # a row lies in the span exactly when it annihilates the nullspace
                 dots = (sum(a * b for a, b in zip(row, vec)) for vec in basis)
                 assert space.independent(plus, minus) == any(x % p if p else x for x in dots)
+        assert shrank and loose
+
+    @pytest.mark.parametrize(
+        "g", [crown(40), random_graph(28, 0.3, 28)], ids=["crown:40", "G(28,3/10)"]
+    )
+    def test_q_keeps_rescan_lanes_only_when_one_could_overflow(self, g, monkeypatch):
+        # over Q a kept row decodes its lanes only when the width grows, and
+        # the stored rows are rescanned for the least t only when the update
+        # bound would leave a residual undecodable; otherwise t is that bound
+        calls = Counter()
+        for name in ("_unpack", "_tighten"):
+            method = getattr(RowSpace, name)
+
+            def counted(self, *args, _method=method, _name=name):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(RowSpace, name, counted)
+        masks = mis_masks(g)
+        base = masks[0]
+        space = RowSpace(g.n, Q)
+        keeps = tightened = 0
+        for m in masks[1:]:
+            if space.full:
+                break
+            plus, minus = m & ~base, base & ~m
+            t, d, before = space._t, space.common_pivot, space._width
+            lanes = space._unpack(space._residual(plus, minus))
+            # the least ts with every lane of the residual in [-2^ts, 2^ts)
+            ts = max((x if x >= 0 else ~x).bit_length() for x in lanes)
+            bound = max(t + ts + 2 - abs(d).bit_length(), ts)
+            # the width the update runs at: a power of two of at least 16 bits
+            width = before if bound < before else 1 << max(bound, 15).bit_length()
+            calls.clear()
+            if not space.add(plus, minus):
+                assert not calls
+                continue
+            keeps += 1
+            assert not calls["_unpack"] or space._width > before
+            if calls["_tighten"]:
+                tightened += 1
+                assert space._width_for(bound) > width
+            else:
+                assert space._t == bound and space._width_for(bound) <= space._width
+        assert 0 < tightened < keeps == space.rank
 
     @pytest.mark.parametrize("f", PACKED, ids=str)
     def test_lanes_widen_for_large_minors(self, f):
