@@ -90,6 +90,24 @@ class WcdimReport:
     base: int = dataclass_field(repr=False, compare=False)
     stats: Stats = dataclass_field(repr=False, compare=False)
 
+    @classmethod
+    def _make(
+        cls, n: int, field: FieldSpec, mis_count: int, wcdim: int, diff_rank: int,
+        space: RowSpace, base: int, stats: Stats,
+    ) -> "WcdimReport":
+        """The report `WcdimReport(...)` builds, its fields filled in one update of its `__dict__`.
+
+        The frozen dataclass's `__init__` sets each field through its own
+        `object.__setattr__` call, about three times the cost of this; the
+        engine makes one report per field, on graphs as small as a vertex.
+        """
+        report = object.__new__(cls)
+        report.__dict__.update(
+            n=n, field=field, mis_count=mis_count, wcdim=wcdim, diff_rank=diff_rank,
+            space=space, base=base, stats=stats,
+        )
+        return report
+
     @cached_property
     def sum_rank(self) -> int:
         """Rank of the sets themselves (the sum system), read off on first access.
@@ -162,6 +180,9 @@ def build_sum_system(mis: MisList) -> ExactMatrix:
     return ExactMatrix.from_rows(rows, n)
 
 
+_Q = FieldSpec(0)
+
+
 def _feed(space: RowSpace, order: Sequence[int], base: int, most: int) -> int:
     """Stream the rows M - M_0 of `order` into space until its rank is `most`; returns rows fed."""
     fed = 0
@@ -219,17 +240,20 @@ def compute_wcdim_sets(
     base = sets[0]
     # depth-first discovery order clusters similar sets; eight interleaved
     # strided passes spread them out, so full rank comes after about n rows
-    # instead of after most of the list
-    order = [m for start in range(8) for m in sets[start::8]]
-    del order[0]  # the baseline itself, whose row M_0 - M_0 is zero
+    # instead of after most of the list.  The first pass starts after the
+    # baseline itself, whose row M_0 - M_0 is zero.
+    order = [
+        *sets[8::8], *sets[1::8], *sets[2::8], *sets[3::8],
+        *sets[4::8], *sets[5::8], *sets[6::8], *sets[7::8],
+    ]
     t1 = time.perf_counter()
-    integer = RowSpace(n, FieldSpec(0))
+    integer = RowSpace(n, _Q)
     integer_fed = _feed(integer, order, base, n)
     integer_s = time.perf_counter() - t1
     reports = []
     for f in fields:
         t2 = time.perf_counter()
-        if f == integer.field:
+        if not f.characteristic:
             space, method, fed = integer, "integer", integer_fed
         elif integer.reads_off(f):
             space, method, fed = integer, "read off (p ∤ D)", integer_fed
@@ -242,12 +266,7 @@ def compute_wcdim_sets(
         field_s = time.perf_counter() - t2
         elim_s = integer_s if space is integer else field_s
         stats = Stats(enum_ms, pieces, method, elim_s * 1e3, fed, fed < len(order))
-        reports.append(
-            WcdimReport(
-                n=n, field=f, mis_count=count, wcdim=n - r, diff_rank=r,
-                space=space, base=base, stats=stats,
-            )
-        )
+        reports.append(WcdimReport._make(n, f, count, n - r, r, space, base, stats))
     return reports
 
 

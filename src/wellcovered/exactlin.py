@@ -256,8 +256,13 @@ def _basis_from_rref(
 
 
 # memoryview formats of the unsigned C integers, by width in bits; lanes of
-# these widths are decoded by one cast of the packed row's bytes
-_LANE_FORMATS = {8 * memoryview(bytes(8)).cast(c).itemsize: c for c in "QLIHB"}
+# these widths are decoded by one cast of the packed row's bytes (on a
+# little-endian host only, since the rows are packed little-endian)
+_LANE_FORMATS = (
+    {8 * memoryview(bytes(8)).cast(c).itemsize: c for c in "QLIHB"}
+    if sys.byteorder == "little"
+    else {}
+)
 
 
 def _bits(m: int, width: int = 1) -> Iterator[int]:
@@ -285,10 +290,11 @@ class RowSpace:
     determinant of the kept rows restricted to the pivot columns, so every
     entry is an integer minor of the kept rows.  Each row is one Python int
     of n signed lanes of B bits, column j in lane j, and is stored as
-    N_c = R_c - D e_c, with its pivot lane cleared.  A row x reduces to
+    N_c = R_c - D e_c, with its pivot lane cleared.  Only the kept rows are
+    stored, so an empty space holds nothing per column.  A row x reduces to
     s = D*x - sum_c x_c R_c = D*x_free - sum_c x_c N_c over the pivot
-    columns c, where x_free is x off the pivots; it costs popcount(x)
-    big-integer additions.
+    columns c, where x_free is x off the pivots, packed from unit lanes
+    made as it is read; it costs popcount(x) big-integer additions.
 
     The fields differ only in which lanes of s count as nonzero.  Over Q the
     row is dependent when s = 0, and otherwise its lowest nonzero lane c
@@ -313,17 +319,17 @@ class RowSpace:
         self.field = f
         self.rank = 0
         self._xor: dict[int, int] = {}  # GF(2): lowest set bit -> row bitmask
-        # any other field: D, the pivot columns (a bitmask and in order of
-        # arrival), and `_cols[j]`, which is N_j for a pivot column j and the
-        # unit e_j for any other.  D and every lane of every N_j are at most
-        # 2^t in absolute value.
+        # any other field: D, the pivot columns as a bitmask, and `_cols`,
+        # which maps each pivot column c, in order of arrival, to its packed
+        # row N_c; a free column has no entry.  D and every lane of every N_c
+        # are at most 2^t in absolute value.
         self.common_pivot = 1
         self._piv = 0
-        self._pivots: list[int] = []
+        self._cols: dict[int, int] = {}
         self._t = 1
         self._rref_at: tuple[int, tuple] | None = None  # (rank, `_sparse_rref()`)
         if f.characteristic != 2:
-            self._set_width(self._width_for(self._t))
+            self._use_width(self._width_for(self._t))
 
     @property
     def full(self) -> bool:
@@ -381,7 +387,7 @@ class RowSpace:
         d = self.common_pivot
         inv = pow(d, -1, p) if p else 0
         out = []
-        for c in sorted(self._pivots):
+        for c in sorted(self._cols):
             row = self._unpack(self._cols[c])
             row[c] = d
             if p:
@@ -475,7 +481,7 @@ class RowSpace:
             ]
         else:
             d, piv = self.common_pivot, self._piv
-            rows = [(c, self._nonzero_lanes(self._cols[c])) for c in self._pivots]
+            rows = [(c, self._nonzero_lanes(row)) for c, row in self._cols.items()]
         self._rref_at = (self.rank, (d, piv, rows))
         return d, piv, rows
 
@@ -510,31 +516,47 @@ class RowSpace:
     # intermediate sum or product cancels again; only the lanes of a value
     # that is decoded or stored must lie in (-2^(B-1), 2^(B-1)).  t is an
     # upper bound, not necessarily the least one, on |D| and on every lane
-    # of every N_j: each is at most 2^t in absolute value.  A residual of a
-    # row with w nonzero entries then has lanes of at most w * 2^t, and B is
-    # kept at least t + bit_length(n) + 1.  Keeping a row needs a bound on
-    # the updated rows before they exist, which `_keep` takes from the
-    # update formula, and t simply becomes that bound while the width still
-    # decodes every residual under it.  Only when it would not are the rows
-    # actually stored rescanned for the least t (`_tighten`), and the lanes
-    # widened if even that does not fit.  Lanes start at 16 bits, so most
-    # spaces never widen at all.
+    # of every kept row N_c: each is at most 2^t in absolute value.  A
+    # residual D*x_free - sum_c x_c N_c of a row with w nonzero entries then
+    # has lanes of at most w * 2^t, and B is kept at least
+    # t + bit_length(n) + 1.  Keeping a row needs a bound on the updated
+    # rows before they exist, which `_keep` takes from the update formula,
+    # and t simply becomes that bound while the width still decodes every
+    # residual under it.  Only when it would not are the rows actually
+    # stored rescanned for the least t (`_tighten`), and the lanes widened
+    # if even that does not fit.  Lanes start at 16 bits, so most spaces
+    # never widen at all.
 
     def _residual(self, plus: int, minus: int) -> int:
-        """The packed row s = D*x_free - sum_c x_c N_c: x reduced against the space, times D."""
-        piv = self._piv
-        free = self._total(plus & ~piv) - self._total(minus & ~piv)
-        return free * self.common_pivot - self._total(plus & piv) + self._total(minus & piv)
+        """The packed row s = D*x_free - sum_c x_c N_c: x reduced against the space, times D.
 
-    def _total(self, mask: int) -> int:
-        """The sum of `_cols[j]` over the columns j in mask."""
-        cols = self._cols
-        total = 0
+        x_free is packed from the unit lane 1 << (B j) of each free column j
+        it touches, and each pivot column c adds its kept row N_c.
+        """
+        piv, cols, b = self._piv, self._cols, self._width
+        free = 0
+        mask = plus & ~piv
         while mask:
             low = mask & -mask
-            total += cols[low.bit_length() - 1]
+            free += 1 << b * (low.bit_length() - 1)
             mask ^= low
-        return total
+        mask = minus & ~piv
+        while mask:
+            low = mask & -mask
+            free -= 1 << b * (low.bit_length() - 1)
+            mask ^= low
+        s = free * self.common_pivot
+        mask = plus & piv
+        while mask:
+            low = mask & -mask
+            s -= cols[low.bit_length() - 1]
+            mask ^= low
+        mask = minus & piv
+        while mask:
+            low = mask & -mask
+            s += cols[low.bit_length() - 1]
+            mask ^= low
+        return s
 
     def _nonzero(self, s: int, p: int) -> bool:
         """True iff the residual s is nonzero over GF(p), or over Q when p = 0."""
@@ -576,8 +598,7 @@ class RowSpace:
             b = self._width
         cols, mask, half = self._cols, self._mask, self._half
         shift = b * c - 1
-        for i in self._pivots:
-            row = cols[i]
+        for i, row in cols.items():
             # signed lane c of row, as `_lane` reads it
             a = (((row >> shift) + 1) >> 1 if c else row) & mask
             a -= (a & half) << 1
@@ -585,7 +606,6 @@ class RowSpace:
                 cols[i] = (sc * row - a * s) // d
         cols[c] = s - (sc << (b * c))
         self._piv |= 1 << c
-        self._pivots.append(c)
         self.common_pivot = sc
         if self._width_for(bound) <= b:
             self._t = bound
@@ -600,8 +620,7 @@ class RowSpace:
 
         `bound` is known to qualify, and |D| is at most 2^t.
         """
-        cols = self._cols
-        rows = [cols[i] for i in self._pivots]
+        rows = self._cols.values()
         while t < bound and not self._within(rows, t):
             t += 1
         return t
@@ -621,16 +640,19 @@ class RowSpace:
 
     def _set_width(self, least: int) -> None:
         """Repack the kept rows into lanes of the least power of two >= max(least, 16) bits."""
-        old = {i: self._unpack(self._cols[i]) for i in self._pivots}
+        old = [(c, self._unpack(row)) for c, row in self._cols.items()]
+        self._use_width(least)
+        for c, lanes in old:
+            self._cols[c] = self._pack(lanes)
+
+    def _use_width(self, least: int) -> None:
+        """Set the lane width to the least power of two >= max(least, 16) bits, and its constants."""
         width = 1 << max(least - 1, 15).bit_length()
         self._width = width
         self._mask = (1 << width) - 1
         self._half = 1 << (width - 1)
         self._ones = ((1 << (width * self.n)) - 1) // self._mask
-        self._format = _LANE_FORMATS.get(width) if sys.byteorder == "little" else None
-        self._cols = [1 << (width * j) for j in range(self.n)]
-        for i, row in old.items():
-            self._cols[i] = self._pack(row)
+        self._format = _LANE_FORMATS.get(width)
 
     def _pack(self, row: list[int]) -> int:
         width = self._width

@@ -2,13 +2,14 @@
 
 Nothing here calls the package's enumeration or elimination code: maximal
 independent sets come from filtering all 2^n subsets with a direct
-definition check, and ranks come from plain Gaussian elimination over
-Fractions or residues.  Agreement between these and the package is the
-point of the tests, so keep them separate.
+definition check, and ranks come from plain Gaussian elimination over the
+integers (fraction-free, for Q) or over residues.  Agreement between these
+and the package is the point of the tests, so keep them separate.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from wellcovered import Graph
 
@@ -28,14 +29,47 @@ def brute_force_mis(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
+def _integer_gauss_jordan(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan over the integers: (the nonzero reduced rows, their pivots).
+
+    Each row is first scaled by the lcm of its denominators, and every row
+    is kept primitive (its gcd divided out) after each update.  The RREF
+    entry in row i, column j is rows[i][j] / rows[i][pivots[i]].
+    """
+    work = []
+    for r in rows:
+        r = [Fraction(x) for x in r]
+        scale = lcm(1, *(x.denominator for x in r))
+        work.append([int(x * scale) for x in r])
+    cols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        top = work[r]
+        b = top[c]
+        for i in range(len(work)):
+            a = work[i][c]
+            if i != r and a != 0:
+                row = [b * x - a * y for x, y in zip(work[i], top)]
+                g = gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return work[: len(pivots)], pivots
+
+
 def ref_rank(rows, char: int) -> int:
     """Plain Gaussian elimination rank (partial pivoting by first nonzero)."""
     if not rows:
         return 0
     if char == 0:
-        work = [[Fraction(x) for x in r] for r in rows]
-    else:
-        work = [[x % char for x in r] for r in rows]
+        return len(_integer_gauss_jordan(rows)[1])
+    work = [[x % char for x in r] for r in rows]
     cols = len(work[0])
     rank = 0
     for c in range(cols):
@@ -47,12 +81,8 @@ def ref_rank(rows, char: int) -> int:
         for i in range(rank + 1, len(work)):
             if work[i][c] == 0:
                 continue
-            if char == 0:
-                f = work[i][c] / pivot
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-            else:
-                f = work[i][c] * pow(pivot, -1, char) % char
-                work[i] = [(a - f * b) % char for a, b in zip(work[i], work[rank])]
+            f = work[i][c] * pow(pivot, -1, char) % char
+            work[i] = [(a - f * b) % char for a, b in zip(work[i], work[rank])]
         rank += 1
         if rank == len(work):
             break
@@ -60,15 +90,23 @@ def ref_rank(rows, char: int) -> int:
 
 
 def ref_nullspace(rows, cols: int, char: int) -> list[tuple]:
-    """Canonical nullspace basis by plain Gauss-Jordan over Fractions or residues.
+    """Canonical nullspace basis by plain Gauss-Jordan over the integers or residues.
 
     One vector per free column in ascending order, with a 1 there; the
-    pivot entries are the negated reduced-row entries of that column.
+    pivot entries are the negated reduced-row entries of that column, as
+    Fractions over Q.
     """
     if char == 0:
-        work = [[Fraction(x) for x in r] for r in rows]
-    else:
-        work = [[x % char for x in r] for r in rows]
+        work, pivots = _integer_gauss_jordan(rows)
+        basis = []
+        for fc in (c for c in range(cols) if c not in pivots):
+            vec = [Fraction(0)] * cols
+            vec[fc] = Fraction(1)
+            for i, pc in enumerate(pivots):
+                vec[pc] = Fraction(-work[i][fc], work[i][pc])
+            basis.append(tuple(vec))
+        return basis
+    work = [[x % char for x in r] for r in rows]
     pivots = []
     for c in range(cols):
         r = len(pivots)
@@ -76,24 +114,19 @@ def ref_nullspace(rows, cols: int, char: int) -> list[tuple]:
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        if char == 0:
-            work[r] = [x / work[r][c] for x in work[r]]
-        else:
-            inv = pow(work[r][c], -1, char)
-            work[r] = [x * inv % char for x in work[r]]
+        inv = pow(work[r][c], -1, char)
+        work[r] = [x * inv % char for x in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-                if char:
-                    work[i] = [a % char for a in work[i]]
+                work[i] = [(a - f * b) % char for a, b in zip(work[i], work[r])]
         pivots.append(c)
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
-        vec = [Fraction(0) if char == 0 else 0] * cols
-        vec[fc] = Fraction(1) if char == 0 else 1
+        vec = [0] * cols
+        vec[fc] = 1
         for i, pc in enumerate(pivots):
-            vec[pc] = -work[i][fc] if char == 0 else -work[i][fc] % char
+            vec[pc] = -work[i][fc] % char
         basis.append(tuple(vec))
     return basis
 

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,8 @@ from wellcovered import (
     reduce_first_row,
     relabel,
 )
-from wellcovered.mis import MisList
+from wellcovered.engine import WcdimReport
+from wellcovered.mis import MisList, mis_masks
 
 from helpers import ref_rank, ref_wcdim
 
@@ -162,6 +165,40 @@ class TestComputeWcdim:
         assert full.stats.rows_fed < full.mis_count - 1
         assert full.rows_vanished == full.stats.rows_fed - 20
 
+    def test_engine_reports_keep_the_dataclass_contract(self, monkeypatch):
+        # the engine fills a report's fields without the dataclass __init__;
+        # the report must be the one the public constructor builds
+        from wellcovered.exactlin import RowSpace
+
+        calls = Counter()
+        for name in ("basis", "basis_lines", "independent"):
+            real = getattr(RowSpace, name)
+            monkeypatch.setattr(
+                RowSpace, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
+            )
+        report = compute_wcdim(path(6), Q)
+        public = WcdimReport(
+            **{f.name: getattr(report, f.name) for f in dataclasses.fields(WcdimReport)}
+        )
+        assert list(vars(report).items()) == list(vars(public).items())
+        assert report == public and hash(report) == hash(public)
+        assert repr(report) == repr(public) == (
+            "WcdimReport(n=6, field=FieldSpec(characteristic=0), mis_count=5, wcdim=2, diff_rank=4)"
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.wcdim = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del report.n
+        assert not calls
+        for _ in range(2):
+            assert report.basis == ((1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1))
+            assert report.basis_lines == ("1 1 0 0 0 0", "0 0 0 0 1 1")
+            assert report.sum_rank == 5
+        assert calls == {"basis": 1, "basis_lines": 1, "independent": 1}
+        assert (public.basis, public.basis_lines, public.sum_rank) == (
+            report.basis, report.basis_lines, report.sum_rank
+        )
+
     def test_reports_of_the_same_computation_are_equal(self):
         # stats and the row space stay out of the comparison
         assert compute_wcdim(crown(5)) == compute_wcdim(crown(5))
@@ -203,6 +240,42 @@ class TestComputeWcdimSets:
         assert from_sets == from_graph
         # report equality leaves the sum rank out, as it is read on demand
         assert [r.sum_rank for r in from_sets] == [r.sum_rank for r in from_graph] == [5, 5, 5]
+
+    def test_rows_are_fed_in_eight_strided_passes(self, monkeypatch):
+        # every space is fed the passes sets[s::8] for s = 0..7, in turn,
+        # without the baseline sets[0]
+        from wellcovered import engine
+
+        orders = []
+        real = engine._feed
+        monkeypatch.setattr(
+            engine, "_feed", lambda space, order, *a: orders.append(list(order)) or real(space, order, *a)
+        )
+        rng = random.Random(8)
+        for k in range(1, 41):
+            sets = rng.sample(range(1 << 6), k)
+            for family in (sets, tuple(sets)):
+                orders.clear()
+                compute_wcdim_sets(6, family, [Q, FieldSpec(2), FieldSpec(3)])
+                want = [m for s in range(8) for m in sets[s::8]][1:]
+                assert orders and all(order == want for order in orders), (k, orders)
+
+    @pytest.mark.parametrize(
+        ("g", "want"),
+        [
+            (crown(20), [("integer", 21), ("own elimination", 21), ("own elimination", 21)]
+             + [("read off (p ∤ D)", 21)] * 2),
+            (random_graph(28, 0.3, 28), [("integer", 28), ("own elimination", 30)]
+             + [("read off (p ∤ D)", 28)] * 3),
+        ],
+        ids=["crown:20", "G(28,3/10)"],
+    )
+    def test_rows_fed_per_field_are_pinned(self, g, want):
+        # how many rows each space takes before its full rank depends on the
+        # feed order; these were recorded before the order was built by slicing
+        fields = [FieldSpec(c) for c in (0, 2, 3, 5, 10007)]
+        reports = compute_wcdim_sets(g.n, mis_masks(g), fields)
+        assert [(r.stats.method, r.stats.rows_fed) for r in reports] == want
 
     def test_empty_family_rejected(self):
         with pytest.raises(InputError):

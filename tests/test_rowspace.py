@@ -9,6 +9,7 @@ own.  Both must agree on every count and on the exact basis.
 """
 
 import random
+import tracemalloc
 from collections import Counter
 from math import gcd
 
@@ -302,7 +303,7 @@ class TestRowSpace:
                     assert space.common_pivot % p != 0
                 limit = 1 << space._t
                 assert abs(space.common_pivot) <= limit
-                lanes = [x for c in space._pivots for x in space._unpack(space._cols[c])]
+                lanes = [x for row in space._cols.values() for x in space._unpack(row)]
                 assert all(abs(x) <= limit for x in lanes)
                 assert space._width - 1 >= space._t + n.bit_length()
                 if max(map(abs, lanes + [space.common_pivot])) <= limit // 2:
@@ -362,6 +363,26 @@ class TestRowSpace:
             else:
                 assert space._t == bound and space._width_for(bound) <= space._width
         assert 0 < tightened < keeps == space.rank
+
+    def test_a_space_stores_only_its_kept_rows(self):
+        # nothing is allocated per column: two empty spaces at n = 4000, and
+        # the same spaces after one row each, stay far below the 34 MB that
+        # a packed unit row per column took
+        n = 4000
+        tracemalloc.start()
+        try:
+            spaces = [RowSpace(n, Q), RowSpace(n, FieldSpec(3))]
+            empty = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            for space in spaces:
+                assert space.add(1 | 1 << (n - 1), 0b10)
+            one_row = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(empty + one_row) < 1_000_000
+        row = [1, -1] + [0] * (n - 3) + [1]
+        assert [len(space._cols) for space in spaces] == [1, 1]
+        assert [space.rows() for space in spaces] == [[row], [[x % 3 for x in row]]]
 
     @pytest.mark.parametrize("f", PACKED, ids=str)
     def test_lanes_widen_for_large_minors(self, f):
