@@ -32,7 +32,7 @@ from .engine import compute_wcdim  # noqa: F401  (perfbench/trace.py instruments
 from .errors import CapacityError, InputError
 from .exactlin import FieldSpec
 from .families import FAMILY_BUILDERS, FamilySpec, build_family
-from .graphs import Graph, check_vertex_count
+from .graphs import MAX_VERTICES, Graph, check_vertex_count
 from .graphs import new_graph  # noqa: F401  (perfbench/trace.py instruments cli.new_graph)
 from .verify import ALL_CHECKS, DEFAULT_CHARS, CheckReport, run_suite, summarize
 
@@ -51,13 +51,58 @@ def parse_family_spec(text: str) -> FamilySpec:
     return FamilySpec(kind, params)
 
 
+# The layout `perfbench` writes its inputs in: a header line and one line
+# per edge, each two runs of ASCII digits joined by one space and ended by
+# '\n'.  Only such a text takes the bulk path.
+_CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
+
+
 def parse_graph_file(text: str, name: str = "<input>") -> Graph:
     """Parse the edge-list file format; duplicate edges are rejected.
 
-    Each edge sets its two adjacency bits as its line is read, so every
-    check runs once, here: a duplicate is a bit already set.  A header
+    A text in the canonical layout (`_CANONICAL`, no comments, blank lines
+    or other whitespace) is validated in bulk: every token is converted in
+    one `map(int, ...)`, the endpoints are range-checked with one `max`,
+    and each edge sets its two adjacency bits with no test, so a self-loop
+    or a repeated edge shows only as a total popcount below 2m.  Any other
+    text, and any canonical one that fails a check, is parsed by
+    `_parse_lines`, which words every error and names its line.  A header
     above MAX_VERTICES raises CapacityError before anything per vertex is
     allocated.
+    """
+    g = _parse_canonical(text)
+    return g if g is not None else _parse_lines(text, name)
+
+
+def _parse_canonical(text: str) -> Graph | None:
+    """The graph of a canonical text that passes every check, else None."""
+    if not _CANONICAL.fullmatch(text):
+        return None
+    try:
+        ends = list(map(int, text.split()))
+    except ValueError:  # a token past int()'s digit limit
+        return None
+    n, m = ends[0], ends[1]
+    del ends[:2]
+    if n > MAX_VERTICES or len(ends) != 2 * m or (ends and max(ends) >= n):
+        return None
+    masks = [0] * n
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    # of m edge lines, a self-loop sets one new bit, not two, and a repeated
+    # edge none, so exactly then fewer than 2m bits are set
+    if sum(map(int.bit_count, masks)) != 2 * m:
+        return None
+    return Graph.unchecked(n, tuple(masks))
+
+
+def _parse_lines(text: str, name: str = "<input>") -> Graph:
+    """Parse the edge-list file format line by line, naming the line of each error.
+
+    Each edge sets its two adjacency bits as its line is read, so every
+    check runs once, here: a duplicate is a bit already set.
     """
     header: tuple[int, int] | None = None
     masks: list[int] = []

@@ -10,6 +10,9 @@ bitmasks, and the rows M_i - M_0 are streamed into one integer `RowSpace`,
 a fraction-free Gauss-Jordan elimination that keeps at most n rows, each
 D times its RREF row, and stops absorbing once its rank is n (the
 enumeration itself always runs to the end, so the set count is exact).
+The baseline M_0 is the first set of fewest vertices: a row costs one
+big-integer addition per nonzero entry, and a small baseline keeps most
+rows sparse.
 `compute_wcdim_fields` feeds `mis.mis_family`'s sets: modular
 decomposition gives the exact count and a few sets spanning the same
 rows, enumerating only the quotients with no module left.  That one space
@@ -225,7 +228,14 @@ def compute_wcdim_sets(
     family, a negative n or a set outside 0..2^n - 1 raises InputError.  One
     integer row space serves Q and every GF(p) with p not dividing its
     common pivot D; only a field with p | D is eliminated on its own, over
-    the same rows, until it reaches the rank over Q.  `enumerated` is the
+    the same rows, until it reaches the rank over Q.  The baseline M_0 is
+    the first set of fewest vertices, the report's `base`: each row costs
+    one addition per nonzero of M_i - M_0, so on crown(k) a pair
+    {i, k + i} leaves most rows 4 nonzeros where a k-vertex side leaves
+    k.  The rank, basis and sum rank are the same for any baseline;
+    only D, and with it which fields need their own elimination, may
+    differ.  The rows are fed in eight strided passes over the family,
+    skipping the baseline's place.  `enumerated` is the
     (milliseconds, exact set count, pieces) of the enumeration that found
     the sets, by default (0, len(sets), 0); the reports carry that count as
     `mis_count`.  An empty field list builds no space.
@@ -237,15 +247,19 @@ def compute_wcdim_sets(
     if not fields:
         return []
     enum_ms, count, pieces = enumerated or (0.0, len(sets), 0)
-    base = sets[0]
+    base = min(sets, key=int.bit_count)  # the first set of fewest vertices
+    b = sets.index(base)
     # depth-first discovery order clusters similar sets; eight interleaved
     # strided passes spread them out, so full rank comes after about n rows
-    # instead of after most of the list.  The first pass starts after the
-    # baseline itself, whose row M_0 - M_0 is zero.
+    # instead of after most of the list.  The baseline's own row M_0 - M_0
+    # is zero, so it is left out.
     order = [
-        *sets[8::8], *sets[1::8], *sets[2::8], *sets[3::8],
+        *sets[0::8], *sets[1::8], *sets[2::8], *sets[3::8],
         *sets[4::8], *sets[5::8], *sets[6::8], *sets[7::8],
     ]
+    k, s = divmod(b, 8)  # the baseline is entry k of pass s
+    q, longer = divmod(len(sets), 8)  # a pass holds q sets, the first `longer` one more
+    del order[s * q + min(s, longer) + k]
     t1 = time.perf_counter()
     integer = RowSpace(n, _Q)
     integer_fed = _feed(integer, order, base, n)

@@ -9,7 +9,7 @@ The neighbour sets of `Graph.adj` are only a derived view, built on first
 use, for the tests and their brute-force oracle.
 
 Outside data is checked once, where it enters: `new_graph` checks its edge
-list, the edge-list parser in `cli` checks every line, and the public
+list, the edge-list parser in `cli` checks every edge, and the public
 `Graph(n, masks)` constructor checks the masks it is given.  The package's
 own constructions are symmetric and loop-free by construction and build
 their result with `Graph.unchecked`, without a second pass over the edges.
@@ -254,16 +254,23 @@ def random_graph(n: int, edge_prob: Fraction | float | int, seed: int) -> Graph:
     (n, edge_prob, seed) triples always produce identical graphs.
     """
     p = Fraction(edge_prob)
-    if not 0 <= p <= 1:
+    num, den = p.numerator, p.denominator
+    if not 0 <= num <= den:
         raise InputError(f"edge probability must lie in [0, 1], got {p}")
     if n < 0:
         raise InputError(f"vertex count must be non-negative, got {n}")
     check_vertex_count(n)
-    rng = random.Random(seed)
+    # each pair draws what rng.randrange(den) draws: k-bit words until one
+    # is below den, with k and the bound method looked up once
+    k = den.bit_length()
+    draw = random.Random(seed).getrandbits
     masks = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
-            if rng.randrange(p.denominator) < p.numerator:
+            r = draw(k)
+            while r >= den:
+                r = draw(k)
+            if r < num:
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
     return Graph.unchecked(n, tuple(masks))

@@ -32,9 +32,21 @@ from wellcovered import (
 from wellcovered.engine import WcdimReport
 from wellcovered.mis import MisList, mis_masks
 
-from helpers import ref_rank, ref_wcdim
+from helpers import all_graphs, ref_rank, ref_wcdim
 
 Q = FieldSpec(0)
+
+
+def prime_factors(d):
+    """The primes dividing a nonzero integer, by trial division."""
+    d, out, p = abs(d), [], 2
+    while p * p <= d:
+        if d % p == 0:
+            out.append(p)
+            while d % p == 0:
+                d //= p
+        p += 1
+    return out + [d] * (d > 1)
 
 
 class TestDifferenceSystem:
@@ -243,7 +255,7 @@ class TestComputeWcdimSets:
 
     def test_rows_are_fed_in_eight_strided_passes(self, monkeypatch):
         # every space is fed the passes sets[s::8] for s = 0..7, in turn,
-        # without the baseline sets[0]
+        # without the baseline, the first set of fewest vertices
         from wellcovered import engine
 
         orders = []
@@ -256,9 +268,36 @@ class TestComputeWcdimSets:
             sets = rng.sample(range(1 << 6), k)
             for family in (sets, tuple(sets)):
                 orders.clear()
-                compute_wcdim_sets(6, family, [Q, FieldSpec(2), FieldSpec(3)])
-                want = [m for s in range(8) for m in sets[s::8]][1:]
+                reports = compute_wcdim_sets(6, family, [Q, FieldSpec(2), FieldSpec(3)])
+                fewest = min(m.bit_count() for m in sets)
+                b = next(i for i, m in enumerate(sets) if m.bit_count() == fewest)
+                strided = [i for s in range(8) for i in range(s, k, 8)]
+                want = [sets[i] for i in strided if i != b]
                 assert orders and all(order == want for order in orders), (k, orders)
+                assert all(r.base == sets[b] for r in reports)
+
+    def test_the_baseline_is_the_first_set_of_fewest_vertices_and_changes_no_answer(self):
+        # rotating a family puts every set first once, which moves the
+        # baseline's place and reorders the strided passes; no answer may
+        # change over Q, GF(2), GF(3) or a prime dividing any rotation's D
+        graphs = [g for n in range(6) for g in all_graphs(n)] + [crown(k) for k in range(3, 13)]
+        assert len(graphs) == 1_100 + 10
+        for g in graphs:
+            sets = mis_masks(g)
+            rotations = [sets[r:] + sets[:r] for r in range(len(sets))]
+            chars = {0, 2, 3}
+            for family in rotations:
+                d = compute_wcdim_sets(g.n, family, [Q])[0].space.common_pivot
+                chars.update(prime_factors(d))
+            fields = [FieldSpec(c) for c in sorted(chars)]
+            answers = set()
+            for family in rotations:
+                reports = compute_wcdim_sets(g.n, family, fields)
+                fewest = min(m.bit_count() for m in family)
+                first = next(m for m in family if m.bit_count() == fewest)
+                assert all(r.base == first for r in reports), (g, family)
+                answers.add(tuple((r.wcdim, r.diff_rank, r.sum_rank, r.basis_lines) for r in reports))
+            assert len(answers) == 1, g
 
     @pytest.mark.parametrize(
         ("g", "want"),

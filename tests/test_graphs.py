@@ -358,6 +358,25 @@ def test_random_graph_matches_the_edge_list_stream():
                 assert_is(random_graph(n, p, seed), n, want)
 
 
+def test_random_graph_draws_what_randrange_draws():
+    # random_graph draws each pair's word with getrandbits and rejects it
+    # itself; the graphs must stay those of one rng.randrange(den) per pair
+    def reference(n, p, seed):
+        rng = random.Random(seed)
+        masks = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.randrange(p.denominator) < p.numerator:
+                    masks[u] |= 1 << v
+                    masks[v] |= 1 << u
+        return tuple(masks)
+
+    for p in (Fraction(1, 2), Fraction(3, 10), Fraction(1, 10), Fraction(0), Fraction(1)):
+        for seed in range(300):
+            for n in range(13):
+                assert random_graph(n, p, seed).masks == reference(n, p, seed), (n, p, seed)
+
+
 def ref_family(kind, params):
     """(n, edges) of a named family instance, straight from its definition."""
     if kind in ("complete", "empty"):
@@ -466,3 +485,87 @@ def test_parser_matches_new_graph_on_all_small_graphs():
         rng.shuffle(shown)
         text = f"{n} {len(shown)}\n" + "".join(f"{u} {v}\n" for u, v in shown)
         assert parse_graph_file(text) == new_graph(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# the bulk path against the line walk
+
+
+def parse_outcome(parse, text):
+    """The graph a parser returns for text, or the class and message of what it raises."""
+    try:
+        return parse(text)
+    except (InputError, CapacityError) as exc:
+        return type(exc), str(exc)
+
+
+def canonical(n, edges):
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def faulted_files():
+    """The canonical file of each of a few seeded graphs, then copies of it with one fault each."""
+    rng = random.Random(16)
+    for n in (2, 3, 5, 9, 12, 20, 40):
+        g = random_graph(n, Fraction(1, 2), rng.randrange(2**32))
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
+        rng.shuffle(edges)
+        if len(edges) < 2:
+            edges = [(0, 1), (n - 1, 0)] if n > 2 else [(0, 1)]
+        m = len(edges)
+        body = "".join(f"{u} {v}\n" for u, v in edges)
+        u, v = edges[rng.randrange(m)]
+        yield canonical(n, edges)
+        yield canonical(n, edges + [(u, v)])  # a repeated edge
+        yield canonical(n, edges + [(v, u)])  # a reversed repeat
+        yield canonical(n, edges[:1] + [(u, u)] + edges[1:])  # a self-loop
+        yield canonical(n, edges + [(u, n)])  # out of range
+        yield canonical(n, [(-1, v)] + edges)  # negative
+        yield f"{n} {m + 1}\n" + body  # header count too high
+        yield f"{n} {m - 1}\n" + body  # header count too low
+        yield f"{n} {m}\n" + body + f"{v} {u}\n"  # too low by a repeat, so 2m bits are set
+        yield f"{MAX_VERTICES + 1} {m}\n" + body
+        yield f"{n} {m}\n" + body.replace(f"{u} {v}\n", f"+{u} {v}\n", 1)
+        yield f"{n} {m}\n" + body.replace(f"{u} {v}\n", f"{u} 0_{v}\n", 1)
+        yield f"{n} {m}\n" + body.replace(f"{u} {v}\n", f"{u} ٠{v}\n", 1)  # Arabic-Indic zero
+        yield f"{n} {m}\n" + body.replace(f"{u} {v}\n", f"{u} {'0' * 5000}{v}\n", 1)
+        yield (f"{n} {m}\n" + body)[:-1]  # no final newline
+        # as many tokens as a canonical file, but one line of 3 and one of 1
+        a, b = edges[0]
+        c, d = edges[1] if m > 1 else (a, b)
+        yield f"{n} {m}\n{a} {b} {c}\n{d}\n" + "".join(f"{x} {y}\n" for x, y in edges[2:])
+
+
+def test_bulk_path_matches_the_line_walk():
+    from wellcovered import cli
+
+    texts = [text for text, _ in PARSER_ERRORS]
+    texts.append("# a path\r\n\r\n  4 3 \r\n\t0 1\r\n# middle\n  #x\n2 1  \n\n 3   2\n# end")
+    texts += [canonical(n, edges) for n, edges in SMALL]
+    texts.append(f"{10**12} 0\n")  # refused before a mask list is allocated
+    faulted = list(faulted_files())
+    # 10 of each graph's 16 files keep the canonical layout, so their faults
+    # must be caught by the bulk path's checks, not by its pattern
+    assert len(faulted) == 7 * 16
+    assert sum(1 for text in faulted if cli._CANONICAL.fullmatch(text)) == 7 * 10
+    texts += faulted
+    for text in texts:
+        want = parse_outcome(cli._parse_lines, text)
+        assert parse_outcome(parse_graph_file, text) == want, text[:80]
+    # "2 2\n0 1 2\n3\n" has as many tokens as a 2-edge file
+    assert parse_outcome(parse_graph_file, "2 2\n0 1 2\n3\n") == (
+        InputError, "<input> line 2: expected two integers, got '0 1 2'"
+    )
+
+
+def test_canonical_files_never_reach_the_line_walk(monkeypatch):
+    from wellcovered import cli
+
+    monkeypatch.setattr(cli, "_parse_lines", lambda *a: pytest.fail("the line walk ran"))
+    rng = random.Random(4)
+    for n, edges in SMALL:
+        shown = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        assert parse_graph_file(canonical(n, shown)) == new_graph(n, edges)
+    for n in (30, 80, 200):
+        g = random_graph(n, Fraction(3, 10), n)
+        assert parse_graph_file(canonical(n, g.edges())) == g
