@@ -21,49 +21,79 @@ def maximal_cliques(adj_masks, limit, within=None):
     more than |P| - 1 of them, nor one of X more than |P|, so the ascending
     scan for it stops at the first vertex that reaches that most: on a long
     chain of nested states (an edgeless graph's complement) each state then
-    costs one read instead of one per vertex.  The search keeps an
-    explicit stack of (R, P, X) states instead of recursing, so its depth is
-    bounded by memory rather than by the interpreter's recursion limit.
+    costs one read instead of one per vertex.
+
+    A state with at most two candidates, a leaf included, is settled where
+    it is found instead of being expanded: with P = {a} it emits R | a
+    unless a vertex of X sees a; with an edge a ~ b it emits R | a | b
+    unless a vertex of X sees both; with a non-edge a < b it emits R | a,
+    then R | b, each unless a vertex of X sees it.  These are the cliques
+    the pivoted search emits there, in the same order, since a pivot only
+    drops a candidate that some vertex of X sees.  The state being expanded
+    lives in locals, and the search keeps an explicit stack of its open
+    ancestors, one immutable (R, P, X, candidates left) tuple each, instead
+    of recursing, so its depth is bounded by memory rather than by the
+    interpreter's recursion limit.
     Returns cliques as vertex bitmasks in depth-first discovery order.
     Raises ValueError once more than `limit` cliques have been collected.
     """
     out = []
-    # one frame [R, P, X, candidates not yet branched on] per open level
     stack = []
-    r, p, x = 0, (1 << len(adj_masks)) - 1 if within is None else within, 0
+    # (r, p, x, cand): the state being expanded, none at first;
+    # (cr, cp, cx): the state just found, settled below or opened
+    r = p = x = cand = 0
+    cr, cp, cx = 0, (1 << len(adj_masks)) - 1 if within is None else within, 0
     while True:
-        if p:
-            m = p | x
-            pivot = -1
+        k = cp.bit_count()
+        if k > 2:
+            if cand:  # a state with no candidates left is done, not an ancestor
+                stack.append((r, p, x, cand))
+            m = cp | cx
             best = -1
-            most = p.bit_count() - (not x)
+            most = k - (not cx)
             while m:
                 low = m & -m
-                v = low.bit_length() - 1
-                cnt = (p & adj_masks[v]).bit_count()
+                nv = adj_masks[low.bit_length() - 1]
+                cnt = (cp & nv).bit_count()
                 if cnt > best:
                     best = cnt
-                    pivot = v
+                    pivot_nv = nv
                     if cnt == most:
                         break
                 m ^= low
-            stack.append([r, p, x, p & ~adj_masks[pivot]])
-        elif not x:
-            out.append(r)
+            r, p, x, cand = cr, cp, cx, cp & ~pivot_nv
+        elif not cp:
+            if not cx:
+                out.append(cr)
+                if len(out) > limit:
+                    raise ValueError("maximal clique count exceeds limit")
+        else:
+            low = cp & -cp
+            na = adj_masks[low.bit_length() - 1]
+            high = cp ^ low
+            if not high:  # P = {a}
+                if not cx & na:
+                    out.append(cr | low)
+            elif na & high:  # P = {a, b}, a ~ b
+                if not cx & na & adj_masks[high.bit_length() - 1]:
+                    out.append(cr | cp)
+            else:  # P = {a, b}, a < b, not adjacent
+                if not cx & na:
+                    out.append(cr | low)
+                if not cx & adj_masks[high.bit_length() - 1]:
+                    out.append(cr | high)
             if len(out) > limit:
                 raise ValueError("maximal clique count exceeds limit")
-        while stack and not stack[-1][3]:
-            stack.pop()
-        if not stack:
-            return out
-        frame = stack[-1]
-        r, p, x, cand = frame
+        while not cand:
+            if not stack:
+                return out
+            r, p, x, cand = stack.pop()
         low = cand & -cand
         nv = adj_masks[low.bit_length() - 1]
-        frame[1] = p ^ low
-        frame[2] = x | low
-        frame[3] = cand ^ low
-        r, p, x = r | low, p & nv, x & nv
+        cand ^= low
+        cr, cp, cx = r | low, p & nv, x & nv
+        p ^= low
+        x |= low
 
 
 def gf_rank(entries, rows, cols, p):

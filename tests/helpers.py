@@ -2,7 +2,8 @@
 
 Nothing here calls the package's enumeration or elimination code: maximal
 independent sets come from filtering all 2^n subsets with a direct
-definition check, and ranks come from plain Gaussian elimination over the
+definition check, maximal cliques in discovery order from a plain recursive
+Bron-Kerbosch, and ranks come from plain Gaussian elimination over the
 integers (fraction-free, for Q) or over residues.  Agreement between these
 and the package is the point of the tests, so keep them separate.
 """
@@ -26,6 +27,34 @@ def brute_force_mis(g: Graph) -> list[tuple[int, ...]]:
             continue
         out.append(tuple(s))
     out.sort()
+    return out
+
+
+def ref_maximal_cliques(adj_masks: list[int]) -> list[int]:
+    """Maximal cliques as vertex bitmasks, in the discovery order of `kernels.maximal_cliques`.
+
+    Recursive Bron-Kerbosch that expands every state in full: the pivot is
+    the first vertex of P | X, ascending, with the most neighbours in P, and
+    the candidates P minus the pivot's neighbours are branched on in
+    ascending order.
+    """
+    out = []
+
+    def members(mask):
+        return [v for v in range(len(adj_masks)) if mask >> v & 1]
+
+    def expand(r, p, x):
+        if not p:
+            if not x:
+                out.append(r)
+            return
+        pivot = max(members(p | x), key=lambda v: (p & adj_masks[v]).bit_count())
+        for v in members(p & ~adj_masks[pivot]):
+            expand(r | 1 << v, p & adj_masks[v], x & adj_masks[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    expand(0, (1 << len(adj_masks)) - 1, 0)
     return out
 
 

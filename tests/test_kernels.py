@@ -8,7 +8,7 @@ from wellcovered import kernels
 from wellcovered.graphs import random_graph
 from wellcovered.mis import enumerate_mis
 
-from helpers import brute_force_mis
+from helpers import all_graphs, brute_force_mis, ref_maximal_cliques
 
 
 def complement_masks(g):
@@ -116,3 +116,63 @@ def test_clique_lists_keep_their_discovery_order(p):
         cliques = kernels.maximal_cliques(complement_masks(random_graph(n, p, 7000 + n)), 10**6)
         h.update((" ".join(map(str, cliques)) + "\n").encode())
     assert h.hexdigest() == CLIQUE_LIST_DIGESTS[p]
+
+
+def test_cliques_match_the_recursive_oracle_on_every_small_graph():
+    # a state with at most two candidates is settled in place; what it emits,
+    # and in which order, must be what expanding it in full emits
+    for n in range(6):
+        for g in all_graphs(n):
+            masks = complement_masks(g)
+            assert kernels.maximal_cliques(masks, 10**6) == ref_maximal_cliques(masks)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_cliques_match_the_recursive_oracle_in_order(p):
+    # unlike the graphs above, these reach every settled state with X nonempty,
+    # such as an adjacent pair that one vertex of X sees both of
+    for n in range(41):
+        for seed in (8000 + n, 9000 + n):
+            masks = complement_masks(random_graph(n, p, seed))
+            assert kernels.maximal_cliques(masks, 10**6) == ref_maximal_cliques(masks)
+
+
+def test_within_matches_the_relabelled_induced_subgraph():
+    rng = random.Random(11)
+    for _ in range(120):
+        n = rng.randint(0, 14)
+        masks = complement_masks(random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng.randrange(10**6)))
+        picks = [0, rng.getrandbits(n)]
+        if n:
+            picks += [1 << rng.randrange(n), sum(1 << v for v in rng.sample(range(n), min(n, 2)))]
+        for s in picks:
+            verts = [v for v in range(n) if s >> v & 1]
+            sub = [sum(1 << j for j, u in enumerate(verts) if masks[v] >> u & 1) for v in verts]
+            want = [
+                sum(1 << verts[j] for j in range(len(verts)) if c >> j & 1)
+                for c in kernels.maximal_cliques(sub, 10**6)
+            ]
+            assert kernels.maximal_cliques(masks, 10**6, within=s) == want
+
+
+# random_graph(n, p, seed) whose complement's last settled state emits two
+# cliques at once (a non-adjacent candidate pair that X sees neither of)
+LAST_STATE_EMITS_TWO = [(9, 0.2, 0), (11, 0.2, 3), (12, 0.4, 3)]
+
+
+def test_limit_contract_at_every_limit():
+    # [0, 0]: two non-adjacent vertices, so the root itself settles with two cliques
+    cases = [[], [0, 0], complement_masks(random_graph(9, 0.5, 4))]
+    cases += [complement_masks(random_graph(12, 0.4, 6))]
+    cases += [complement_masks(random_graph(*args)) for args in LAST_STATE_EMITS_TWO]
+    for masks in cases:
+        cliques = kernels.maximal_cliques(masks, 10**6)
+        for limit in range(len(cliques) + 1):
+            if len(cliques) > limit:
+                with pytest.raises(ValueError):
+                    kernels.maximal_cliques(masks, limit)
+            else:
+                assert kernels.maximal_cliques(masks, limit) == cliques
+    for args in LAST_STATE_EMITS_TWO:
+        before, last = kernels.maximal_cliques(complement_masks(random_graph(*args)), 10**6)[-2:]
+        assert (before ^ last).bit_count() == 2 and before < last
