@@ -10,8 +10,6 @@ against the engine.
 
 from .engine import (
     WcdimReport,
-    build_difference_system,
-    build_sum_system,
     compute_wcdim,
     compute_wcdim_fields,
     compute_wcdim_sets,
@@ -19,15 +17,7 @@ from .engine import (
     path_weight_structure,
 )
 from .errors import CapacityError, InputError
-from .exactlin import (
-    ExactMatrix,
-    FieldSpec,
-    RowSpace,
-    kronecker,
-    nullspace_basis,
-    rank,
-    reduce_first_row,
-)
+from .exactlin import FieldSpec, RowSpace
 from .families import (
     FamilySpec,
     build_family,
@@ -69,7 +59,6 @@ __all__ = [
     "CapacityError",
     "CheckReport",
     "DEFAULT_MIS_LIMIT",
-    "ExactMatrix",
     "FamilySpec",
     "FieldSpec",
     "Graph",
@@ -79,9 +68,7 @@ __all__ = [
     "RowSpace",
     "WcdimReport",
     "blowup",
-    "build_difference_system",
     "build_family",
-    "build_sum_system",
     "complement",
     "complete",
     "complete_multipartite",
@@ -98,17 +85,13 @@ __all__ = [
     "is_maximal_independent",
     "is_well_covered",
     "is_well_covered_weighting",
-    "kronecker",
     "lex_product",
     "multi_blowup",
     "new_graph",
-    "nullspace_basis",
     "path",
     "path_weight_structure",
     "petersen",
     "random_graph",
-    "rank",
-    "reduce_first_row",
     "relabel",
     "run_suite",
     "turan",

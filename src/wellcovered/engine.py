@@ -27,8 +27,9 @@ accessed, and the sum rank the first time `sum_rank` is, so callers that
 need only the dimension never pay for them.  `compute_wcdim_sets`
 eliminates any family of sets the same way; every set of g, without the
 decomposition, is `compute_wcdim_sets(g.n, mis_masks(g), fields)`.  The
-batch `build_difference_system` and `build_sum_system` have no caller in
-the package; they remain only as public API and as targets of the
+batch `build_difference_system` and `build_sum_system`, and the `rank` and
+`nullspace_basis` re-exported here, have no caller in the package and are
+not exported by `wellcovered`; they remain only as targets of the
 benchmark's tracer.
 """
 
@@ -299,9 +300,15 @@ def is_well_covered_weighting(
     f: FieldSpec = FieldSpec(0),
     limit: int = DEFAULT_MIS_LIMIT,
 ) -> bool:
-    """True iff every maximal independent set of g has the same w-sum in f."""
+    """True iff every maximal independent set of g has the same w-sum in f.
+
+    The weights must be ints or Fractions, so the sums are exact.
+    """
     if len(w) != g.n:
         raise InputError(f"weight vector length {len(w)} != n = {g.n}")
+    for x in w:
+        if not isinstance(x, (int, Fraction)):
+            raise InputError(f"weights must be ints or Fractions, got {x!r}")
     p = f.characteristic
     sums = set()
     for s in enumerate_mis(g, limit):

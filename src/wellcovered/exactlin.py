@@ -20,10 +20,13 @@ text `compute --basis` prints, off the same rows by the same loop: the
 lines never go through scalar vectors, and each distinct entry is
 formatted once.
 
-The batch routines on a whole `ExactMatrix` (`rank`, whose GF(p) rank is
-`kernels.gf_rank`, `nullspace_basis`, `kronecker`, `reduce_first_row` and
-`move_dependent_row_first`) have no caller in the package; they remain only
-as public API and as targets of the benchmark's tracer.
+The batch routines on a whole `ExactMatrix` (`rank`, `nullspace_basis`,
+`kronecker`, `reduce_first_row` and `move_dependent_row_first`) have no
+caller in the package; they remain only as targets of the benchmark's
+tracer, and are not exported by `wellcovered`.  They take the matrices
+the package builds, with entries in {-1, 0, 1}, and `rank`,
+`nullspace_basis` and `move_dependent_row_first` feed the rows into a
+`RowSpace`, so there is no second elimination.
 
 Prime-power fields are deliberately not implemented: for integer matrices
 (every system built here is one), row reduction never leaves the prime
@@ -36,10 +39,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, Sequence, Union
 
-from . import kernels
 from .errors import InputError
 
 Scalar = Union[int, Fraction]
@@ -74,12 +76,14 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The field of scalars, identified by its characteristic (0 or a prime)."""
+    """The field of scalars, identified by its characteristic, an int: 0 or a prime."""
 
     characteristic: int = 0
 
     def __post_init__(self) -> None:
         c = self.characteristic
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise InputError(f"characteristic must be an int, got {c!r}")
         if c == 0:
             return
         if c >= _MAX_PRIME:
@@ -133,77 +137,35 @@ class ExactMatrix:
         return [self.row(i) for i in range(self.rows)]
 
 
-def _integer_rows(m: ExactMatrix) -> list[list[int]]:
-    """Row-wise denominator clearing; scaling a row never changes the row space."""
+def _signed_rows(m: ExactMatrix, name: str) -> list[tuple[int, int]]:
+    """Each row of m as its (plus, minus) bitmasks; any entry outside {-1, 0, 1} raises InputError."""
     out = []
     for i in range(m.rows):
-        row = m.row(i)
-        scale = lcm(*(x.denominator if isinstance(x, Fraction) else 1 for x in row)) if row else 1
-        out.append([int(x * scale) for x in row])
+        plus = minus = 0
+        for j, x in enumerate(m.row(i)):
+            if x == 1:
+                plus |= 1 << j
+            elif x == -1:
+                minus |= 1 << j
+            elif x != 0:
+                raise InputError(f"{name} needs entries in {{-1, 0, 1}}, got {x!r}")
+        out.append((plus, minus))
     return out
 
 
-def _residue_rows(m: ExactMatrix, p: int) -> list[int]:
-    flat = []
-    for x in m.entries:
-        if isinstance(x, Fraction):
-            if x.denominator % p == 0:
-                raise InputError(f"entry {x} has no residue mod {p}")
-            flat.append(x.numerator * pow(x.denominator, -1, p) % p)
-        else:
-            flat.append(x % p)
-    return flat
+def _row_space(m: ExactMatrix, f: FieldSpec, name: str) -> RowSpace:
+    """The `RowSpace` over f spanned by the rows of m, fed until it is full."""
+    space = RowSpace(m.cols, f)
+    for plus, minus in _signed_rows(m, name):
+        if space.full:
+            break
+        space.add(plus, minus)
+    return space
 
 
 def rank(m: ExactMatrix, f: FieldSpec) -> int:
-    """Rank of m over the field; empty matrices have rank 0."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if f.characteristic == 0:
-        return len(_rref(_integer_rows(m), 0)[1])
-    return kernels.gf_rank(_residue_rows(m, f.characteristic), m.rows, m.cols, f.characteristic)
-
-
-def _primitive(row: list[int]) -> list[int]:
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form in place, without fractions.
-
-    Over GF(p) (p > 0) rows are residues and each pivot is scaled to 1.  For
-    p = 0 rows are integers kept primitive instead, so the RREF entry in
-    row i, column j is rows[i][j] / rows[i][pivots[i]].
-    """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        if p:
-            inv = pow(rows[r][c], -1, p)
-            rows[r] = [x * inv % p for x in rows[r]]
-        else:
-            rows[r] = _primitive(rows[r])
-        top = rows[r]
-        b = top[c]
-        for i in range(nr):
-            a = rows[i][c]
-            if i != r and a != 0:
-                if p:
-                    rows[i] = [(x - a * y) % p for x, y in zip(rows[i], top)]
-                else:
-                    rows[i] = _primitive([b * x - a * y for x, y in zip(rows[i], top)])
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows[:r], pivots
+    """Rank of m over the field; empty matrices have rank 0.  Entries must lie in {-1, 0, 1}."""
+    return _row_space(m, f, "rank").rank
 
 
 def nullspace_basis(m: ExactMatrix, f: FieldSpec) -> list[tuple[Scalar, ...]]:
@@ -211,48 +173,10 @@ def nullspace_basis(m: ExactMatrix, f: FieldSpec) -> list[tuple[Scalar, ...]]:
 
     Exactly cols - rank(m) vectors, one per free column in ascending order,
     each with a 1 in its free column.  Over characteristic 0 the entries are
-    Fractions; over GF(p) they are residues in 0..p-1.
+    Fractions; over GF(p) they are residues in 0..p-1.  Entries of m must
+    lie in {-1, 0, 1}.
     """
-    p = f.characteristic
-    if m.rows == 0 or m.cols == 0:
-        if p == 0:
-            one, zero = Fraction(1), Fraction(0)
-        else:
-            one, zero = 1, 0
-        return [
-            tuple(one if j == c else zero for j in range(m.cols)) for c in range(m.cols)
-        ]
-    if p == 0:
-        work = _integer_rows(m)
-    else:
-        flat = _residue_rows(m, p)
-        work = [
-            [flat[i * m.cols + j] for j in range(m.cols)]
-            for i in range(m.rows)
-        ]
-    return _basis_from_rref(*_rref(work, p), m.cols, p)
-
-
-def _basis_from_rref(
-    rref: list[list[int]], pivots: list[int], cols: int, p: int
-) -> list[tuple[Scalar, ...]]:
-    """One vector per free column, ascending, with a 1 in its own column."""
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        if p == 0:
-            vec: list[Scalar] = [Fraction(0)] * cols
-            vec[fc] = Fraction(1)
-            for i, pc in enumerate(pivots):
-                vec[pc] = Fraction(-rref[i][fc], rref[i][pc])
-        else:
-            vec = [0] * cols
-            vec[fc] = 1
-            for i, pc in enumerate(pivots):
-                vec[pc] = (-rref[i][fc]) % p
-        basis.append(tuple(vec))
-    return basis
+    return _row_space(m, f, "nullspace_basis").basis()
 
 
 # memoryview formats of the unsigned C integers, by width in bits; lanes of
@@ -724,13 +648,8 @@ def move_dependent_row_first(m: ExactMatrix, f: FieldSpec) -> ExactMatrix:
     lie in {-1, 0, 1}, as in the 0/1 sum systems of the Kronecker check;
     anything else raises InputError.
     """
-    if any(x not in (-1, 0, 1) for x in m.entries):
-        raise InputError("move_dependent_row_first needs entries in {-1, 0, 1}")
     space = RowSpace(m.cols, f)
-    for i in range(m.rows):
-        row = m.row(i)
-        plus = sum(1 << j for j, x in enumerate(row) if x == 1)
-        minus = sum(1 << j for j, x in enumerate(row) if x == -1)
+    for i, (plus, minus) in enumerate(_signed_rows(m, "move_dependent_row_first")):
         if not space.add(plus, minus):
             order = [i] + [j for j in range(m.rows) if j != i]
             return ExactMatrix.from_rows([m.row(j) for j in order], m.cols)

@@ -1,9 +1,10 @@
-"""The inner-loop kernel, maximal clique enumeration, and the batch GF(p) rank.
+"""The inner-loop kernel, maximal clique enumeration, and a batch GF(p) rank.
 
 Vertex sets are bitmasks held in Python integers, so there is no limit on
-the vertex count.  `mis` enumerates through `maximal_cliques`; `gf_rank`
-serves only `exactlin`'s batch `rank`, which the package no longer calls.
-Both are looked up on this module at call time, so a tracer can wrap them.
+the vertex count.  `mis` enumerates through `maximal_cliques`, which is
+looked up on this module at call time, so a tracer can wrap it.  `gf_rank`
+has no caller: `exactlin.rank` reads a `RowSpace` instead.  It remains
+only as a target of the benchmark's tracer.
 """
 
 # the benchmark stamps its results with this name (wellcovered.KERNEL_IMPLEMENTATION)

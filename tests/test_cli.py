@@ -253,6 +253,30 @@ class TestComputeCommand:
         assert main(["compute", "crown:4", "--char", "0", "--char", "2", "--char", "3"]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("spec", ["crown:5", "crown:6", "petersen", "triangles"])
+    def test_no_batch_elimination_runs(self, spec, tmp_path, capsys, monkeypatch):
+        # every field is read off a row space; crown:6 has 2 | D, so GF(2)
+        # runs its own elimination
+        from wellcovered import exactlin, kernels
+
+        if spec == "triangles":
+            edges = [(3 * t + a, 3 * t + b) for t in range(6) for a, b in ((0, 1), (0, 2), (1, 2))]
+            path = tmp_path / "triangles.txt"
+            path.write_text(f"18 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+            spec = str(path)
+        argv = ["compute", spec, "--char", "0", "--char", "2", "--char", "3", "--char", "10007",
+                "--machine", "--basis", "--verbose", "--stats"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a batch elimination ran")
+
+        monkeypatch.setattr(exactlin.ExactMatrix, "__post_init__", refuse)
+        monkeypatch.setattr(kernels, "gf_rank", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
 
 CROWN6_BASIS_MACHINE = """\
 graph = crown:6

@@ -1,20 +1,20 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from wellcovered import (
+from wellcovered import FieldSpec, InputError
+from wellcovered.engine import build_sum_system
+from wellcovered.exactlin import (
     ExactMatrix,
-    FieldSpec,
-    InputError,
+    _is_prime,
     kronecker,
+    move_dependent_row_first,
     nullspace_basis,
     rank,
     reduce_first_row,
 )
-from wellcovered.engine import build_sum_system
-from wellcovered.exactlin import _is_prime, move_dependent_row_first
 from wellcovered.formulas import kron_rank_case
 from wellcovered.mis import enumerate_mis
 from wellcovered.graphs import new_graph, random_graph
@@ -22,6 +22,7 @@ from wellcovered.graphs import new_graph, random_graph
 from helpers import all_graphs, ref_nullspace, ref_rank
 
 Q = FieldSpec(0)
+FIELDS = tuple(FieldSpec(c) for c in (0, 2, 3, 5, 10007))
 
 
 def matvec(m, v, p):
@@ -32,7 +33,7 @@ def matvec(m, v, p):
     return out
 
 
-def rand_matrix(rng, rows, cols, lo=-3, hi=3):
+def rand_matrix(rng, rows, cols, lo=-1, hi=1):
     return ExactMatrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], cols
     )
@@ -70,6 +71,12 @@ class TestFieldSpec:
         assert str(FieldSpec(0)) == "Q"
         assert str(FieldSpec(7)) == "GF(7)"
 
+    def test_rejects_characteristics_that_are_not_ints(self):
+        # a float 3.0 used to print as GF(3.0) and fail later inside pow()
+        for c in (3.0, 0.0, 2.0, "3", "0", Fraction(3), None, True, False):
+            with pytest.raises(InputError):
+                FieldSpec(c)
+
 
 class TestExactMatrix:
     def test_shape_validation(self):
@@ -105,11 +112,15 @@ class TestRank:
         assert rank(m, Q) == 5
 
     def test_fraction_entries(self):
-        m = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [3, 1]])
-        assert rank(m, Q) == 2
-        assert rank(ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]), Q) == 1
-        with pytest.raises(InputError):
-            rank(m, FieldSpec(2))  # 1/2 has no residue mod 2
+        # entries must lie in {-1, 0, 1}; a Fraction equal to one of them is taken
+        m = ExactMatrix.from_rows([[Fraction(1), Fraction(-1)], [Fraction(0), 1]])
+        for f in FIELDS:
+            assert rank(m, f) == 2
+        for bad in (2, -2, Fraction(1, 2)):
+            m = ExactMatrix.from_rows([[1, 0], [0, bad]])
+            for f in FIELDS:
+                with pytest.raises(InputError):
+                    rank(m, f)
 
     @pytest.mark.parametrize("char", [0, 2, 3, 5, 10007])
     def test_against_reference_elimination(self, char):
@@ -159,19 +170,26 @@ class TestNullspace:
         rng = random.Random(char + 17)
         f = FieldSpec(char)
         for _ in range(60):
-            lo, hi = rng.choice([(-1, 1), (-3, 3), (-50, 50)])
-            m = rand_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), lo, hi)
+            m = rand_matrix(rng, rng.randint(1, 9), rng.randint(1, 9))
             assert nullspace_basis(m, f) == ref_nullspace(m.row_list(), m.cols, char)
 
     def test_fraction_entries_match_reference(self):
+        # Fractions equal to -1, 0 or 1 are taken; any other entry is refused
         rng = random.Random(23)
         for _ in range(30):
             rows = [
-                [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(5)]
+                [Fraction(rng.randint(-1, 1)) for _ in range(5)]
                 for _ in range(rng.randint(1, 5))
             ]
             m = ExactMatrix.from_rows(rows, 5)
-            assert nullspace_basis(m, Q) == ref_nullspace(rows, 5, 0)
+            ints = [[int(x) for x in r] for r in rows]
+            for f in FIELDS:
+                assert nullspace_basis(m, f) == ref_nullspace(ints, 5, f.characteristic)
+        for bad in (2, -2, Fraction(1, 2)):
+            m = ExactMatrix.from_rows([[1, 0, -1], [bad, 1, 0]])
+            for f in FIELDS:
+                with pytest.raises(InputError):
+                    nullspace_basis(m, f)
 
     def test_canonical_form(self):
         # one vector per free column, ascending, with a 1 in that column
@@ -185,6 +203,47 @@ class TestNullspace:
                 assert one_at, v
                 free_cols.append(max(c for c in one_at if all(b[c] == 0 for b in basis if b is not v)))
             assert free_cols == sorted(free_cols)
+
+
+def signed_matrices(max_entries):
+    """Every matrix with entries in {-1, 0, 1} and at most max_entries entries, empty shapes included."""
+    for rows in range(max_entries + 1):
+        for cols in range(max_entries + 1):
+            if rows * cols > max_entries:
+                continue
+            for entries in product((-1, 0, 1), repeat=rows * cols):
+                yield ExactMatrix(rows, cols, entries)
+
+
+class TestBatchRoutinesMatchTheOracles:
+    """The batch `rank` and `nullspace_basis` read a `RowSpace`; the oracles eliminate on their own."""
+
+    def assert_matches(self, m):
+        rows = m.row_list()
+        for f in FIELDS:
+            p = f.characteristic
+            assert rank(m, f) == ref_rank(rows, p), (rows, p)
+            assert nullspace_basis(m, f) == ref_nullspace(rows, m.cols, p), (rows, p)
+
+    def test_every_matrix_with_at_most_six_entries(self):
+        count = 0
+        for m in signed_matrices(6):
+            self.assert_matches(m)
+            count += 1
+        # 13 empty shapes, then 3^(rows * cols) matrices per nonempty shape
+        assert count == 13 + 3 + 2 * 9 + 2 * 27 + 3 * 81 + 2 * 243 + 4 * 729
+
+    def test_seeded_random_matrices_up_to_eight_by_nine(self):
+        rng = random.Random(18)
+        for _ in range(300):
+            rows, cols = rng.randint(0, 8), rng.randint(0, 9)
+            density = rng.random()
+            m = ExactMatrix.from_rows(
+                [[rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(cols)]
+                 for _ in range(rows)],
+                cols,
+            )
+            self.assert_matches(m)
 
 
 class TestKronecker:
@@ -212,14 +271,16 @@ class TestKronecker:
         for _ in range(100):
             a = rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 4))
             m = rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 4))
-            assert rank(kronecker(a, m), f) == rank(a, f) * rank(m, f)
+            k = kronecker(a, m)
+            assert rank(k, f) == ref_rank(k.row_list(), char) == rank(a, f) * rank(m, f)
 
     def test_rank_multiplicative_three_by_four(self):
         rng = random.Random(99)
         for _ in range(20):
             a = rand_matrix(rng, 3, 4)
             m = rand_matrix(rng, 3, 4)
-            assert rank(kronecker(a, m), Q) == rank(a, Q) * rank(m, Q)
+            k = kronecker(a, m)
+            assert rank(k, Q) == ref_rank(k.row_list(), 0) == rank(a, Q) * rank(m, Q)
 
 
 class TestReduceFirstRow:
@@ -240,8 +301,10 @@ class TestReduceFirstRow:
         rng = random.Random(char + 29)
         f = FieldSpec(char)
         for _ in range(40):
-            m = rand_matrix(rng, 4, 5)
-            k = rank(reduce_first_row(m), f)
+            m = rand_matrix(rng, 4, 5, lo=0)
+            reduced = reduce_first_row(m)
+            k = rank(reduced, f)
+            assert k == ref_rank(reduced.row_list(), char)
             assert rank(m, f) in (k, k + 1)
 
     @pytest.mark.parametrize("char", [0, 5])
@@ -252,7 +315,7 @@ class TestReduceFirstRow:
         rng = random.Random(char + 4)
         f = FieldSpec(char)
         for _ in range(40):
-            m = rand_matrix(rng, 4, 5)
+            m = rand_matrix(rng, 4, 5, lo=0)
             reduced = reduce_first_row(m)
             k = rank(reduced, f)
             stacked = ExactMatrix.from_rows(list(reduced.row_list()) + [m.row(0)], m.cols)
@@ -261,16 +324,29 @@ class TestReduceFirstRow:
 
     def test_dichotomy_by_span_of_other_rows_generic(self):
         # for generic matrices, dependence on the other rows coincides with
-        # dependence on the differences; degenerate exceptions exist and are
+        # dependence on the differences.  Generic means that the other rows
+        # are independent and row 0 is not an affine combination of them
+        # (one whose coefficients sum to 1, as a repeated row is); 0/1
+        # matrices often are not, and those degenerate exceptions are
         # covered in TestKronRankTable below
         rng = random.Random(81)
-        for _ in range(40):
-            m = rand_matrix(rng, 4, 5, lo=-9, hi=9)
+        generic = 0
+        for _ in range(80):
+            m = rand_matrix(rng, 4, 7, lo=0)
+            rows = m.row_list()
+            others = ExactMatrix.from_rows(rows[1:], m.cols)
+            # row 0 is an affine combination of the others exactly when its
+            # row with a 1 appended lies in the span of theirs
+            lifted = ExactMatrix.from_rows([r + (1,) for r in rows], m.cols + 1)
+            lifted_others = ExactMatrix.from_rows(lifted.row_list()[1:], m.cols + 1)
+            if rank(others, Q) < 3 or rank(lifted, Q) == rank(lifted_others, Q):
+                continue
+            generic += 1
             k = rank(reduce_first_row(m), Q)
-            others = ExactMatrix.from_rows(m.row_list()[1:], m.cols)
-            stacked = ExactMatrix.from_rows(list(others.row_list()) + [m.row(0)], m.cols)
+            stacked = ExactMatrix.from_rows(list(others.row_list()) + [rows[0]], m.cols)
             in_span_of_others = rank(stacked, Q) == rank(others, Q)
             assert rank(m, Q) == (k if in_span_of_others else k + 1)
+        assert generic >= 60
 
 
 class TestMoveDependentRowFirst:
@@ -310,10 +386,12 @@ class TestMoveDependentRowFirst:
         assert count
 
     def test_entries_outside_minus_one_to_one_rejected(self):
-        m = ExactMatrix.from_rows([[1, 0], [0, 2], [1, 1]])
-        for char in (0, 2, 3):
-            with pytest.raises(InputError):
-                move_dependent_row_first(m, FieldSpec(char))
+        # every row is checked, also one after the dependent row is found
+        for rows in ([[1, 0], [0, 2], [1, 1]], [[1, 0], [1, 0], [0, 2]]):
+            m = ExactMatrix.from_rows(rows)
+            for char in (0, 2, 3):
+                with pytest.raises(InputError):
+                    move_dependent_row_first(m, FieldSpec(char))
 
 
 def sum_system_of(g):

@@ -8,7 +8,7 @@ from wellcovered import kernels
 from wellcovered.graphs import random_graph
 from wellcovered.mis import enumerate_mis
 
-from helpers import all_graphs, brute_force_mis, ref_maximal_cliques
+from helpers import all_graphs, brute_force_mis, ref_maximal_cliques, ref_rank
 
 
 def complement_masks(g):
@@ -176,3 +176,14 @@ def test_limit_contract_at_every_limit():
     for args in LAST_STATE_EMITS_TWO:
         before, last = kernels.maximal_cliques(complement_masks(random_graph(*args)), 10**6)[-2:]
         assert (before ^ last).bit_count() == 2 and before < last
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 10007])
+def test_gf_rank_matches_the_reference_elimination(p):
+    # general integer entries, reduced mod p by gf_rank itself
+    rng = random.Random(p + 17)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        dense = [[rng.randint(-50, 50) for _ in range(cols)] for _ in range(rows)]
+        entries = [x for row in dense for x in row]
+        assert kernels.gf_rank(entries, rows, cols, p) == ref_rank(dense, p)

@@ -1,8 +1,9 @@
-"""Differential tests: the streaming row space against the batch elimination path.
+"""Differential tests: the streaming row space against the reference elimination.
 
-The batch path enumerates the sets in canonical order, assembles the whole
-difference system and eliminates it with `rank` and `nullspace_basis` per
-field; the engine instead streams each set's bitmask into one integer
+The reference enumerates the sets in canonical order, assembles the whole
+difference system and eliminates it with `helpers.ref_rank` and
+`ref_nullspace` per field, by plain Gauss-Jordan independent of the
+package; the engine instead streams each set's bitmask into one integer
 `RowSpace`, stops at full rank, and reads every GF(p) with p not dividing the
 space's common pivot D off it, eliminating only the other fields on their
 own.  Both must agree on every count and on the exact basis.
@@ -17,19 +18,20 @@ import pytest
 
 from wellcovered import (
     FieldSpec,
-    build_difference_system,
-    build_sum_system,
     complete,
     crown,
     disjoint_union,
     enumerate_mis,
     new_graph,
-    nullspace_basis,
     random_graph,
-    rank,
 )
-from wellcovered.engine import compute_wcdim_fields, compute_wcdim_sets
-from wellcovered.exactlin import ExactMatrix, RowSpace
+from wellcovered.engine import (
+    build_difference_system,
+    build_sum_system,
+    compute_wcdim_fields,
+    compute_wcdim_sets,
+)
+from wellcovered.exactlin import RowSpace
 from wellcovered.formulas import f_crown
 from wellcovered.mis import mis_masks
 
@@ -42,19 +44,20 @@ PACKED = tuple(FieldSpec(c) for c in (0, 3, 5, 7, 10007))
 READ_OFF = "read off (p ∤ D)"
 
 
-def assert_matches_batch_path(g, fields=FIELDS):
+def assert_matches_oracles(g, fields=FIELDS):
     mis = enumerate_mis(g)
-    diff = build_difference_system(mis)
-    sums = build_sum_system(mis)
+    diff = build_difference_system(mis).row_list()
+    sums = build_sum_system(mis).row_list()
     reports = compute_wcdim_fields(g, fields)
     assert [r.field for r in reports] == list(fields)
     for f, r in zip(fields, reports):
-        want_rank = rank(diff, f)
+        p = f.characteristic
+        want_rank = ref_rank(diff, p)
         assert r.mis_count == len(mis)
         assert r.diff_rank == want_rank
         assert r.wcdim == g.n - want_rank
-        assert list(r.basis) == nullspace_basis(diff, f)
-        assert r.sum_rank == rank(sums, f)
+        assert list(r.basis) == ref_nullspace(diff, g.n, p)
+        assert r.sum_rank == ref_rank(sums, p)
 
 
 def triangle_union(k):
@@ -68,20 +71,20 @@ def test_every_labelled_graph_up_to_five_vertices():
     count = 0
     for n in range(6):
         for g in all_graphs(n):
-            assert_matches_batch_path(g)
+            assert_matches_oracles(g)
             count += 1
     assert count == 1100
 
 
 @pytest.mark.parametrize("n", range(20, 31))
 def test_seeded_random_graphs(n):
-    assert_matches_batch_path(random_graph(n, 0.3, 1000 + n))
+    assert_matches_oracles(random_graph(n, 0.3, 1000 + n))
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_triangle_unions(k):
     g = triangle_union(k)
-    assert_matches_batch_path(g)
+    assert_matches_oracles(g)
     # so the sum ranks checked above over GF(3), GF(5) and GF(10007) were read off
     reports = compute_wcdim_fields(g, FIELDS[2:])
     assert [r.stats.method for r in reports] == [READ_OFF] * 3
@@ -100,14 +103,14 @@ def test_own_elimination_stops_at_the_rank_over_q():
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_crowns(n):
-    assert_matches_batch_path(crown(n))
+    assert_matches_oracles(crown(n))
 
 
 @pytest.mark.parametrize("k", range(3, 31))
 def test_crowns_eliminate_on_their_own_exactly_where_char_divides_k_minus_2(k):
     primes = [p for p in range(2, k - 1) if (k - 2) % p == 0 and all(p % q for q in range(2, p))]
     fields = (Q, *(FieldSpec(p) for p in primes), FieldSpec(10007))
-    assert_matches_batch_path(crown(k), fields)
+    assert_matches_oracles(crown(k), fields)
     for f, r in zip(fields, compute_wcdim_fields(crown(k), fields)):
         assert r.wcdim == f_crown(k, f).value
         p = f.characteristic
@@ -116,7 +119,7 @@ def test_crowns_eliminate_on_their_own_exactly_where_char_divides_k_minus_2(k):
 
 
 def test_zero_vertex_graph():
-    assert_matches_batch_path(new_graph(0, []))
+    assert_matches_oracles(new_graph(0, []))
 
 
 def test_basis_lines_are_the_vectors_printed():
@@ -154,7 +157,7 @@ def test_basis_ignores_row_order_and_baseline(f):
             space = RowSpace(g.n, f)
             for m in order:
                 space.add(m & ~base, base & ~m)
-            bases.add(tuple(nullspace_basis(ExactMatrix.from_rows(space.rows(), g.n), f)))
+            bases.add(tuple(ref_nullspace(space.rows(), g.n, f.characteristic)))
         assert len(bases) == 1
 
 
@@ -187,8 +190,9 @@ class TestRowSpace:
                 assert space.add(plus, minus) == independent
             dense = [[(plus >> v & 1) - (minus >> v & 1) for v in range(n)] for plus, minus in pairs]
             stored = space.rows()
-            assert len(stored) == space.rank == rank(ExactMatrix.from_rows(dense, n), f)
-            assert rank(ExactMatrix.from_rows(stored + dense, n), f) == space.rank
+            p = f.characteristic
+            assert len(stored) == space.rank == ref_rank(dense, p)
+            assert ref_rank(stored + dense, p) == space.rank
             assert not any(space.add(plus, minus) for plus, minus in pairs)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 10007])
@@ -214,7 +218,7 @@ class TestRowSpace:
             read_off += 1
             assert space.rank == own.rank
             assert space.basis(f) == own.basis()
-            assert own.basis() == nullspace_basis(ExactMatrix.from_rows(own.rows(), n), f)
+            assert own.basis() == ref_nullspace(own.rows(), n, p)
             before = (space.rank, space.common_pivot, space.rows())
             for plus in range(1 << n):
                 minus = rng.randrange(1 << n) & ~plus
@@ -244,7 +248,7 @@ class TestRowSpace:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_own_elimination_basis_matches_the_batch_nullspace(self, p):
         # an odd GF(p) basis is read off the space's packed RREF, a GF(2) one
-        # off its XOR basis back-substituted
+        # off its XOR basis back-substituted; both against the reference basis
         f = FieldSpec(p)
         rng = random.Random(40 + p)
         for _ in range(40):
@@ -256,7 +260,7 @@ class TestRowSpace:
                 minus = rng.getrandbits(n) & ~plus & rng.getrandbits(n)
                 space.add(plus, minus)
                 dense.append([(plus >> v & 1) - (minus >> v & 1) for v in range(n)])
-            assert space.basis() == nullspace_basis(ExactMatrix.from_rows(dense, n), f)
+            assert space.basis() == ref_nullspace(dense, n, p)
 
     def test_only_an_integer_space_reads_other_fields_off(self):
         space = RowSpace(3, Q)
@@ -404,8 +408,7 @@ class TestRowSpace:
         basis = space.basis()
         assert basis == ref_nullspace(dense, n, p)
         assert space.basis_lines() == [" ".join(map(str, v)) for v in basis]
-        stored = ExactMatrix.from_rows(space.rows(), n)
-        assert nullspace_basis(stored, f) == basis
+        assert ref_nullspace(space.rows(), n, p) == basis
         if not p:
             for q in (3, 5, 7, 10007):
                 if space.reads_off(FieldSpec(q)):
