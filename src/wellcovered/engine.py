@@ -99,17 +99,22 @@ class WcdimReport:
         cls, n: int, field: FieldSpec, mis_count: int, wcdim: int, diff_rank: int,
         space: RowSpace, base: int, stats: Stats,
     ) -> "WcdimReport":
-        """The report `WcdimReport(...)` builds, its fields filled in one update of its `__dict__`.
+        """The report `WcdimReport(...)` builds, its fields stored straight into its `__dict__`.
 
         The frozen dataclass's `__init__` sets each field through its own
         `object.__setattr__` call, about three times the cost of this; the
         engine makes one report per field, on graphs as small as a vertex.
         """
         report = object.__new__(cls)
-        report.__dict__.update(
-            n=n, field=field, mis_count=mis_count, wcdim=wcdim, diff_rank=diff_rank,
-            space=space, base=base, stats=stats,
-        )
+        d = report.__dict__
+        d["n"] = n
+        d["field"] = field
+        d["mis_count"] = mis_count
+        d["wcdim"] = wcdim
+        d["diff_rank"] = diff_rank
+        d["space"] = space
+        d["base"] = base
+        d["stats"] = stats
         return report
 
     @cached_property
@@ -263,24 +268,29 @@ def compute_wcdim_sets(
     del order[s * q + min(s, longer) + k]
     t1 = time.perf_counter()
     integer = RowSpace(n, _Q)
-    integer_fed = _feed(integer, order, base, n)
-    integer_s = time.perf_counter() - t1
+    fed = _feed(integer, order, base, n)
+    integer_ms = (time.perf_counter() - t1) * 1e3
+    # the fields served by the integer space share its Stats, one per method
+    shared: dict[str, Stats] = {}
     reports = []
     for f in fields:
-        t2 = time.perf_counter()
-        if not f.characteristic:
-            space, method, fed = integer, "integer", integer_fed
-        elif integer.reads_off(f):
-            space, method, fed = integer, "read off (p ∤ D)", integer_fed
+        if not f.characteristic or integer.reads_off(f):
+            space = integer
+            method = "read off (p ∤ D)" if f.characteristic else "integer"
+            stats = shared.get(method)
+            if stats is None:
+                stats = shared[method] = Stats(
+                    enum_ms, pieces, method, integer_ms, fed, fed < len(order)
+                )
         else:
             # an integer matrix has no larger rank mod p than over Q, so the
             # span is complete once it reaches the integer space's rank
-            space, method = RowSpace(n, f), "own elimination"
-            fed = _feed(space, order, base, integer.rank)
+            t2 = time.perf_counter()
+            space = RowSpace(n, f)
+            own_fed = _feed(space, order, base, integer.rank)
+            own_ms = (time.perf_counter() - t2) * 1e3
+            stats = Stats(enum_ms, pieces, "own elimination", own_ms, own_fed, own_fed < len(order))
         r = space.rank
-        field_s = time.perf_counter() - t2
-        elim_s = integer_s if space is integer else field_s
-        stats = Stats(enum_ms, pieces, method, elim_s * 1e3, fed, fed < len(order))
         reports.append(WcdimReport._make(n, f, count, n - r, r, space, base, stats))
     return reports
 

@@ -37,8 +37,10 @@ therefore accepts only characteristic 0 or a prime p < 2^31.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -114,11 +116,19 @@ class ExactMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[Scalar]], cols: int | None = None) -> "ExactMatrix":
+        """The matrix with these rows; `cols`, when given, must be their length.
+
+        With no rows `cols` is the width (default 0); ragged rows, or rows
+        of another length than `cols`, raise InputError.
+        """
         rows = [tuple(r) for r in rows]
         if rows:
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
+            width = len(rows[0])
+            if any(len(r) != width for r in rows):
                 raise InputError("ragged rows")
+            if cols is not None and cols != width:
+                raise InputError(f"rows of length {width} given for {cols} columns")
+            cols = width
         elif cols is None:
             cols = 0
         return cls(len(rows), cols, tuple(x for r in rows for x in r))
@@ -189,6 +199,27 @@ _LANE_FORMATS = (
 )
 
 
+# _HADAMARD[k] = ceil((k/2) log2 k), the least t with 2^t >= k^(k/2), the
+# Hadamard bound on a k x k minor of a matrix with entries in {-1, 0, 1}
+_HADAMARD = tuple(((k**k - 1).bit_length() + 1) // 2 for k in range(65))
+
+
+@lru_cache(maxsize=64)
+def _layout(least: int, n: int) -> tuple[int, int, int, int, str | None, int]:
+    """n lanes of the least power of two >= max(least, 16) bits, as `RowSpace` keeps them.
+
+    (width, lane mask, sign bit, the unit in every lane, the memoryview
+    format or None, and the largest rank k whose Hadamard bound
+    _HADAMARD[k] leaves the width decoding every residual.)
+    """
+    width = 1 << max(least - 1, 15).bit_length()
+    mask = (1 << width) - 1
+    t = width - max(n, 1).bit_length() - 1  # the largest t with _width_for(t) <= width
+    ones = ((1 << (width * n)) - 1) // mask
+    hadamard_rank = bisect_right(_HADAMARD, t) - 1
+    return width, mask, 1 << (width - 1), ones, _LANE_FORMATS.get(width), hadamard_rank
+
+
 def _bits(m: int, width: int = 1) -> Iterator[int]:
     """The index j of every lane of the given width whose lowest bit is set in m, ascending."""
     while m:
@@ -250,10 +281,10 @@ class RowSpace:
         self.common_pivot = 1
         self._piv = 0
         self._cols: dict[int, int] = {}
-        self._t = 1
+        self._t = 0
         self._rref_at: tuple[int, tuple] | None = None  # (rank, `_sparse_rref()`)
         if f.characteristic != 2:
-            self._use_width(self._width_for(self._t))
+            self._use_width(self._width_for(0))
 
     @property
     def full(self) -> bool:
@@ -444,12 +475,15 @@ class RowSpace:
     # residual D*x_free - sum_c x_c N_c of a row with w nonzero entries then
     # has lanes of at most w * 2^t, and B is kept at least
     # t + bit_length(n) + 1.  Keeping a row needs a bound on the updated
-    # rows before they exist, which `_keep` takes from the update formula,
-    # and t simply becomes that bound while the width still decodes every
-    # residual under it.  Only when it would not are the rows actually
-    # stored rescanned for the least t (`_tighten`), and the lanes widened
-    # if even that does not fit.  Lanes start at 16 bits, so most spaces
-    # never widen at all.
+    # rows before they exist.  At rank k every stored value is a k x k
+    # minor of {-1, 0, 1} rows (Bareiss), so Hadamard's inequality bounds
+    # it by k^(k/2) before any row is fed: while that bound leaves the
+    # width decoding every residual, t is just _HADAMARD[k].  Above that
+    # rank `_keep` takes the bound from the update formula, and t simply
+    # becomes it while the width still decodes every residual under it.
+    # Only when it would not are the rows actually stored rescanned for the
+    # least t (`_tighten`), and the lanes widened if even that does not
+    # fit.  Lanes start at 16 bits, so most spaces never widen at all.
 
     def _residual(self, plus: int, minus: int) -> int:
         """The packed row s = D*x_free - sum_c x_c N_c: x reduced against the space, times D.
@@ -492,12 +526,17 @@ class RowSpace:
         Its lowest lane c that is nonzero over the field (mod p over GF(p))
         becomes a pivot and D becomes s_c; every kept row turns into
         N_i <- (s_c N_i - N_i[c] s) / D.  The division is exact because each
-        entry of the result is a minor of the kept rows.  Over Q the lanes
-        of s are decoded only when the width must grow; over GF(p) they are
-        decoded to find c.  The rows are rescanned for the least t only when
-        the update bound would not leave the width decoding every residual.
+        entry of the result is a minor of the kept rows.  Over GF(p) the
+        lanes of s are decoded to find c.  While the new rank k is at most
+        `_hadamard_rank`, t is simply Hadamard's bound _HADAMARD[k] on the
+        k x k minors, which the width already decodes under, so no bound is
+        probed.  Above it t comes from the update formula: over Q the lanes
+        of s are decoded only when the width must grow, and the rows are
+        rescanned for the least t only when the update bound would not leave
+        the width decoding every residual.  The first keep above it measures
+        the Hadamard t once, so a loose one never widens the lanes.
         """
-        d, t, b = self.common_pivot, self._t, self._width
+        d, b = self.common_pivot, self._width
         p = self.field.characteristic
         if p:
             lanes = self._unpack(s)
@@ -506,20 +545,28 @@ class RowSpace:
         else:
             lanes = None
             c = ((s & -s).bit_length() - 1) // b
-            sc = self._lane(s, c)
-        # every lane of s is in [-2^ts, 2^ts), and s_c is one of them
-        ts = abs(sc).bit_length() - 1
-        while not self._within((s,), ts):
-            ts += 1
-        # |s_c N_i - N_i[c] s| <= 2^(t + ts + 1), and |D| >= 2^(bit_length(D) - 1);
-        # a row left alone (N_i[c] = 0, s_c = D) is within it, as bit_length(D) <= ts + 1
-        bound = max(t + ts + 2 - abs(d).bit_length(), ts)
-        if bound + 1 > b:
-            if lanes is None:
-                lanes = self._unpack(s)
-            self._set_width(bound + 1)
-            s = self._pack(lanes)
-            b = self._width
+            # every lane below c is 0, so lane c is read with no borrow
+            sc = s >> b * c & self._mask
+            sc -= (sc & self._half) << 1
+        k = self.rank + 1
+        hadamard = k <= self._hadamard_rank
+        if not hadamard:
+            if k - 1 <= self._hadamard_rank:
+                self._t = self._tighten((abs(d) - 1).bit_length(), self._t)
+            t = self._t
+            # every lane of s is in [-2^ts, 2^ts), and s_c is one of them
+            ts = abs(sc).bit_length() - 1
+            while not self._within((s,), ts):
+                ts += 1
+            # |s_c N_i - N_i[c] s| <= 2^(t + ts + 1), and |D| >= 2^(bit_length(D) - 1);
+            # a row left alone (N_i[c] = 0, s_c = D) is within it, as bit_length(D) <= ts + 1
+            bound = max(t + ts + 2 - abs(d).bit_length(), ts)
+            if bound + 1 > b:
+                if lanes is None:
+                    lanes = self._unpack(s)
+                self._set_width(bound + 1)
+                s = self._pack(lanes)
+                b = self._width
         cols, mask, half = self._cols, self._mask, self._half
         shift = b * c - 1
         for i, row in cols.items():
@@ -531,13 +578,15 @@ class RowSpace:
         cols[c] = s - (sc << (b * c))
         self._piv |= 1 << c
         self.common_pivot = sc
-        if self._width_for(bound) <= b:
+        if hadamard:
+            self._t = _HADAMARD[k]
+        elif self._width_for(bound) <= b:
             self._t = bound
-            return
-        self._t = self._tighten(ts, bound)
-        need = self._width_for(self._t)
-        if need > b:
-            self._set_width(need)
+        else:
+            self._t = self._tighten(ts, bound)
+            need = self._width_for(self._t)
+            if need > b:
+                self._set_width(need)
 
     def _tighten(self, t: int, bound: int) -> int:
         """The least t' in [t, bound] with every lane of every N_j in [-2^t', 2^t').
@@ -571,12 +620,9 @@ class RowSpace:
 
     def _use_width(self, least: int) -> None:
         """Set the lane width to the least power of two >= max(least, 16) bits, and its constants."""
-        width = 1 << max(least - 1, 15).bit_length()
-        self._width = width
-        self._mask = (1 << width) - 1
-        self._half = 1 << (width - 1)
-        self._ones = ((1 << (width * self.n)) - 1) // self._mask
-        self._format = _LANE_FORMATS.get(width)
+        (
+            self._width, self._mask, self._half, self._ones, self._format, self._hadamard_rank
+        ) = _layout(least, self.n)
 
     def _pack(self, row: list[int]) -> int:
         width = self._width

@@ -253,7 +253,7 @@ def random_graph(n: int, edge_prob: Fraction | float | int, seed: int) -> Graph:
     The pseudorandom stream is fully determined by the seed, so identical
     (n, edge_prob, seed) triples always produce identical graphs.
     """
-    p = Fraction(edge_prob)
+    p = edge_prob if isinstance(edge_prob, Fraction) else Fraction(edge_prob)
     num, den = p.numerator, p.denominator
     if not 0 <= num <= den:
         raise InputError(f"edge probability must lie in [0, 1], got {p}")

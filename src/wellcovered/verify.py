@@ -11,15 +11,20 @@ with `mis_masks` and eliminates them once for all fields with
 `compute_wcdim_sets`.  So the engine runs without modular decomposition:
 the blowup, union and lex checks replace vertices by graphs, which is what
 the decomposition relies on, so they must not test it against itself.
+Within one `run_suite` call each distinct labelled graph is enumerated and
+eliminated once, however many checks build it: the random graphs of at
+most a few vertices recur within a section, and so do the graphs built
+from them.  A check called on its own computes everything afresh.
 """
 
 from __future__ import annotations
 
 import random
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import families, formulas
 from .engine import WcdimReport, compute_wcdim_sets
@@ -74,6 +79,12 @@ ALL_CHECKS = tuple(SECTIONS)
 DEFAULT_SIZES = tuple(range(1, 8))
 DEFAULT_CHARS = (0, 2, 3, 5, 7)
 
+_HALF = Fraction(1, 2)
+
+# the graphs the running `run_suite` call has reached the engine with:
+# (n, masks, limit) -> (n, sets, {characteristics: reports}), see `_computed`
+_SEEN: ContextVar[dict | None] = ContextVar("_SEEN", default=None)
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -96,6 +107,39 @@ def _random_descriptor(n: int, seed: int) -> str:
     return f"random(n={n},p=1/2,seed={seed})"
 
 
+def _computed(
+    graphs: Iterable[Graph], fields: Sequence[FieldSpec], limit: int
+) -> list[tuple[list[int], list[WcdimReport]]]:
+    """Each graph's maximal independent sets and its reports over fields, in graph order.
+
+    Inside `run_suite` a distinct labelled graph is enumerated once per run
+    and eliminated once per list of characteristics; a check called on its
+    own computes everything afresh.  Every graph is enumerated before any
+    is eliminated, so a CapacityError propagates before anything is
+    eliminated; it is not kept, and the next call enumerates that graph
+    again.
+    """
+    seen = _SEEN.get()
+    entries = []
+    for g in graphs:
+        if seen is None:
+            entries.append((g.n, mis_masks(g, limit), {}))
+            continue
+        key = (g.n, g.masks, limit)
+        entry = seen.get(key)
+        if entry is None:
+            entry = seen[key] = (g.n, mis_masks(g, limit), {})
+        entries.append(entry)
+    chars = tuple([f.characteristic for f in fields])
+    out = []
+    for n, sets, done in entries:
+        reports = done.get(chars)
+        if reports is None:
+            reports = done[chars] = compute_wcdim_sets(n, sets, fields)
+        out.append((sets, reports))
+    return out
+
+
 def check_family(
     spec: FamilySpec,
     chars: Sequence[FieldSpec],
@@ -113,10 +157,10 @@ def check_family(
     predicted = tuple(predict(spec.params, f) for f in chars)
     swept = tuple(f.characteristic for f in chars)
     try:
-        sets = mis_masks(g, limit)
+        [(_, reports)] = _computed([g], chars, limit)
     except CapacityError as exc:
         return CheckReport("family", str(spec), swept, (), (), SKIP, str(exc))
-    engine = tuple(r.wcdim for r in compute_wcdim_sets(g.n, sets, chars))
+    engine = tuple(r.wcdim for r in reports)
     verdict = PASS if predicted == engine else FAIL
     return CheckReport("family", str(spec), swept, predicted, engine, verdict)
 
@@ -136,11 +180,11 @@ def _replay(
     if not fields:
         return []
     try:
-        families = [(g.n, mis_masks(g, limit)) for g in graphs()]
+        computed = _computed(graphs(), fields, limit)
     except CapacityError as e:
         return [CheckReport(check, desc, (f.characteristic,), (), (), SKIP, str(e)) for f in fields]
     reports = []
-    for f, *rs in zip(fields, *(compute_wcdim_sets(n, sets, fields) for n, sets in families)):
+    for f, *rs in zip(fields, *(graph_reports for _, graph_reports in computed)):
         want, got, detail = compare(*rs)
         verdict = PASS if want == got else FAIL
         reports.append(CheckReport(check, desc, (f.characteristic,), want, got, verdict, detail))
@@ -248,26 +292,24 @@ def check_kron_remark(
     of g's sets, q and rank(A) those of h's, and rank(C) is the difference
     rank of the uniform sets S x T, the rows of A (x) M.  These ranks belong
     to set families, so they do not depend on the row order.  One report per
-    field, in field order; each graph is enumerated once.
+    field, in field order; each graph is enumerated once, and the uniform
+    sets are eliminated by every call.
     """
     desc = instance or f"g[{_graph_descriptor(g)}];h[{_graph_descriptor(h)}]"
     if not fields:
         return []
     try:
-        product = lex_product(g, h)
-        sets_g, sets_h, sets_p = mis_masks(g, limit), mis_masks(h, limit), mis_masks(product, limit)
+        computed = _computed((g, h, lex_product(g, h)), fields, limit)
     except CapacityError as e:
         return [
             CheckReport("kron", desc, (f.characteristic,), (), (), SKIP, str(e)) for f in fields
         ]
+    (sets_g, rgs), (sets_h, rhs), (_, rps) = computed
     a = g.n
     # the row of A (x) M for sets T of h and S of g is 1 in column j*a + u
     # for j in T and u in S: S shifted by j*a for every j in T
     uniform = [s * sum(1 << (j * a) for j in bits(t)) for t in sets_h for s in sets_g]
-    rgs = compute_wcdim_sets(a, sets_g, fields)
-    rhs = compute_wcdim_sets(h.n, sets_h, fields)
     rcs = compute_wcdim_sets(a * h.n, uniform, fields)
-    rps = compute_wcdim_sets(product.n, sets_p, fields)
     reports = []
     for f, rg, rh, rc, rp in zip(fields, rgs, rhs, rcs, rps):
         k, rank_m, q, rank_a = rg.diff_rank, rg.sum_rank, rh.diff_rank, rh.sum_rank
@@ -321,7 +363,7 @@ def _draw(rng: random.Random, cap: int) -> tuple[Graph, str]:
     """A G(n, 1/2) with n from DEFAULT_SIZES up to cap, and the descriptor that rebuilds it."""
     n = rng.choice([s for s in DEFAULT_SIZES if s <= cap])
     sub = rng.randrange(2**32)
-    return random_graph(n, Fraction(1, 2), sub), _random_descriptor(n, sub)
+    return random_graph(n, _HALF, sub), _random_descriptor(n, sub)
 
 
 def _pairs(rng: random.Random, count: int, cap: int) -> Iterator[tuple[Graph, Graph, str]]:
@@ -360,6 +402,8 @@ def run_suite(
     check section or family kind, an invalid characteristic, an option no
     requested section reads, or characteristics that no requested section
     sweeps (which would pass after comparing nothing) raise InputError.
+    Each distinct labelled graph is enumerated and eliminated once per
+    call, for every check that builds it; nothing is kept between calls.
     """
     if trials is not None and trials < 0:
         raise InputError("trial counts must be non-negative")
@@ -387,37 +431,41 @@ def run_suite(
             f"they sweep {sorted(swept)}"
         )
     reports: list[CheckReport] = []
-    for section, (_, default_trials) in SECTIONS.items():
-        fs = _effective(sweep(section), chars)
-        if section not in checks or not fs:
-            continue
-        rng = random.Random(f"{seed}:{section}")
-        count = default_trials if trials is None else trials
-        if section == "family":
-            for spec in _family_specs(rng, family_kind, family_max_n):
-                kind_fs = _effective(FAMILIES[spec.kind].chars, chars)
-                if kind_fs:
-                    reports.append(check_family(spec, kind_fs))
-        elif section == "blowup":
-            for _ in range(count):
-                g, desc = _draw(rng, 7)
-                v = rng.randrange(g.n)
-                t = rng.randint(1, 3)
-                reports.extend(check_blowup(g, v, t, fs, instance=desc))
-        elif section == "multi-blowup":
-            for _ in range(count):
-                g, desc = _draw(rng, 7)
-                ts = [rng.randint(1, 3) for _ in range(g.n)]
-                reports.extend(check_multi_blowup(g, ts, fs, instance=desc))
-        elif section == "union":
-            for g, h, desc in _pairs(rng, count, 7):
-                reports.extend(check_union(g, h, fs, instance=desc))
-        elif section == "lex":
-            for g, h, desc in chain(_designed_pairs(), _pairs(rng, count, 4)):
-                reports.extend(check_lex(g, h, fs, instance=desc))
-        else:  # kron
-            for g, h, desc in chain(_designed_pairs()[:2], _pairs(rng, count, 4)):
-                reports.extend(check_kron_remark(g, h, fs, instance=desc))
+    token = _SEEN.set({})  # every graph of this run, enumerated once
+    try:
+        for section, (_, default_trials) in SECTIONS.items():
+            fs = _effective(sweep(section), chars)
+            if section not in checks or not fs:
+                continue
+            rng = random.Random(f"{seed}:{section}")
+            count = default_trials if trials is None else trials
+            if section == "family":
+                kind_fs = {k: _effective(family.chars, chars) for k, family in FAMILIES.items()}
+                for spec in _family_specs(rng, family_kind, family_max_n):
+                    if kind_fs[spec.kind]:
+                        reports.append(check_family(spec, kind_fs[spec.kind]))
+            elif section == "blowup":
+                for _ in range(count):
+                    g, desc = _draw(rng, 7)
+                    v = rng.randrange(g.n)
+                    t = rng.randint(1, 3)
+                    reports.extend(check_blowup(g, v, t, fs, instance=desc))
+            elif section == "multi-blowup":
+                for _ in range(count):
+                    g, desc = _draw(rng, 7)
+                    ts = [rng.randint(1, 3) for _ in range(g.n)]
+                    reports.extend(check_multi_blowup(g, ts, fs, instance=desc))
+            elif section == "union":
+                for g, h, desc in _pairs(rng, count, 7):
+                    reports.extend(check_union(g, h, fs, instance=desc))
+            elif section == "lex":
+                for g, h, desc in chain(_designed_pairs(), _pairs(rng, count, 4)):
+                    reports.extend(check_lex(g, h, fs, instance=desc))
+            else:  # kron
+                for g, h, desc in chain(_designed_pairs()[:2], _pairs(rng, count, 4)):
+                    reports.extend(check_kron_remark(g, h, fs, instance=desc))
+    finally:
+        _SEEN.reset(token)
     return reports
 
 

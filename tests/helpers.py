@@ -92,13 +92,31 @@ def _integer_gauss_jordan(rows) -> tuple[list[list[int]], list[int]]:
     return work[: len(pivots)], pivots
 
 
+def _residues(rows, char: int) -> list[list[int]]:
+    """Each entry as a residue mod char: a Fraction a/b becomes a * b^-1 mod char.
+
+    Raises ValueError for an entry whose denominator char divides.
+    """
+    out = []
+    for r in rows:
+        row = []
+        for x in r:
+            if isinstance(x, Fraction):
+                if x.denominator % char == 0:
+                    raise ValueError(f"{x} has no residue mod {char}")
+                x = x.numerator * pow(x.denominator, -1, char)
+            row.append(x % char)
+        out.append(row)
+    return out
+
+
 def ref_rank(rows, char: int) -> int:
     """Plain Gaussian elimination rank (partial pivoting by first nonzero)."""
     if not rows:
         return 0
     if char == 0:
         return len(_integer_gauss_jordan(rows)[1])
-    work = [[x % char for x in r] for r in rows]
+    work = _residues(rows, char)
     cols = len(work[0])
     rank = 0
     for c in range(cols):
@@ -135,7 +153,7 @@ def ref_nullspace(rows, cols: int, char: int) -> list[tuple]:
                 vec[pc] = Fraction(-work[i][fc], work[i][pc])
             basis.append(tuple(vec))
         return basis
-    work = [[x % char for x in r] for r in rows]
+    work = _residues(rows, char)
     pivots = []
     for c in range(cols):
         r = len(pivots)

@@ -91,6 +91,15 @@ class TestExactMatrix:
         with pytest.raises(InputError):
             ExactMatrix.from_rows([[1, 2], [3]])
 
+    def test_from_rows_checks_the_given_width(self):
+        with pytest.raises(InputError):
+            ExactMatrix.from_rows([[1, 2]], 5)
+        with pytest.raises(InputError):
+            ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]], 2)
+        assert ExactMatrix.from_rows([[1, 2]], 2) == ExactMatrix(1, 2, (1, 2))
+        assert ExactMatrix.from_rows([], 3) == ExactMatrix(0, 3, ())
+        assert ExactMatrix.from_rows([]) == ExactMatrix(0, 0, ())
+
 
 class TestRank:
     def test_identity(self):
@@ -244,6 +253,46 @@ class TestBatchRoutinesMatchTheOracles:
                 cols,
             )
             self.assert_matches(m)
+
+
+class TestReferenceOraclesTakeFractions:
+    """Over GF(p) the oracles read a Fraction a/b as a * b^-1 mod p, as over Q they read it exactly."""
+
+    def test_equal_fraction_rows_have_rank_one(self):
+        assert ref_rank([[Fraction(1)], [Fraction(1)]], 2) == 1
+        assert ref_nullspace([[Fraction(1)]], 1, 2) == []
+
+    @pytest.mark.parametrize("char", [2, 3, 5, 10007])
+    def test_fraction_rows_match_their_residues(self, char):
+        rng = random.Random(char)
+        for _ in range(40):
+            cols = rng.randint(1, 6)
+            rows = [
+                [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 5, 7))) for _ in range(cols)]
+                for _ in range(rng.randint(1, 5))
+            ]
+            if any(x.denominator % char == 0 for r in rows for x in r):
+                with pytest.raises(ValueError):
+                    ref_rank(rows, char)
+                with pytest.raises(ValueError):
+                    ref_nullspace(rows, cols, char)
+                continue
+            ints = [[x.numerator * pow(x.denominator, -1, char) % char for x in r] for r in rows]
+            assert ref_rank(rows, char) == ref_rank(ints, char)
+            assert ref_nullspace(rows, cols, char) == ref_nullspace(ints, cols, char)
+
+    def test_a_fraction_row_over_gf3_matches_its_integer_equivalent(self):
+        # 1/2 = 2 and -1/2 = 1 mod 3
+        rows = [[Fraction(1, 2), Fraction(-1, 2), 1], [1, 1, 0]]
+        ints = [[2, 1, 1], [1, 1, 0]]
+        assert ref_rank(rows, 3) == ref_rank(ints, 3) == 2
+        assert ref_nullspace(rows, 3, 3) == ref_nullspace(ints, 3, 3) == [(2, 1, 1)]
+
+    def test_a_denominator_divisible_by_p_is_refused(self):
+        with pytest.raises(ValueError):
+            ref_rank([[Fraction(1, 3)]], 3)
+        with pytest.raises(ValueError):
+            ref_nullspace([[Fraction(1, 6), 1]], 2, 2)
 
 
 class TestKronecker:

@@ -31,7 +31,7 @@ from wellcovered.engine import (
     compute_wcdim_fields,
     compute_wcdim_sets,
 )
-from wellcovered.exactlin import RowSpace
+from wellcovered.exactlin import _HADAMARD, RowSpace
 from wellcovered.formulas import f_crown
 from wellcovered.mis import mis_masks
 
@@ -324,12 +324,42 @@ class TestRowSpace:
                 assert space.independent(plus, minus) == any(x % p if p else x for x in dots)
         assert shrank and loose
 
+    @pytest.mark.parametrize("order", [2, 4, 8, 16])
+    @pytest.mark.parametrize("f", [Q, FieldSpec(3), FieldSpec(10007)], ids=str)
+    def test_hadamard_rows_meet_the_lane_bound_with_equality(self, f, order):
+        # Sylvester's {-1, 1} matrix of order k has |det| = k^(k/2), the
+        # Hadamard bound itself, so once all k rows are kept |D| = 2^t for
+        # the t of rank k; after every row |D| and every lane are at most
+        # 2^t and the width decodes every residual
+        p = f.characteristic
+        rows = [[1]]
+        while len(rows) < order:
+            rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
+        space = RowSpace(order, f)
+        for k, row in enumerate(rows, 1):
+            plus = sum(1 << j for j, x in enumerate(row) if x == 1)
+            minus = sum(1 << j for j, x in enumerate(row) if x == -1)
+            assert space.add(plus, minus)
+            if p:
+                assert space.common_pivot % p != 0
+            limit = 1 << space._t
+            assert abs(space.common_pivot) <= limit
+            assert all(abs(x) <= limit for r in space._cols.values() for x in space._unpack(r))
+            assert space._width - 1 >= space._t + order.bit_length()
+            assert space.rank == k == ref_rank(rows[:k], p)
+            assert space.basis() == ref_nullspace(rows[:k], order, p)
+        # for k a power of two the bound k^(k/2) is exactly 2^_HADAMARD[k]
+        assert abs(space.common_pivot) == order ** (order // 2) == 1 << _HADAMARD[order]
+
     @pytest.mark.parametrize(
         "g", [crown(40), random_graph(28, 0.3, 28)], ids=["crown:40", "G(28,3/10)"]
     )
     def test_q_keeps_rescan_lanes_only_when_one_could_overflow(self, g, monkeypatch):
-        # over Q a kept row decodes its lanes only when the width grows, and
-        # the stored rows are rescanned for the least t only when the update
+        # up to the Hadamard rank of the lanes a kept row probes no bound:
+        # nothing is decoded or rescanned and t is the table's.  The first
+        # keep above it measures t once, from |D| up.  From there over Q a
+        # kept row decodes its lanes only when the width grows, and the
+        # stored rows are rescanned for the least t only when the update
         # bound would leave a residual undecodable; otherwise t is that bound
         calls = Counter()
         for name in ("_unpack", "_tighten"):
@@ -343,12 +373,18 @@ class TestRowSpace:
         masks = mis_masks(g)
         base = masks[0]
         space = RowSpace(g.n, Q)
-        keeps = tightened = 0
+        keeps = flat = measured = tightened = 0
         for m in masks[1:]:
             if space.full:
                 break
             plus, minus = m & ~base, base & ~m
-            t, d, before = space._t, space.common_pivot, space._width
+            t, d, before, most = space._t, space.common_pivot, space._width, space._hadamard_rank
+            leaving = space.rank == most
+            if leaving:
+                # the least t with |D| <= 2^t and every stored lane in [-2^t, 2^t)
+                stored = [x for row in space._cols.values() for x in space._unpack(row)]
+                least = max((x if x >= 0 else ~x).bit_length() for x in stored)
+                t = min(t, max(least, (abs(d) - 1).bit_length()))
             lanes = space._unpack(space._residual(plus, minus))
             # the least ts with every lane of the residual in [-2^ts, 2^ts)
             ts = max((x if x >= 0 else ~x).bit_length() for x in lanes)
@@ -360,12 +396,22 @@ class TestRowSpace:
                 assert not calls
                 continue
             keeps += 1
+            if space.rank <= most:
+                flat += 1
+                assert not calls
+                assert space._t == _HADAMARD[space.rank] and space._width == before
+                continue
             assert not calls["_unpack"] or space._width > before
+            if leaving:
+                measured += 1
+                assert calls["_tighten"] >= 1
+                calls["_tighten"] -= 1
             if calls["_tighten"]:
                 tightened += 1
                 assert space._width_for(bound) > width
             else:
                 assert space._t == bound and space._width_for(bound) <= space._width
+        assert flat == most and measured == 1
         assert 0 < tightened < keeps == space.rank
 
     def test_a_space_stores_only_its_kept_rows(self):

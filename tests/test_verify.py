@@ -318,6 +318,85 @@ class TestBatchedChecks:
             assert all("at most 16384 are supported" in r.detail for r in reports)
 
 
+class TestOneRunComputesEachGraphOnce:
+    def test_each_distinct_graph_is_enumerated_once_per_run(self, monkeypatch):
+        from wellcovered import verify
+
+        calls = []
+        real = verify.mis_masks
+        monkeypatch.setattr(
+            verify, "mis_masks", lambda g, *a: calls.append((g.n, g.masks)) or real(g, *a)
+        )
+        reports = run_suite(seed=1, checks=("lex",))
+        # three graphs per pair, three designed pairs and 50 drawn ones,
+        # but their small factors repeat
+        assert len(calls) == len(set(calls)) < 3 * (3 + 50)
+        # nothing survives a run: the next one enumerates every graph again
+        first = list(calls)
+        calls.clear()
+        assert run_suite(seed=1, checks=("lex",)) == reports
+        assert calls == first
+
+    def test_each_distinct_graph_is_eliminated_once_per_field_list(self, monkeypatch):
+        from wellcovered import verify
+
+        calls = []
+        real = verify.compute_wcdim_sets
+        monkeypatch.setattr(
+            verify,
+            "compute_wcdim_sets",
+            lambda n, sets, fs: calls.append((n, tuple(sets), tuple(fs))) or real(n, sets, fs),
+        )
+        reports = run_suite(seed=2, checks=("blowup", "union"), trials=20)
+        assert len(calls) == len(set(calls))
+        # the same graphs, each computed by a check of its own, give the same reports
+        calls.clear()
+        rng = random.Random("2:blowup")
+        alone = []
+        for _ in range(20):
+            g, desc = verify._draw(rng, 7)
+            v, t = rng.randrange(g.n), rng.randint(1, 3)
+            alone.extend(check_blowup(g, v, t, fields(0, 2, 3), instance=desc))
+        rng = random.Random("2:union")
+        for g, h, desc in verify._pairs(rng, 20, 7):
+            alone.extend(check_union(g, h, fields(0, 2, 5), instance=desc))
+        assert alone == reports
+        assert len(calls) > len(set(calls))
+
+    def test_a_check_called_on_its_own_computes_afresh(self, monkeypatch):
+        from wellcovered import verify
+
+        calls = []
+        real = verify.mis_masks
+        monkeypatch.setattr(verify, "mis_masks", lambda *a: calls.append(a) or real(*a))
+        g = cycle(5)
+        first = check_union(g, g, fields(0, 2))
+        # g is enumerated once per factor, and again by the next call
+        assert len(calls) == 3 and calls[0] == calls[1]
+        assert check_union(g, g, fields(0, 2)) == first
+        assert len(calls) == 6
+
+    def test_a_capacity_overrun_is_not_kept(self, monkeypatch):
+        from wellcovered import CapacityError, verify
+
+        calls = []
+        real = verify.mis_masks
+        monkeypatch.setattr(verify, "mis_masks", lambda *a: calls.append(a) or real(*a))
+        # cycle(4) has two maximal independent sets: one more than a limit of 1
+        token = verify._SEEN.set({})
+        try:
+            for _ in range(2):
+                with pytest.raises(CapacityError):
+                    verify._computed([cycle(4)], fields(0), 1)
+            assert verify._SEEN.get() == {}
+            for _ in range(2):
+                [(sets, _)] = verify._computed([cycle(4)], fields(0), 2)
+                assert sets == real(cycle(4), 2)
+        finally:
+            verify._SEEN.reset(token)
+        assert len(calls) == 3
+
+
 class TestRunSuite:
     def test_deterministic(self):
         assert run_suite(seed=3, trials=4) == run_suite(seed=3, trials=4)
