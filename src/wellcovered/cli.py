@@ -61,11 +61,11 @@ def parse_graph_file(text: str, name: str = "<input>") -> Graph:
     """Parse the edge-list file format; duplicate edges are rejected.
 
     A text in the canonical layout (`_CANONICAL`, no comments, blank lines
-    or other whitespace) is validated in bulk: every token is converted in
-    one `map(int, ...)`, the endpoints are range-checked with one `max`,
-    and each edge sets its two adjacency bits with no test, so a self-loop
-    or a repeated edge shows only as a total popcount below 2m.  Any other
-    text, and any canonical one that fails a check, is parsed by
+    or other whitespace) is validated in bulk: each endpoint token is
+    converted and range-checked by one lookup in a table of the strings of
+    0..n-1, and each edge sets its two adjacency bits with no test, so a
+    self-loop or a repeated edge shows only as a total popcount below 2m.
+    Any other text, and any canonical one that fails a check, is parsed by
     `_parse_lines`, which words every error and names its line.  A header
     above MAX_VERTICES raises CapacityError before anything per vertex is
     allocated.
@@ -78,13 +78,18 @@ def _parse_canonical(text: str) -> Graph | None:
     """The graph of a canonical text that passes every check, else None."""
     if not _CANONICAL.fullmatch(text):
         return None
+    tokens = text.split()
     try:
-        ends = list(map(int, text.split()))
-    except ValueError:  # a token past int()'s digit limit
+        n, m = int(tokens[0]), int(tokens[1])
+    except ValueError:  # a header past int()'s digit limit
         return None
-    n, m = ends[0], ends[1]
-    del ends[:2]
-    if n > MAX_VERTICES or len(ends) != 2 * m or (ends and max(ends) >= n):
+    del tokens[:2]
+    if n > MAX_VERTICES or len(tokens) != 2 * m:
+        return None
+    table = {str(v): v for v in range(n)}
+    try:
+        ends = list(map(table.__getitem__, tokens))
+    except KeyError:  # a leading zero, or an endpoint >= n
         return None
     masks = [0] * n
     pairs = iter(ends)

@@ -241,9 +241,10 @@ class RowSpace:
     and the echelon is an XOR basis keyed by its lowest set bit.  Over Q and
     over every odd GF(p) the space is fraction-free Gauss-Jordan over the
     integers (Bareiss): the row kept for pivot column c is
-    R_c = D * (RREF row c), where D (`common_pivot`) is, up to sign, the
-    determinant of the kept rows restricted to the pivot columns, so every
-    entry is an integer minor of the kept rows.  Each row is one Python int
+    R_c = D * (RREF row c), where D (`common_pivot`) is the absolute value
+    of the determinant of the kept rows restricted to the pivot columns, so
+    every entry is an integer minor of the kept rows.  Bareiss fixes D only
+    up to sign; the space keeps it positive.  Each row is one Python int
     of n signed lanes of B bits, column j in lane j, and is stored as
     N_c = R_c - D e_c, with its pivot lane cleared.  Only the kept rows are
     stored, so an empty space holds nothing per column.  A row x reduces to
@@ -255,13 +256,14 @@ class RowSpace:
     row is dependent when s = 0, and otherwise its lowest nonzero lane c
     becomes a pivot.  Over GF(p) it is dependent when every lane of s is
     0 mod p, and otherwise the pivot is its lowest lane with s_c != 0 mod p.
-    Either way the new D is s_c: by the Schur complement, the determinant of
-    the kept minor bordered by x in column c is D * (x_c - x_P A^-1 b_c) = s_c
-    up to sign, where A is the pivot minor and b_c its column c.  So over
-    GF(p) D stays a unit mod p; the kept rows stay independent mod p, with
-    RREF R_c * D^-1 mod p, and a row lies in their span mod p exactly when
-    s = 0 mod p.  The pivot columns are the GF(p) echelon ones, because s
-    is 0 in every pivot lane and c is its leading lane mod p.
+    Either way the new D is |s_c|, with s negated when s_c < 0: by the Schur
+    complement, the determinant of the kept minor bordered by x in column c
+    is D * (x_c - x_P A^-1 b_c) = s_c up to sign, where A is the pivot minor
+    and b_c its column c.  So over GF(p) D stays a unit mod p; the kept rows
+    stay independent mod p, with RREF R_c * D^-1 mod p, and a row lies in
+    their span mod p exactly when s = 0 mod p.  The pivot columns are the
+    GF(p) echelon ones, because s is 0 in every pivot lane and c is its
+    leading lane mod p.
 
     An integer space over Q also answers over every prime p that does not
     divide D (`reads_off`).  The kept rows' pivot minor is then a unit mod p,
@@ -274,7 +276,7 @@ class RowSpace:
         self.field = f
         self.rank = 0
         self._xor: dict[int, int] = {}  # GF(2): lowest set bit -> row bitmask
-        # any other field: D, the pivot columns as a bitmask, and `_cols`,
+        # any other field: D > 0, the pivot columns as a bitmask, and `_cols`,
         # which maps each pivot column c, in order of arrival, to its packed
         # row N_c; a free column has no entry.  D and every lane of every N_c
         # are at most 2^t in absolute value.
@@ -308,9 +310,14 @@ class RowSpace:
             self._xor[x & -x] = x
         else:
             s = self._residual(plus, minus)
-            if not s or p and not self._nonzero(s, p):
+            if not s:
                 return False
-            self._keep(s)
+            lanes = None
+            if p:  # decoded once, here, and handed on to `_keep`
+                lanes = self._unpack(s)
+                if not any(x % p for x in lanes):
+                    return False
+            self._keep(s, lanes)
         self.rank += 1
         return True
 
@@ -331,9 +338,10 @@ class RowSpace:
     def rows(self) -> list[list[int]]:
         """The echelon rows in pivot-column order.
 
-        Over Q they are the RREF rows scaled to primitive integers; over an
-        odd GF(p) they are the RREF rows as residues, and over GF(2) the XOR
-        basis rows.
+        Over Q they are the RREF rows scaled to primitive integers, each
+        R_c = D * (RREF row c) divided by its gcd, which is positive because
+        D > 0; over an odd GF(p) they are the RREF rows as residues, and over
+        GF(2) the XOR basis rows.
         """
         n = self.n
         p = self.field.characteristic
@@ -348,7 +356,7 @@ class RowSpace:
             if p:
                 out.append([x * inv % p for x in row])
             else:
-                g = gcd(*row) if d > 0 else -gcd(*row)
+                g = gcd(*row)
                 out.append([x // g for x in row])
         return out
 
@@ -470,8 +478,8 @@ class RowSpace:
     # Lane width.  Packing is linear over Z, so a lane that overflows in an
     # intermediate sum or product cancels again; only the lanes of a value
     # that is decoded or stored must lie in (-2^(B-1), 2^(B-1)).  t is an
-    # upper bound, not necessarily the least one, on |D| and on every lane
-    # of every kept row N_c: each is at most 2^t in absolute value.  A
+    # upper bound, not necessarily the least one, on D > 0 and on every
+    # lane of every kept row N_c: each is at most 2^t in absolute value.  A
     # residual D*x_free - sum_c x_c N_c of a row with w nonzero entries then
     # has lanes of at most w * 2^t, and B is kept at least
     # t + bit_length(n) + 1.  Keeping a row needs a bound on the updated
@@ -479,11 +487,14 @@ class RowSpace:
     # minor of {-1, 0, 1} rows (Bareiss), so Hadamard's inequality bounds
     # it by k^(k/2) before any row is fed: while that bound leaves the
     # width decoding every residual, t is just _HADAMARD[k].  Above that
-    # rank `_keep` takes the bound from the update formula, and t simply
-    # becomes it while the width still decodes every residual under it.
-    # Only when it would not are the rows actually stored rescanned for the
-    # least t (`_tighten`), and the lanes widened if even that does not
-    # fit.  Lanes start at 16 bits, so most spaces never widen at all.
+    # rank `_keep` widens the lanes, when it must, to hold the bound the
+    # update formula gives, and tests every rewritten row against 2^t as it
+    # is made.  If none has outgrown it, t grows only to cover the new row.
+    # If one has, t becomes the update bound while the width still decodes
+    # every residual under it; only when it would not are the rows actually
+    # stored rescanned for the least t (`_tighten`), and the lanes widened
+    # if even that does not fit.  Lanes start at 16 bits, so most spaces
+    # never widen at all.
 
     def _residual(self, plus: int, minus: int) -> int:
         """The packed row s = D*x_free - sum_c x_c N_c: x reduced against the space, times D.
@@ -520,78 +531,92 @@ class RowSpace:
         """True iff the residual s is nonzero over GF(p), or over Q when p = 0."""
         return bool(s) and (not p or any(x % p for x in self._unpack(s)))
 
-    def _keep(self, s: int) -> None:
-        """Store the residual s, nonzero over the space's field.
+    def _keep(self, s: int, lanes: list[int] | None) -> None:
+        """Store the residual s, nonzero over the space's field; over GF(p) lanes are its lanes.
 
         Its lowest lane c that is nonzero over the field (mod p over GF(p))
-        becomes a pivot and D becomes s_c; every kept row turns into
-        N_i <- (s_c N_i - N_i[c] s) / D.  The division is exact because each
-        entry of the result is a minor of the kept rows.  Over GF(p) the
-        lanes of s are decoded to find c.  While the new rank k is at most
+        becomes a pivot and D becomes |s_c|: s is negated first when s_c < 0,
+        so D stays positive.  Every kept row turns into
+        N_i <- (s_c N_i - N_i[c] s) / D, and a row with N_i[c] = 0 is left
+        alone when s_c = D.  The division is exact because each entry of the
+        result is a minor of the kept rows.  While the new rank k is at most
         `_hadamard_rank`, t is simply Hadamard's bound _HADAMARD[k] on the
         k x k minors, which the width already decodes under, so no bound is
-        probed.  Above it t comes from the update formula: over Q the lanes
-        of s are decoded only when the width must grow, and the rows are
-        rescanned for the least t only when the update bound would not leave
-        the width decoding every residual.  The first keep above it measures
-        the Hadamard t once, so a loose one never widens the lanes.
+        probed.  Above it the update formula bounds the rewritten rows before
+        they exist, and over Q the lanes of s are decoded only when the width
+        must grow to hold that bound.  The rewritten rows are lane-tested
+        against 2^t as they are made, t first raised to cover D and s: if
+        none has outgrown it, t stays there.  Otherwise t becomes the update
+        bound while the width still decodes every residual under it, and only
+        when it would not are the stored rows rescanned for the least t
+        (`_tighten`).  The first keep above the Hadamard rank measures the
+        Hadamard t once, so a loose one never widens the lanes.
         """
         d, b = self.common_pivot, self._width
-        p = self.field.characteristic
-        if p:
-            lanes = self._unpack(s)
+        if lanes is not None:
+            p = self.field.characteristic
             c = next(j for j, x in enumerate(lanes) if x % p)
             sc = lanes[c]
         else:
-            lanes = None
             c = ((s & -s).bit_length() - 1) // b
             # every lane below c is 0, so lane c is read with no borrow
             sc = s >> b * c & self._mask
             sc -= (sc & self._half) << 1
+        if sc < 0:
+            # Bareiss fixes D only up to sign, so D is kept positive
+            s, sc = -s, -sc
+            if lanes is not None:
+                lanes = [-x for x in lanes]
         k = self.rank + 1
         hadamard = k <= self._hadamard_rank
+        t = self._t
         if not hadamard:
             if k - 1 <= self._hadamard_rank:
-                self._t = self._tighten((abs(d) - 1).bit_length(), self._t)
-            t = self._t
-            # every lane of s is in [-2^ts, 2^ts), and s_c is one of them
-            ts = abs(sc).bit_length() - 1
+                t = self._t = self._tighten((d - 1).bit_length(), t)
+            # every lane of s is in [-2^ts, 2^ts), and s_c < 2^ts is one of them
+            ts = sc.bit_length()
             while not self._within((s,), ts):
                 ts += 1
-            # |s_c N_i - N_i[c] s| <= 2^(t + ts + 1), and |D| >= 2^(bit_length(D) - 1);
-            # a row left alone (N_i[c] = 0, s_c = D) is within it, as bit_length(D) <= ts + 1
-            bound = max(t + ts + 2 - abs(d).bit_length(), ts)
+            # |s_c N_i - N_i[c] s| <= 2^(t + ts + 1), and D >= 2^(bit_length(D) - 1)
+            bound = max(t + ts + 2 - d.bit_length(), ts)
             if bound + 1 > b:
                 if lanes is None:
                     lanes = self._unpack(s)
                 self._set_width(bound + 1)
                 s = self._pack(lanes)
                 b = self._width
+            t = max(t, ts)  # what D and the new row need
         cols, mask, half = self._cols, self._mask, self._half
         shift = b * c - 1
+        # every rewritten row is OR-ed into acc with each lane lifted by 2^t,
+        # as `_within` tests it; acc is read only above the Hadamard rank
+        ones = self._ones
+        lift = ones << t
+        acc = 0
         for i, row in cols.items():
             # signed lane c of row, as `_lane` reads it
             a = (((row >> shift) + 1) >> 1 if c else row) & mask
             a -= (a & half) << 1
             if a or sc != d:
-                cols[i] = (sc * row - a * s) // d
+                row = cols[i] = (sc * row - a * s) // d
+                acc |= row + lift
         cols[c] = s - (sc << (b * c))
         self._piv |= 1 << c
         self.common_pivot = sc
         if hadamard:
             self._t = _HADAMARD[k]
-        elif self._width_for(bound) <= b:
-            self._t = bound
-        else:
-            self._t = self._tighten(ts, bound)
-            need = self._width_for(self._t)
-            if need > b:
-                self._set_width(need)
+            return
+        if acc & ~((ones << (t + 1)) - ones):  # a rewritten row has outgrown 2^t
+            t = bound if self._width_for(bound) <= b else self._tighten(t + 1, bound)
+        self._t = t
+        need = self._width_for(t)
+        if need > b:
+            self._set_width(need)
 
     def _tighten(self, t: int, bound: int) -> int:
         """The least t' in [t, bound] with every lane of every N_j in [-2^t', 2^t').
 
-        `bound` is known to qualify, and |D| is at most 2^t.
+        `bound` is known to qualify, and D is at most 2^t.
         """
         rows = self._cols.values()
         while t < bound and not self._within(rows, t):

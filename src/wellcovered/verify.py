@@ -14,7 +14,8 @@ the decomposition relies on, so they must not test it against itself.
 Within one `run_suite` call each distinct labelled graph is enumerated and
 eliminated once, however many checks build it: the random graphs of at
 most a few vertices recur within a section, and so do the graphs built
-from them.  A check called on its own computes everything afresh.
+from them.  A kron check's uniform family is eliminated once per pair of
+factors.  A check called on its own computes everything afresh.
 """
 
 from __future__ import annotations
@@ -81,8 +82,10 @@ DEFAULT_CHARS = (0, 2, 3, 5, 7)
 
 _HALF = Fraction(1, 2)
 
-# the graphs the running `run_suite` call has reached the engine with:
-# (n, masks, limit) -> (n, sets, {characteristics: reports}), see `_computed`
+# what the running `run_suite` call has reached the engine with: each graph,
+# (n, masks, limit) -> (n, sets, {characteristics: reports}), see `_computed`,
+# and the uniform family of each kron pair, ("kron", g.n, g.masks, h.n,
+# h.masks, characteristics) -> reports, see `check_kron_remark`
 _SEEN: ContextVar[dict | None] = ContextVar("_SEEN", default=None)
 
 
@@ -292,8 +295,9 @@ def check_kron_remark(
     of g's sets, q and rank(A) those of h's, and rank(C) is the difference
     rank of the uniform sets S x T, the rows of A (x) M.  These ranks belong
     to set families, so they do not depend on the row order.  One report per
-    field, in field order; each graph is enumerated once, and the uniform
-    sets are eliminated by every call.
+    field, in field order; each graph is enumerated once.  Inside
+    `run_suite` the uniform sets of a pair (g, h) are eliminated once per
+    list of characteristics; a call on its own eliminates them afresh.
     """
     desc = instance or f"g[{_graph_descriptor(g)}];h[{_graph_descriptor(h)}]"
     if not fields:
@@ -309,7 +313,14 @@ def check_kron_remark(
     # the row of A (x) M for sets T of h and S of g is 1 in column j*a + u
     # for j in T and u in S: S shifted by j*a for every j in T
     uniform = [s * sum(1 << (j * a) for j in bits(t)) for t in sets_h for s in sets_g]
-    rcs = compute_wcdim_sets(a * h.n, uniform, fields)
+    seen = _SEEN.get()
+    if seen is None:
+        rcs = compute_wcdim_sets(a * h.n, uniform, fields)
+    else:
+        key = ("kron", a, g.masks, h.n, h.masks, tuple([f.characteristic for f in fields]))
+        rcs = seen.get(key)
+        if rcs is None:
+            rcs = seen[key] = compute_wcdim_sets(a * h.n, uniform, fields)
     reports = []
     for f, rg, rh, rc, rp in zip(fields, rgs, rhs, rcs, rps):
         k, rank_m, q, rank_a = rg.diff_rank, rg.sum_rank, rh.diff_rank, rh.sum_rank
@@ -403,7 +414,8 @@ def run_suite(
     requested section reads, or characteristics that no requested section
     sweeps (which would pass after comparing nothing) raise InputError.
     Each distinct labelled graph is enumerated and eliminated once per
-    call, for every check that builds it; nothing is kept between calls.
+    call, for every check that builds it, and so is each distinct uniform
+    family of the kron section; nothing is kept between calls.
     """
     if trials is not None and trials < 0:
         raise InputError("trial counts must be non-negative")

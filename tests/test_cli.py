@@ -1,14 +1,17 @@
 import hashlib
+import random
 import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from wellcovered import InputError
+from wellcovered import Graph, InputError
 from wellcovered.cli import (
     ReportDocument,
     ReportSection,
+    _parse_canonical,
+    _parse_lines,
     load_graph,
     main,
     parse_family_spec,
@@ -72,6 +75,47 @@ class TestGraphFile:
     def test_garbage_line(self):
         with pytest.raises(InputError, match="line 2"):
             parse_graph_file("2 1\n0 1 2\n")
+
+    def test_bulk_path_agrees_with_the_line_walk(self):
+        # every canonical text gives what the line walk gives: the same
+        # graph, or the same error message.  Only a text that passes every
+        # check takes the bulk path
+        def outcome(parse, text):
+            try:
+                return parse(text, "g.txt")
+            except InputError as exc:
+                return str(exc)
+
+        def canonical(n, edges, m=None):
+            m = len(edges) if m is None else m
+            return f"{n} {m}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+        rng = random.Random(20)
+        cases = []  # (text, whether it is a graph, whether the bulk path reads it)
+        for _ in range(60):
+            n = rng.randint(1, 30)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = [e if rng.random() < 0.5 else e[::-1] for e in pairs if rng.random() < 0.4]
+            rng.shuffle(edges)
+            cases.append((canonical(n, edges), True, True))
+            if not edges:
+                continue
+            i = rng.randrange(len(edges))
+            u, v = edges[i]
+            # the table has no "0u", so the line walk reads it
+            leading_zero = canonical(n, edges[:i] + [(f"0{u}", v)] + edges[i + 1 :])
+            cases.append((leading_zero, True, False))
+            for bad in ((u, n), (u, u), (v, u)):  # out of range, self-loop, repeated edge
+                cases.append((canonical(n, edges[:i] + [bad] + edges[i:]), False, False))
+            cases.append((canonical(n, edges, len(edges) + 1), False, False))
+        # n = MAX_VERTICES with three edges: a table of 16,384 strings
+        cases.append(("16384 3\n0 16383\n5 9\n16383 7\n", True, True))
+        cases.append(("16384 3\n0 16383\n5 9\n16384 7\n", False, False))
+        for text, valid, bulk in cases:
+            want = outcome(_parse_lines, text)
+            assert outcome(parse_graph_file, text) == want
+            assert isinstance(want, Graph) == valid
+            assert _parse_canonical(text) == (want if bulk else None)
 
 
 class TestLoadGraph:

@@ -67,6 +67,104 @@ def triangle_union(k):
     return g
 
 
+class LaneAudit:
+    """Checks every row fed to a Q space against the lane rule of `RowSpace._keep`.
+
+    Up to the Hadamard rank of the lanes a kept row probes no bound:
+    nothing is decoded or rescanned and t is the table's.  The first keep
+    above it measures t once, from D up.  From there a kept row decodes its
+    lanes only when the width grows, and t rises to T, the least t that D
+    and the new row allow, when no rewritten row leaves [-2^T, 2^T).  Only
+    when one does is t the update bound, and the stored rows are rescanned
+    for the least t only when that bound would leave a residual
+    undecodable.  After every row D > 0, D and every stored lane are at
+    most 2^t, and the width decodes every residual.  `counts` tallies the
+    branches and `tightened` the `_tighten` calls of each space.
+    """
+
+    def __init__(self, monkeypatch):
+        self.calls = Counter()
+        self.counts = Counter()
+        self.tightened = Counter()
+        for name in ("_unpack", "_tighten"):
+            method = getattr(RowSpace, name)
+
+            def counted(space, *args, _method=method, _name=name):
+                self.calls[_name] += 1
+                return _method(space, *args)
+
+            monkeypatch.setattr(RowSpace, name, counted)
+        add = RowSpace.add
+        monkeypatch.setattr(
+            RowSpace, "add", lambda space, plus, minus=0: self.add(add, space, plus, minus)
+        )
+
+    @staticmethod
+    def least(lanes):
+        """The least t with every lane in [-2^t, 2^t)."""
+        return max((x if x >= 0 else ~x).bit_length() for x in lanes)
+
+    def add(self, add, space, plus, minus):
+        if space.field != Q:
+            return add(space, plus, minus)
+        least = self.least
+        t, d, before, most = space._t, space.common_pivot, space._width, space._hadamard_rank
+        old = {c: space._unpack(row) for c, row in space._cols.items()}
+        leaving = space.rank == most
+        if leaving:
+            # the least t with D <= 2^t and every stored lane in [-2^t, 2^t)
+            stored = [x for lanes in old.values() for x in lanes]
+            t = min(t, max(least(stored), (d - 1).bit_length()))
+        lanes = space._unpack(space._residual(plus, minus))
+        # the residual as it is kept: negated when its pivot lane is negative
+        sign = 1 if next((x for x in lanes if x), 1) > 0 else -1
+        ts = least(sign * x for x in lanes)
+        bound = max(t + ts + 2 - d.bit_length(), ts)
+        # the width the update runs at: a power of two of at least 16 bits
+        width = before if bound < before else 1 << max(bound, 15).bit_length()
+        self.calls.clear()
+        kept = add(space, plus, minus)
+        made = dict(self.calls)
+        self.tightened[space] += made.get("_tighten", 0)
+        limit = 1 << space._t
+        assert 0 < space.common_pivot <= limit
+        assert all(abs(x) <= limit for r in space._cols.values() for x in space._unpack(r))
+        assert space._width - 1 >= space._t + space.n.bit_length()
+        if not kept:
+            assert not made
+            return kept
+        self.counts["keeps"] += 1
+        if space.rank <= most:
+            self.counts["flat"] += 1
+            assert not made
+            assert space._t == _HADAMARD[space.rank] and space._width == before
+            return kept
+        assert not made.get("_unpack") or space._width > before
+        tightened = made.get("_tighten", 0)
+        if leaving:
+            self.counts["measured"] += 1
+            tightened -= 1
+        # every stored row is rewritten but those with 0 in the new pivot
+        # column c, which are left alone when D does not change
+        c = next(j for j in space._cols if j not in old)
+        rewritten = [
+            space._unpack(space._cols[i])
+            for i, lanes in old.items()
+            if lanes[c] or space.common_pivot != d
+        ]
+        big = max(t, ts)
+        if not rewritten or least(x for r in rewritten for x in r) <= big:
+            self.counts["held"] += 1
+            assert tightened == 0 and space._t == big
+        elif space._width_for(bound) <= width:
+            self.counts["outgrown"] += 1
+            assert tightened == 0 and space._t == bound
+        else:
+            self.counts["rescanned"] += 1
+            assert tightened == 1
+        return kept
+
+
 def test_every_labelled_graph_up_to_five_vertices():
     count = 0
     for n in range(6):
@@ -306,7 +404,7 @@ class TestRowSpace:
                 if p:
                     assert space.common_pivot % p != 0
                 limit = 1 << space._t
-                assert abs(space.common_pivot) <= limit
+                assert 0 < space.common_pivot <= limit
                 lanes = [x for row in space._cols.values() for x in space._unpack(row)]
                 assert all(abs(x) <= limit for x in lanes)
                 assert space._width - 1 >= space._t + n.bit_length()
@@ -355,64 +453,71 @@ class TestRowSpace:
         "g", [crown(40), random_graph(28, 0.3, 28)], ids=["crown:40", "G(28,3/10)"]
     )
     def test_q_keeps_rescan_lanes_only_when_one_could_overflow(self, g, monkeypatch):
-        # up to the Hadamard rank of the lanes a kept row probes no bound:
-        # nothing is decoded or rescanned and t is the table's.  The first
-        # keep above it measures t once, from |D| up.  From there over Q a
-        # kept row decodes its lanes only when the width grows, and the
-        # stored rows are rescanned for the least t only when the update
-        # bound would leave a residual undecodable; otherwise t is that bound
-        calls = Counter()
-        for name in ("_unpack", "_tighten"):
-            method = getattr(RowSpace, name)
-
-            def counted(self, *args, _method=method, _name=name):
-                calls[_name] += 1
-                return _method(self, *args)
-
-            monkeypatch.setattr(RowSpace, name, counted)
+        # the rows M - M_0 fed in enumeration order, each checked by LaneAudit
+        audit = LaneAudit(monkeypatch)
         masks = mis_masks(g)
         base = masks[0]
         space = RowSpace(g.n, Q)
-        keeps = flat = measured = tightened = 0
         for m in masks[1:]:
             if space.full:
                 break
-            plus, minus = m & ~base, base & ~m
-            t, d, before, most = space._t, space.common_pivot, space._width, space._hadamard_rank
-            leaving = space.rank == most
-            if leaving:
-                # the least t with |D| <= 2^t and every stored lane in [-2^t, 2^t)
-                stored = [x for row in space._cols.values() for x in space._unpack(row)]
-                least = max((x if x >= 0 else ~x).bit_length() for x in stored)
-                t = min(t, max(least, (abs(d) - 1).bit_length()))
-            lanes = space._unpack(space._residual(plus, minus))
-            # the least ts with every lane of the residual in [-2^ts, 2^ts)
-            ts = max((x if x >= 0 else ~x).bit_length() for x in lanes)
-            bound = max(t + ts + 2 - abs(d).bit_length(), ts)
-            # the width the update runs at: a power of two of at least 16 bits
-            width = before if bound < before else 1 << max(bound, 15).bit_length()
-            calls.clear()
-            if not space.add(plus, minus):
-                assert not calls
-                continue
-            keeps += 1
-            if space.rank <= most:
-                flat += 1
-                assert not calls
-                assert space._t == _HADAMARD[space.rank] and space._width == before
-                continue
-            assert not calls["_unpack"] or space._width > before
-            if leaving:
-                measured += 1
-                assert calls["_tighten"] >= 1
-                calls["_tighten"] -= 1
-            if calls["_tighten"]:
-                tightened += 1
-                assert space._width_for(bound) > width
+            space.add(m & ~base, base & ~m)
+        counts = audit.counts
+        assert counts["flat"] == space._hadamard_rank and counts["measured"] == 1
+        assert 0 < counts["held"] < counts["keeps"] == space.rank
+        assert audit.tightened == {space: 1}
+
+    @pytest.mark.parametrize("k", [20, 30, 35, 40])
+    def test_crown_q_spaces_rescan_their_lanes_once(self, k, monkeypatch):
+        # fed in the engine's own order, a crown's rows grow past the
+        # least t a few times, but never past the update bound the width
+        # holds, so the only rescan is the one on leaving the Hadamard rank
+        audit = LaneAudit(monkeypatch)
+        [report] = compute_wcdim_fields(crown(k), [Q])
+        assert report.wcdim == f_crown(k, Q).value
+        assert audit.tightened == {report.space: 1}
+        assert audit.counts["outgrown"] > 0 and audit.counts["rescanned"] == 0
+
+    def test_dense_q_rows_take_every_lane_branch(self, monkeypatch):
+        # dense {-1, 1} rows widen the lanes, and each wider layout has a
+        # higher Hadamard rank that is left and measured again
+        audit = LaneAudit(monkeypatch)
+        rng = random.Random(11)
+        n = 60
+        full = (1 << n) - 1
+        space = RowSpace(n, Q)
+        for _ in range(50):
+            plus = rng.getrandbits(n)
+            assert space.add(plus, full & ~plus)
+        assert space._width > 64
+        counts = audit.counts
+        assert counts["keeps"] == 50 and counts["measured"] > 1
+        assert audit.tightened == {space: counts["measured"] + counts["rescanned"]}
+        assert min(counts[branch] for branch in ("flat", "held", "outgrown", "rescanned")) > 0
+
+    def test_an_odd_prime_space_decodes_each_residual_once(self, monkeypatch):
+        # over GF(p) `add` decodes a nonzero residual to test it mod p, and
+        # `_keep` reads the pivot off the same lanes; a zero residual is not
+        # decoded at all
+        calls = []
+        unpack = RowSpace._unpack
+        monkeypatch.setattr(RowSpace, "_unpack", lambda s, v: calls.append(v) or unpack(s, v))
+        space = RowSpace(6, FieldSpec(3))
+        rng = random.Random(7)
+        # (1, 1, 1), (1, -1, 0) and (0, 1, -1) have determinant 3: the third
+        # leaves a residual that is nonzero over Q and 0 mod 3
+        rows = [(0b111, 0), (0b001, 0b010), (0b010, 0b100)]
+        nonzero = kept = 0
+        while not space.full:
+            if rows:
+                plus, minus = rows.pop(0)
             else:
-                assert space._t == bound and space._width_for(bound) <= space._width
-        assert flat == most and measured == 1
-        assert 0 < tightened < keeps == space.rank
+                plus = rng.getrandbits(6)
+                minus = rng.getrandbits(6) & ~plus
+            nonzero += space._residual(plus, minus) != 0
+            kept += space.add(plus, minus)
+            assert len(calls) == nonzero
+        assert kept == 6 < nonzero
 
     def test_a_space_stores_only_its_kept_rows(self):
         # nothing is allocated per column: two empty spaces at n = 4000, and

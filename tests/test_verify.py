@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import chain
 
 import pytest
 
@@ -362,6 +363,34 @@ class TestOneRunComputesEachGraphOnce:
             alone.extend(check_union(g, h, fields(0, 2, 5), instance=desc))
         assert alone == reports
         assert len(calls) > len(set(calls))
+
+    def test_each_kron_family_is_eliminated_once_per_run(self, monkeypatch):
+        from wellcovered import verify
+
+        calls = []
+        real = verify.compute_wcdim_sets
+        monkeypatch.setattr(
+            verify,
+            "compute_wcdim_sets",
+            lambda n, sets, fs: calls.append((n, tuple(sets))) or real(n, sets, fs),
+        )
+        reports = run_suite(seed=1, checks=("kron",))
+        in_run = list(calls)
+        # on its own every check eliminates its three graphs and its uniform family
+        calls.clear()
+        rng = random.Random("1:kron")
+        pairs = list(chain(verify._designed_pairs()[:2], verify._pairs(rng, 30, 4)))
+        alone = []
+        for g, h, desc in pairs:
+            alone.extend(check_kron_remark(g, h, fields(0, 2, 3), instance=desc))
+        assert alone == reports
+        assert len(calls) == 4 * len(pairs)
+        # in the run each distinct graph and each distinct pair of factors
+        # reaches the engine once, though pairs repeat at this seed
+        graphs = {(x.n, x.masks) for g, h, _ in pairs for x in (g, h, lex_product(g, h))}
+        factors = {(g.n, g.masks, h.n, h.masks) for g, h, _ in pairs}
+        assert len(in_run) == len(graphs) + len(factors) < len(calls)
+        assert set(in_run) == set(calls)
 
     def test_a_check_called_on_its_own_computes_afresh(self, monkeypatch):
         from wellcovered import verify
