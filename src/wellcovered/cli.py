@@ -21,11 +21,11 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import dataclass
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .engine import WcdimReport, compute_wcdim_fields
 from .engine import compute_wcdim  # noqa: F401  (perfbench/trace.py instruments cli.compute_wcdim)
@@ -34,6 +34,7 @@ from .exactlin import FieldSpec
 from .families import FAMILY_BUILDERS, FamilySpec, build_family
 from .graphs import MAX_VERTICES, Graph, check_vertex_count
 from .graphs import new_graph  # noqa: F401  (perfbench/trace.py instruments cli.new_graph)
+from .records import Record
 from .verify import ALL_CHECKS, DEFAULT_CHARS, CheckReport, run_suite, summarize
 
 _SPEC_RE = re.compile(r"^([a-z-]+)(?::(\d+(?:,\d+)*))?$")
@@ -173,20 +174,29 @@ def load_graph(source: str) -> tuple[Graph, str]:
 # report documents
 
 
-@dataclass(frozen=True)
-class ReportSection:
+class ReportSection(Record):
     """One field's counts and, when asked for, its basis as the lines it prints as.
 
     `basis_lines` holds each basis vector's entries as `str` prints them,
     joined by spaces; `basis` parses them back into Fraction vectors.
     """
 
+    _fields = ("characteristic", "mis_count", "diff_rank", "wcdim", "sum_rank", "basis_lines")
     characteristic: int
     mis_count: int
     diff_rank: int
     wcdim: int
-    sum_rank: int | None = None
-    basis_lines: tuple[str, ...] | None = None
+    sum_rank: int | None
+    basis_lines: tuple[str, ...] | None
+
+    def __init__(
+        self, characteristic: int, mis_count: int, diff_rank: int, wcdim: int,
+        sum_rank: int | None = None, basis_lines: tuple[str, ...] | None = None,
+    ) -> None:
+        self.__dict__.update(
+            characteristic=characteristic, mis_count=mis_count, diff_rank=diff_rank,
+            wcdim=wcdim, sum_rank=sum_rank, basis_lines=basis_lines,
+        )
 
     @functools.cached_property
     def basis(self) -> tuple[tuple[Fraction, ...], ...] | None:
@@ -196,8 +206,7 @@ class ReportSection:
         return tuple(tuple(Fraction(x) for x in line.split()) for line in self.basis_lines)
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(NamedTuple):
     graph: str
     n: int
     edge_count: int
@@ -501,14 +510,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return 3
+    # a warning (a family below its formula's range) prints as one line, without its source
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except CapacityError as exc:
+            print(f"capacity error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

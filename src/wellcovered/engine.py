@@ -36,8 +36,6 @@ benchmark's tracer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from dataclasses import field as dataclass_field
 from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -48,6 +46,7 @@ from .exactlin import ExactMatrix, FieldSpec, RowSpace, Scalar
 from .exactlin import nullspace_basis, rank  # noqa: F401
 from .graphs import Graph
 from .mis import DEFAULT_MIS_LIMIT, MisList, enumerate_mis, mis_family
+from .records import Record
 
 
 class Stats(NamedTuple):
@@ -73,8 +72,7 @@ class Stats(NamedTuple):
     stopped_at_full_rank: bool
 
 
-@dataclass(frozen=True)
-class WcdimReport:
+class WcdimReport(Record):
     """Result of one well-covered dimension computation.
 
     `space` holds the row space the field was read from (at most n rows):
@@ -82,31 +80,26 @@ class WcdimReport:
     space.  `basis`, the canonical basis of the well-covered space, is read
     off those rows the first time it is accessed and kept from then on;
     `basis_lines`, the same basis as the text `compute --basis` prints, is
-    read off them separately, the same way.
+    read off them separately, the same way.  `space`, `base` and `stats`
+    are neither compared nor shown.
     """
 
+    _fields = ("n", "field", "mis_count", "wcdim", "diff_rank")
     n: int
     field: FieldSpec
     mis_count: int
     wcdim: int
     diff_rank: int
-    space: RowSpace = dataclass_field(repr=False, compare=False)
-    base: int = dataclass_field(repr=False, compare=False)
-    stats: Stats = dataclass_field(repr=False, compare=False)
+    space: RowSpace
+    base: int
+    stats: Stats
 
-    @classmethod
-    def _make(
-        cls, n: int, field: FieldSpec, mis_count: int, wcdim: int, diff_rank: int,
+    def __init__(
+        self, n: int, field: FieldSpec, mis_count: int, wcdim: int, diff_rank: int,
         space: RowSpace, base: int, stats: Stats,
-    ) -> "WcdimReport":
-        """The report `WcdimReport(...)` builds, its fields stored straight into its `__dict__`.
-
-        The frozen dataclass's `__init__` sets each field through its own
-        `object.__setattr__` call, about three times the cost of this; the
-        engine makes one report per field, on graphs as small as a vertex.
-        """
-        report = object.__new__(cls)
-        d = report.__dict__
+    ) -> None:
+        # written straight into __dict__, the cheapest: the engine makes one report per field
+        d = self.__dict__
         d["n"] = n
         d["field"] = field
         d["mis_count"] = mis_count
@@ -115,7 +108,6 @@ class WcdimReport:
         d["space"] = space
         d["base"] = base
         d["stats"] = stats
-        return report
 
     @cached_property
     def sum_rank(self) -> int:
@@ -291,7 +283,7 @@ def compute_wcdim_sets(
             own_ms = (time.perf_counter() - t2) * 1e3
             stats = Stats(enum_ms, pieces, "own elimination", own_ms, own_fed, own_fed < len(order))
         r = space.rank
-        reports.append(WcdimReport._make(n, f, count, n - r, r, space, base, stats))
+        reports.append(WcdimReport(n, f, count, n - r, r, space, base, stats))
     return reports
 
 
@@ -336,8 +328,7 @@ def is_well_covered_weighting(
     return True
 
 
-@dataclass(frozen=True)
-class PathStructureResult:
+class PathStructureResult(NamedTuple):
     """Outcome of the path weight-structure check."""
 
     ok: bool

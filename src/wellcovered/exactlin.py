@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InputError
+from .records import Record
 
 Scalar = Union[int, Fraction]
 
@@ -76,43 +76,43 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """The field of scalars, identified by its characteristic, an int: 0 or a prime."""
 
-    characteristic: int = 0
+    _fields = ("characteristic",)
+    characteristic: int
 
-    def __post_init__(self) -> None:
-        c = self.characteristic
+    def __init__(self, characteristic: int = 0) -> None:
+        c = characteristic
         if not isinstance(c, int) or isinstance(c, bool):
             raise InputError(f"characteristic must be an int, got {c!r}")
-        if c == 0:
-            return
         if c >= _MAX_PRIME:
             raise InputError(f"prime characteristic must be below 2^31, got {c}")
-        if not _is_prime(c):
+        if c and not _is_prime(c):
             raise InputError(f"characteristic must be 0 or a prime, got {c}")
+        # kept inline, the fastest to read: `RowSpace.add` reads it for every row
+        object.__setattr__(self, "characteristic", c)
 
     def __str__(self) -> str:
         return "Q" if self.characteristic == 0 else f"GF({self.characteristic})"
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(Record):
     """Dense matrix of exact scalars (ints or Fractions), row-major."""
 
+    _fields = ("rows", "cols", "entries")
     rows: int
     cols: int
     entries: tuple[Scalar, ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[Scalar, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise InputError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise InputError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
-                f"got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[Scalar]], cols: int | None = None) -> "ExactMatrix":

@@ -8,15 +8,13 @@ cases; the closed-form predictors in `formulas` enforce the strict ranges.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import InputError
 from .graphs import Graph, check_vertex_count, new_graph
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A named family instance, e.g. FamilySpec('crown', (5,))."""
 
     kind: str

@@ -7,15 +7,13 @@ harness treat engine-vs-formula agreement as a two-sided consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
 from .exactlin import FieldSpec
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """A predicted dimension plus which formula produced it and under what case."""
 
     value: int

@@ -21,12 +21,12 @@ CapacityError before anything per vertex is allocated.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, InputError
+from .records import Record
 
 # Enumeration keeps n co-adjacency masks of n bits each: n^2 bits, which is
 # 32 MB at this bound.  A vertex count above it is refused before any
@@ -51,8 +51,7 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True, repr=False)
-class Graph:
+class Graph(Record):
     """Simple undirected graph: no loops, no multi-edges, symmetric adjacency.
 
     `masks[v]` is the bitmask of v's neighbours.  The constructor checks that
@@ -61,13 +60,12 @@ class Graph:
     neighbour sets, which read more easily than n-bit integers.
     """
 
+    _fields = ("n", "masks")
     n: int
     masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = self.n
-        masks = tuple(self.masks)
-        object.__setattr__(self, "masks", masks)
+    def __init__(self, n: int, masks: Sequence[int]) -> None:
+        masks = tuple(masks)
         if n < 0 or len(masks) != n:
             raise InputError(f"adjacency length {len(masks)} != n = {n}")
         for v, mask in enumerate(masks):
@@ -80,6 +78,7 @@ class Graph:
             for u in bits(mask):
                 if not masks[u] >> v & 1:
                     raise InputError(f"asymmetric adjacency between {u} and {v}")
+        self.__dict__.update(n=n, masks=masks)
 
     @classmethod
     def unchecked(cls, n: int, masks: tuple[int, ...]) -> Graph:
@@ -90,8 +89,9 @@ class Graph:
         masks)` or `new_graph`.
         """
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "masks", masks)
+        d = g.__dict__
+        d["n"] = n
+        d["masks"] = masks
         return g
 
     @cached_property

@@ -28,22 +28,25 @@ the counts of their modules (Gallai 1967).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import kernels
 from .errors import CapacityError, InputError
 from .graphs import Graph, bits
+from .records import Record
 
 DEFAULT_MIS_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class MisList:
+class MisList(Record):
     """All maximal independent sets of a graph, canonically ordered."""
 
+    _fields = ("sets", "graph_n")
     sets: tuple[tuple[int, ...], ...]
     graph_n: int
+
+    def __init__(self, sets: tuple[tuple[int, ...], ...], graph_n: int) -> None:
+        self.__dict__.update(sets=sets, graph_n=graph_n)
 
     def __len__(self) -> int:
         return len(self.sets)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -89,8 +88,7 @@ _HALF = Fraction(1, 2)
 _SEEN: ContextVar[dict | None] = ContextVar("_SEEN", default=None)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """One engine-vs-formula comparison, with everything needed to replay it."""
 
     check: str

@@ -283,6 +283,19 @@ class TestComputeCommand:
         assert capsys.readouterr().out == first
 
 
+    def test_family_below_its_formula_range_warns_in_one_line(self, capsys):
+        import warnings
+
+        shown = warnings.showwarning
+        for _ in range(2):  # every call warns, not only the first in the process
+            assert main(["compute", "crown:2"]) == 0
+            out, err = capsys.readouterr()
+            assert out == "graph crown:2: 4 vertices, 2 edges\n  over Q: wcdim = 2\n"
+            assert err == "warning: crown(2) is below the range n >= 3 of its dimension formula\n"
+        assert warnings.showwarning is shown
+        assert main(["compute", "crown:3"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_edgeless_graph_beyond_the_recursion_limit(self, capsys):
         assert main(["compute", "empty:1100"]) == 0
         assert "over Q: wcdim = 1100" in capsys.readouterr().out
@@ -316,7 +329,7 @@ class TestComputeCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("a batch elimination ran")
 
-        monkeypatch.setattr(exactlin.ExactMatrix, "__post_init__", refuse)
+        monkeypatch.setattr(exactlin.ExactMatrix, "__init__", refuse)
         monkeypatch.setattr(kernels, "gf_rank", refuse)
         assert main(argv) == 0
         assert capsys.readouterr().out == want

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -175,8 +174,10 @@ class TestComputeWcdim:
         assert full.rows_vanished == full.stats.rows_fed - 20
 
     def test_engine_reports_keep_the_dataclass_contract(self, monkeypatch):
-        # the engine fills a report's fields without the dataclass __init__;
-        # the report must be the one the public constructor builds
+        # the report the engine builds must be the one the public constructor
+        # builds, with the contract a frozen dataclass had: the five compared
+        # fields in order, equality and hash on them, a pinned repr, and
+        # AttributeError on assignment and deletion
         from wellcovered.exactlin import RowSpace
 
         calls = Counter()
@@ -186,18 +187,20 @@ class TestComputeWcdim:
                 RowSpace, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
             )
         report = compute_wcdim(path(6), Q)
-        public = WcdimReport(
-            **{f.name: getattr(report, f.name) for f in dataclasses.fields(WcdimReport)}
-        )
+        compared = ("n", "field", "mis_count", "wcdim", "diff_rank")
+        stored = compared + ("space", "base", "stats")
+        public = WcdimReport(**{name: getattr(report, name) for name in stored})
+        assert tuple(vars(report)) == stored
         assert list(vars(report).items()) == list(vars(public).items())
         assert report == public and hash(report) == hash(public)
         assert repr(report) == repr(public) == (
             "WcdimReport(n=6, field=FieldSpec(characteristic=0), mis_count=5, wcdim=2, diff_rank=4)"
         )
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             report.wcdim = 0
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             del report.n
+        assert (report.wcdim, report.n) == (2, 6)
         assert not calls
         for _ in range(2):
             assert report.basis == ((1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1))

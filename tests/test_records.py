@@ -1,0 +1,229 @@
+"""The package's records keep the contract they had as frozen dataclasses.
+
+Records that validate or cache are classes on `records.Record`; the pure
+ones are named tuples.  Each keeps its constructor, equality, hash, repr and
+error messages, and none can be changed after it is built.  The package's
+import loads none of the modules `dataclasses` brings in.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wellcovered
+from wellcovered import (
+    CheckReport,
+    FamilySpec,
+    FieldSpec,
+    Graph,
+    InputError,
+    MisList,
+    WcdimReport,
+    compute_wcdim,
+    crown,
+    path,
+)
+from wellcovered.cli import ReportDocument, ReportSection
+from wellcovered.engine import PathStructureResult
+from wellcovered.exactlin import ExactMatrix
+from wellcovered.formulas import Prediction
+
+
+def _report(**changed):
+    r = compute_wcdim(path(6))
+    fields = dict(n=r.n, field=r.field, mis_count=r.mis_count, wcdim=r.wcdim,
+                  diff_rank=r.diff_rank, space=r.space, base=r.base, stats=r.stats)
+    return WcdimReport(**{**fields, **changed})
+
+
+# (build one, build an equal one, build one that differs in a compared field)
+CASES = {
+    "FieldSpec": (lambda: FieldSpec(3), lambda: FieldSpec(3), lambda: FieldSpec(5)),
+    "ExactMatrix": (
+        lambda: ExactMatrix(1, 2, (1, 2)),
+        lambda: ExactMatrix.from_rows([[1, 2]]),
+        lambda: ExactMatrix(2, 1, (1, 2)),
+    ),
+    "Graph": (
+        lambda: Graph(3, (2, 5, 2)),
+        lambda: Graph.unchecked(3, (2, 5, 2)),
+        lambda: Graph(3, (0, 0, 0)),
+    ),
+    "MisList": (
+        lambda: MisList(((0, 2), (1,)), 3),
+        lambda: MisList(((0, 2), (1,)), 3),
+        lambda: MisList(((0, 2), (1,)), 4),
+    ),
+    # space, base and stats are neither compared nor hashed
+    "WcdimReport": (
+        _report,
+        lambda: _report(space=None, base=-1, stats=None),
+        lambda: _report(wcdim=0),
+    ),
+    "ReportSection": (
+        lambda: ReportSection(0, 5, 4, 2),
+        lambda: ReportSection(characteristic=0, mis_count=5, diff_rank=4, wcdim=2),
+        lambda: ReportSection(0, 5, 4, 2, sum_rank=5),
+    ),
+    "Prediction": (
+        lambda: Prediction(4, "crown"),
+        lambda: Prediction(4, "crown", ()),
+        lambda: Prediction(4, "crown", ("char 2",)),
+    ),
+    "CheckReport": (
+        lambda: CheckReport("family", "crown:5", (0,), (4,), (4,), "pass"),
+        lambda: CheckReport("family", "crown:5", (0,), (4,), (4,), "pass", ""),
+        lambda: CheckReport("family", "crown:5", (0,), (4,), (3,), "FAIL"),
+    ),
+    "FamilySpec": (
+        lambda: FamilySpec("crown", (5,)),
+        lambda: FamilySpec(kind="crown", params=(5,)),
+        lambda: FamilySpec("crown", (6,)),
+    ),
+    "PathStructureResult": (
+        lambda: PathStructureResult(True, 2),
+        lambda: PathStructureResult(True, 2, None),
+        lambda: PathStructureResult(False, 2, "basis[0]"),
+    ),
+    "ReportDocument": (
+        lambda: ReportDocument("g", 3, 1, (ReportSection(0, 2, 1, 2),)),
+        lambda: ReportDocument("g", 3, 1, (ReportSection(0, 2, 1, 2),)),
+        lambda: ReportDocument("h", 3, 1, (ReportSection(0, 2, 1, 2),)),
+    ),
+}
+
+EXPLICIT = ("FieldSpec", "ExactMatrix", "Graph", "MisList", "WcdimReport", "ReportSection")
+
+FIRST_FIELD = {
+    "FieldSpec": "characteristic", "ExactMatrix": "rows", "MisList": "sets",
+    "ReportSection": "characteristic", "Prediction": "value", "CheckReport": "check",
+    "FamilySpec": "kind", "PathStructureResult": "ok", "ReportDocument": "graph",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+class TestEveryRecord:
+    def test_equality_hash_and_dict_key(self, name):
+        make, make_equal, make_other = CASES[name]
+        a, b, c = make(), make_equal(), make_other()
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert a != c and c != a
+        table = {a: "first"}
+        table[b] = "second"
+        assert table == {a: "second"} and table[make_equal()] == "second"
+        assert c not in table
+        assert a != object() and a != "x"
+
+    def test_immutable(self, name):
+        record = CASES[name][0]()
+        field = FIRST_FIELD.get(name, "n")
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.elsewhere = 1
+        assert getattr(record, field) is value
+
+    def test_kind(self, name):
+        record = CASES[name][0]()
+        # a named tuple unpacks and equals the plain tuple of its fields;
+        # the other records are no tuples
+        assert isinstance(record, tuple) == (name not in EXPLICIT)
+        if isinstance(record, tuple):
+            assert record == tuple(getattr(record, f) for f in record._fields)
+            assert [*record] == [getattr(record, f) for f in record._fields]
+
+
+def test_reprs_and_strs_are_unchanged():
+    assert str(FieldSpec(2)) == "GF(2)" and str(FieldSpec()) == "Q"
+    assert repr(FieldSpec(0)) == "FieldSpec(characteristic=0)"
+    assert str(FamilySpec("crown", (5,))) == "crown:5"
+    assert str(FamilySpec("petersen")) == "petersen"
+    assert repr(FamilySpec("crown", (5,))) == "FamilySpec(kind='crown', params=(5,))"
+    assert repr(ExactMatrix(1, 2, (1, 2))) == "ExactMatrix(rows=1, cols=2, entries=(1, 2))"
+    assert repr(MisList(((0,), (1,)), 2)) == "MisList(sets=((0,), (1,)), graph_n=2)"
+    assert repr(Graph(2, (2, 1))) == "Graph(n=2, adj=(frozenset({1}), frozenset({0})))"
+    assert repr(ReportSection(0, 1, 2, 3, 4, ("1 2",))) == (
+        "ReportSection(characteristic=0, mis_count=1, diff_rank=2, wcdim=3, sum_rank=4, "
+        "basis_lines=('1 2',))"
+    )
+    assert repr(Prediction(1, "x")) == "Prediction(value=1, source='x', conditions=())"
+    assert repr(PathStructureResult(True, 2)) == (
+        "PathStructureResult(ok=True, wcdim=2, witness=None)"
+    )
+    assert repr(CheckReport("a", "b", (0,), (1,), (1,), "pass")) == (
+        "CheckReport(check='a', instance='b', characteristics=(0,), predicted=(1,), "
+        "engine=(1,), verdict='pass', detail='')"
+    )
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FieldSpec(4), "characteristic must be 0 or a prime, got 4"),
+    (lambda: FieldSpec(True), "characteristic must be an int, got True"),
+    (lambda: FieldSpec("2"), "characteristic must be an int, got '2'"),
+    (lambda: FieldSpec(-3), "characteristic must be 0 or a prime, got -3"),
+    (lambda: FieldSpec(2**31), "prime characteristic must be below 2^31, got 2147483648"),
+    (lambda: Graph(1, (1,)), "self-loop at vertex 0"),
+    (lambda: Graph(2, (2, 0)), "asymmetric adjacency between 1 and 0"),
+    (lambda: Graph(2, (4, 0)), "neighbour 2 of vertex 0 out of range"),
+    (lambda: Graph(3, (0, 0)), "adjacency length 2 != n = 3"),
+    (lambda: Graph(2, (-1, 0)), "adjacency of vertex 0 is not a non-negative bitmask: -1"),
+    (lambda: ExactMatrix(2, 2, (1, 2, 3)), "2x2 matrix needs 4 entries, got 3"),
+    (lambda: ExactMatrix(-1, 0, ()), "matrix dimensions must be non-negative"),
+])
+def test_validation_messages_are_unchanged(build, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_unchecked_graph_equals_the_checked_one():
+    for g in (crown(5), path(7), Graph(0, ())):
+        h = Graph.unchecked(g.n, g.masks)
+        assert h == Graph(g.n, g.masks) == g and hash(h) == hash(g)
+        assert vars(h) == vars(Graph(g.n, list(g.masks)))
+    assert Graph(2, [2, 1]).masks == (2, 1)
+
+
+def test_cached_properties_are_kept_in_the_instance():
+    g = crown(3)
+    assert "adj" not in vars(g)
+    assert g.adj is g.adj and vars(g)["adj"] == g.adj
+    section = ReportSection(0, 2, 1, 2, basis_lines=("1 1/2",))
+    assert section.basis is section.basis
+    assert section == ReportSection(0, 2, 1, 2, basis_lines=("1 1/2",))
+
+
+SRC = Path(wellcovered.__file__).resolve().parents[1]
+
+# what `dataclasses` imports, besides itself
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_a_fresh_import_loads_none_of_what_dataclasses_brings():
+    code = (
+        "import json, sys\n"
+        "start = set(sys.modules)\n"
+        "import wellcovered\n"
+        "package = set(sys.modules) - start\n"
+        "import wellcovered.cli\n"
+        "cli = set(sys.modules) - start - package\n"
+        "print(json.dumps([wellcovered.__file__, sorted(package), sorted(cli)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    origin, package, cli = json.loads(proc.stdout)
+    assert Path(origin).resolve() == Path(wellcovered.__file__).resolve()
+    assert "wellcovered.engine" in package and "wellcovered.cli" in cli
+    assert [m for m in HEAVY if m in package or m in cli] == []

@@ -558,7 +558,7 @@ class TestRunSuite:
         def refuse(*args, **kwargs):
             raise AssertionError("a batch elimination ran")
 
-        monkeypatch.setattr(exactlin.ExactMatrix, "__post_init__", refuse)
+        monkeypatch.setattr(exactlin.ExactMatrix, "__init__", refuse)
         monkeypatch.setattr(kernels, "gf_rank", refuse)
         assert run_suite(seed=1) == want
 
