@@ -54,15 +54,16 @@ def parse_family_spec(text: str) -> FamilySpec:
 
 # The layout `perfbench` writes its inputs in: a header line and one line
 # per edge, each two runs of ASCII digits joined by one space and ended by
-# '\n'.  Only such a text takes the bulk path.
-_CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
+# '\n'.  Only such a text takes the bulk path; `_parse_canonical` checks
+# the layout with this table, which deletes the ASCII digits.
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
 
 
 def parse_graph_file(text: str, name: str = "<input>") -> Graph:
     """Parse the edge-list file format; duplicate edges are rejected.
 
-    A text in the canonical layout (`_CANONICAL`, no comments, blank lines
-    or other whitespace) is validated in bulk: each endpoint token is
+    A text in the canonical layout (see `_parse_canonical`: no comments, blank
+    lines or other whitespace) is validated in bulk: each endpoint token is
     converted and range-checked by one lookup in a table of the strings of
     0..n-1, and each edge sets its two adjacency bits with no test, so a
     self-loop or a repeated edge shows only as a total popcount below 2m.
@@ -77,26 +78,37 @@ def parse_graph_file(text: str, name: str = "<input>") -> Graph:
 
 def _parse_canonical(text: str) -> Graph | None:
     """The graph of a canonical text that passes every check, else None."""
-    if not _CANONICAL.fullmatch(text):
-        return None
     tokens = text.split()
+    if len(tokens) < 2:
+        return None
     try:
         n, m = int(tokens[0]), int(tokens[1])
-    except ValueError:  # a header past int()'s digit limit
+    except ValueError:  # not an integer, or a header past int()'s digit limit
+        return None
+    # the layout: with its ASCII digits deleted the text is m + 1 lines " \n",
+    # which leaves 2m + 3 places for digit runs; a final '\n' empties the
+    # last, and then 2m + 2 tokens fill every other one.  The token count
+    # goes first, as it bounds m by the length of the text
+    if (
+        len(tokens) != 2 * m + 2
+        or text[-1:] != "\n"
+        or text.translate(_DROP_DIGITS) != " \n" * (m + 1)
+    ):
+        return None
+    if n > MAX_VERTICES:
         return None
     del tokens[:2]
-    if n > MAX_VERTICES or len(tokens) != 2 * m:
-        return None
     table = {str(v): v for v in range(n)}
     try:
         ends = list(map(table.__getitem__, tokens))
     except KeyError:  # a leading zero, or an endpoint >= n
         return None
+    bit = [1 << v for v in range(n)]
     masks = [0] * n
     pairs = iter(ends)
     for u, v in zip(pairs, pairs):
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+        masks[u] |= bit[v]
+        masks[v] |= bit[u]
     # of m edge lines, a self-loop sets one new bit, not two, and a repeated
     # edge none, so exactly then fewer than 2m bits are set
     if sum(map(int.bit_count, masks)) != 2 * m:

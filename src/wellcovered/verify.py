@@ -309,8 +309,9 @@ def check_kron_remark(
     (sets_g, rgs), (sets_h, rhs), (_, rps) = computed
     a = g.n
     # the row of A (x) M for sets T of h and S of g is 1 in column j*a + u
-    # for j in T and u in S: S shifted by j*a for every j in T
-    uniform = [s * sum(1 << (j * a) for j in bits(t)) for t in sets_h for s in sets_g]
+    # for j in T and u in S: S times T's spread, 2^(j*a) summed over j in T
+    spreads = [sum(1 << (j * a) for j in bits(t)) for t in sets_h]
+    uniform = [s * spread for spread in spreads for s in sets_g]
     seen = _SEEN.get()
     if seen is None:
         rcs = compute_wcdim_sets(a * h.n, uniform, fields)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -536,6 +537,11 @@ def faulted_files():
         yield f"{n} {m}\n{a} {b} {c}\n{d}\n" + "".join(f"{x} {y}\n" for x, y in edges[2:])
 
 
+# the canonical layout as a pattern: a header line and one line per edge,
+# each two runs of ASCII digits joined by one space and ended by '\n'
+CANONICAL_LAYOUT = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
+
+
 def test_bulk_path_matches_the_line_walk():
     from wellcovered import cli
 
@@ -547,7 +553,7 @@ def test_bulk_path_matches_the_line_walk():
     # 10 of each graph's 16 files keep the canonical layout, so their faults
     # must be caught by the bulk path's checks, not by its pattern
     assert len(faulted) == 7 * 16
-    assert sum(1 for text in faulted if cli._CANONICAL.fullmatch(text)) == 7 * 10
+    assert sum(1 for text in faulted if CANONICAL_LAYOUT.fullmatch(text)) == 7 * 10
     texts += faulted
     for text in texts:
         want = parse_outcome(cli._parse_lines, text)
@@ -569,3 +575,114 @@ def test_canonical_files_never_reach_the_line_walk(monkeypatch):
     for n in (30, 80, 200):
         g = random_graph(n, Fraction(3, 10), n)
         assert parse_graph_file(canonical(n, g.edges())) == g
+
+
+def pattern_parse_canonical(text):
+    """The bulk path as it was when the layout was checked by CANONICAL_LAYOUT."""
+    if not CANONICAL_LAYOUT.fullmatch(text):
+        return None
+    tokens = text.split()
+    try:
+        n, m = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        return None
+    del tokens[:2]
+    if n > MAX_VERTICES or len(tokens) != 2 * m:
+        return None
+    table = {str(v): v for v in range(n)}
+    try:
+        ends = list(map(table.__getitem__, tokens))
+    except KeyError:
+        return None
+    masks = [0] * n
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    if sum(map(int.bit_count, masks)) != 2 * m:
+        return None
+    return Graph.unchecked(n, tuple(masks))
+
+
+def mutate_line(rng, line):
+    """One line of a canonical text ("u v"), changed in one of the ways a file can stray."""
+    u, v = line.split(" ")
+    return rng.choice([
+        lambda: f"0{u} {v}",  # a leading zero
+        lambda: f"{u}  {v}",  # a doubled space
+        lambda: f"{u}\t{v}",
+        lambda: f"{u} {v}\r",  # CRLF, once the line is joined
+        lambda: f"{u} {v} ",
+        lambda: f" {u} {v}",
+        lambda: f"{u} \u0663{v}",  # an Arabic-Indic digit
+        lambda: f"{u} \uff11",  # a fullwidth digit
+        lambda: f"{u} {v}_0",
+        lambda: f"{u} 1_{v}",
+        lambda: f"+{u} {v}",
+        lambda: f"{u} -{v}",
+        lambda: f"{u} {v}\n",  # a blank line follows
+        lambda: f"{u}",  # one token
+        lambda: f"{u} ",  # one token and a space
+        lambda: f" {v}",
+        lambda: f"{u} {v} {u}",  # three tokens
+        lambda: f"{u} {u}",  # a self-loop
+        lambda: f"{v} {u}",  # the same edge reversed
+        lambda: f"{u} {v}9",  # an endpoint >= n, as n < 10
+        lambda: f"{u} {'0' * 5000}{v}",  # a token past int()'s digit limit
+        lambda: f"{u} {v}\u2028",  # a Unicode line separator
+    ])()
+
+
+def mutated_files(rng, count):
+    """Canonical texts of small random graphs, each with up to five faults."""
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        g = random_graph(n, Fraction(1, 2), rng.randrange(2**32))
+        edges = g.edges()
+        if rng.random() < 0.3 and edges:
+            edges.append(rng.choice(edges))  # a repeated edge
+        lines = [f"{n} {len(edges) + rng.choice([0, 0, 0, -1, 1])}"]
+        lines += [f"{u} {v}" for u, v in edges]
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(len(lines))
+            lines[i] = mutate_line(rng, lines[i]) if lines[i].count(" ") == 1 else lines[i]
+        end = rng.random()
+        tail = ""
+        if end < 0.1:
+            tail = str(rng.randrange(n))  # digits after the final newline
+        elif end < 0.3:
+            # a line's last run moved after the final newline
+            i = rng.randrange(len(lines))
+            head, _, tail = lines[i].rpartition(" ")
+            lines[i] = head + " "
+        text = "".join(line + "\n" for line in lines) + tail
+        yield text[:-1] if end > 0.9 else text  # no final newline
+
+
+def test_canonical_check_matches_the_layout_pattern():
+    # counting tokens, requiring a final newline and deleting the digits
+    # accepts exactly the texts CANONICAL_LAYOUT matched, so every text
+    # gives the graph or the _parse_lines error it gave when the pattern
+    # decided the layout
+    from wellcovered import cli
+
+    def before(text):
+        g = pattern_parse_canonical(text)
+        return g if g is not None else cli._parse_lines(text)
+
+    texts = list(mutated_files(random.Random(22), 3000))
+    texts += [
+        "", "\n", " \n", "0 0\n", "0 0", "00 0\n", "1 0\n\n", "3 1\r\n0 1\r\n",
+        "3 1\n0 1", "3 1\n0\n1\n", "3 1\n0 1 2\n", "3 -1\n", "3 1\n1 1\n",
+        "3 2\n0 1\n1 0\n", "3 1\n0 3\n", f"{MAX_VERTICES + 1} 0\n",
+        f"1{'0' * 5000} 0\n", f"3 1{'0' * 5000}\n0 1\n", "3 1\n\u0660 1\n", "3 1\n0_0 1\n",
+        # a line short of a digit run, and the run after the final newline
+        " 3\n0", "3 \n0", "3 1\n0 \n1", "3 1\n 0\n1",
+    ]
+    layouts = 0
+    for text in texts:
+        layouts += bool(CANONICAL_LAYOUT.fullmatch(text))
+        assert cli._parse_canonical(text) == pattern_parse_canonical(text), repr(text[:80])
+        assert parse_outcome(parse_graph_file, text) == parse_outcome(before, text), repr(text[:80])
+    # both sides of the check are reached often
+    assert 500 < layouts < len(texts) - 500

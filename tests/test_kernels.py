@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from wellcovered import kernels
-from wellcovered.graphs import random_graph
+from wellcovered.families import crown, cycle, petersen
+from wellcovered.graphs import lex_product, random_graph
 from wellcovered.mis import enumerate_mis
 
 from helpers import all_graphs, brute_force_mis, ref_maximal_cliques, ref_rank
@@ -98,9 +99,21 @@ def test_edgeless_graph_reads_each_adjacency_a_bounded_number_of_times():
     assert masks.reads <= 3 * n
 
 
+@pytest.mark.parametrize("k", [3, 10, 40, 160, 300])
+def test_crown_complement_reads_a_linear_number_of_masks(k):
+    # crown(k)'s complement is two k-cliques joined by a perfect matching.
+    # The scan stops at the first vertex that sees |P| - 1 of P, which each
+    # of its ~k states reaches early; a scan of all of P | X at each of
+    # them costs about k^2 reads
+    masks = CountingList(complement_masks(crown(k)))
+    assert len(kernels.maximal_cliques(masks, 10**6)) == k + 2
+    assert masks.reads <= 16 * k
+
+
 # sha256 of the clique lists, in discovery order, of the complements of
 # random_graph(n, p, 7000 + n) for n = 0..32, one line per graph; recorded
-# before the pivot scan learned to stop early, which must not change the pivot
+# before the pivot scan learned to stop early, which must change neither the
+# lists nor their order
 CLIQUE_LIST_DIGESTS = {
     0.1: "d0d7380d0b9487538cdd9270412ddf8057e32d96cd376ff0b1ab17e59dbf2806",
     0.3: "09ff546a3fe83795b4dce1d9713cec1263a96f05a774c02800bd84e792edcf11",
@@ -125,6 +138,17 @@ def test_cliques_match_the_recursive_oracle_on_every_small_graph():
         for g in all_graphs(n):
             masks = complement_masks(g)
             assert kernels.maximal_cliques(masks, 10**6) == ref_maximal_cliques(masks)
+
+
+def test_cliques_match_the_recursive_oracle_on_crowns_and_lex_products():
+    # the scan stops at |P| - 1 in many of these states (the random graphs
+    # below also reach states where it passes over a vertex of X that sees
+    # all of P, and must open only states that emit nothing)
+    graphs = [crown(k) for k in range(3, 25)]
+    graphs += [lex_product(cycle(5), cycle(5)), lex_product(petersen(), cycle(5))]
+    for g in graphs:
+        masks = complement_masks(g)
+        assert kernels.maximal_cliques(masks, 10**6) == ref_maximal_cliques(masks)
 
 
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
