@@ -7,19 +7,23 @@ Commands:
 
 Graphs come either from a family spec string (grammar: `kind` or
 `kind:p1,p2,...`, e.g. `crown:5`, `kpartite:2,3,4`, `petersen`) or from an
-edge-list file: a UTF-8 text file with a header line "n m", then m lines
-"u v" with 0-based vertex indices; blank lines and lines starting with '#'
-are ignored.  A graph has at most `graphs.MAX_VERTICES` vertices.
+edge-list file: a regular UTF-8 text file with a header line "n m", then m
+lines "u v" with 0-based vertex indices; blank lines and lines starting with
+'#' are ignored.  A graph has at most `graphs.MAX_VERTICES` vertices.
 
-Exit codes: 0 success, 1 verification failure, 2 input error (including an
-unreadable or undecodable file), 3 capacity (including too many vertices).
+Exit codes: 0 success, 1 verification failure, 2 input error (including a
+path that names no regular file, and a file the OS will not open or read or
+that is not UTF-8), 3 capacity (including too many vertices).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import re
+import stat
 import sys
 import warnings
 from fractions import Fraction
@@ -163,23 +167,63 @@ def _parse_lines(text: str, name: str = "<input>") -> Graph:
 def load_graph(source: str) -> tuple[Graph, str]:
     """Resolve a CLI input to (graph, descriptor): family spec first, then file.
 
-    The file is read as UTF-8; a file that is not, or that cannot be read,
-    raises InputError naming it.
+    The file is read as UTF-8 by `_read_file`; a path that names no regular
+    file, or a file that is not UTF-8 or cannot be read, raises InputError.
     """
     m = _SPEC_RE.match(source.strip())
     if m and m.group(1) in FAMILY_BUILDERS:
         spec = parse_family_spec(source)
         return build_family(spec), str(spec)
-    path = Path(source)
-    if not path.is_file():
+    name = str(Path(source))
+    text = _read_file(name)
+    if text is None:
         raise InputError(f"{source!r} is neither a known family spec nor a readable file")
+    return parse_graph_file(text, name=name), name
+
+
+# O_NONBLOCK keeps the open of a FIFO from waiting for a writer; the fstat
+# then turns it away, as it does every other file that is not regular
+_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
+# open() errors that say no file is there: a missing path, a path through a
+# file, a symlink loop, and a socket or a device node with no device behind it
+_NO_FILE = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENXIO})
+# the least each read asks for: st_size is only a hint, and reads 0 for a
+# /proc file
+_MIN_READ = 1 << 13
+
+
+def _read_file(name: str) -> str | None:
+    """The UTF-8 text of the regular file `name`, or None if no regular file is there.
+
+    One open, one fstat, reads until end of file, one decode.  A NUL byte in
+    the path, or an open error of `_NO_FILE`, gives None; any other OS error
+    raises InputError "cannot be read", and text that is not UTF-8 raises
+    InputError "not UTF-8 text".
+    """
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        fd = os.open(name, _OPEN_FLAGS)
+    except ValueError:  # an embedded NUL byte
+        return None
     except OSError as exc:
-        raise InputError(f"{path}: cannot be read ({exc.strerror or exc})") from None
-    return parse_graph_file(text, name=str(path)), str(path)
+        if exc.errno in _NO_FILE:
+            return None
+        raise InputError(f"{name}: cannot be read ({exc.strerror or exc})") from None
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            return None
+        size = max(st.st_size + 1, _MIN_READ)
+        chunks = []
+        while chunk := os.read(fd, size):
+            chunks.append(chunk)
+    except OSError as exc:
+        raise InputError(f"{name}: cannot be read ({exc.strerror or exc})") from None
+    finally:
+        os.close(fd)
+    try:
+        return b"".join(chunks).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +454,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _render_check_machine(reports: Sequence[CheckReport]) -> str:
-    lines = []
-    for r in reports:
-        lines.append(f"check = {r.check}")
-        lines.append(f"instance = {r.instance}")
-        lines.append("characteristics = " + " ".join(str(c) for c in r.characteristics))
-        lines.append("predicted = " + " ".join(str(v) for v in r.predicted))
-        lines.append("engine = " + " ".join(str(v) for v in r.engine))
-        lines.append(f"verdict = {r.verdict}")
-        if r.detail:
-            lines.append(f"detail = {r.detail}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"check = {r.check}\ninstance = {r.instance}\n"
+        f"characteristics = {' '.join(map(str, r.characteristics))}\n"
+        f"predicted = {' '.join(map(str, r.predicted))}\n"
+        f"engine = {' '.join(map(str, r.engine))}\n"
+        f"verdict = {r.verdict}\n" + (f"detail = {r.detail}\n" if r.detail else "")
+        for r in reports
+    ) or "\n"  # with no report the output is one empty line
 
 
 def _render_check_text(reports: Sequence[CheckReport]) -> str:
@@ -520,8 +561,33 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+@functools.cache
+def _command_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Each command's own parser, by name: the subparsers `build_parser` made."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """What `_parser().parse_args(argv)` returns, parsing each word once where it can.
+
+    The full parser hands every word after the command to the command's own
+    parser, so a command word goes straight to that parser.  The full parser
+    runs only with no command or an unknown one, and when the command's
+    parser leaves words over, so that the error about them is its own.
+    """
+    words = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    command = _command_parsers(parser).get(words[0]) if words else None
+    if command is not None:
+        args, extras = command.parse_known_args(words[1:], argparse.Namespace(command=words[0]))
+        if not extras:
+            return args
+    return parser.parse_args(words)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command and map its errors to their exit codes."""
     # a warning (a family below its formula's range) prints as one line, without its source
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
@@ -533,6 +599,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         except CapacityError as exc:
             print(f"capacity error: {exc}", file=sys.stderr)
             return 3
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    return _run(_parse(argv))
 
 
 if __name__ == "__main__":

@@ -1,17 +1,25 @@
+import errno
 import hashlib
+import os
 import random
 import re
+import socket
+import stat
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from wellcovered import Graph, InputError
+from wellcovered import Graph, InputError, cli
 from wellcovered.cli import (
     ReportDocument,
     ReportSection,
     _parse_canonical,
     _parse_lines,
+    _read_file,
     load_graph,
     main,
     parse_family_spec,
@@ -20,6 +28,7 @@ from wellcovered.cli import (
     render_machine,
 )
 from wellcovered.families import FamilySpec, crown, petersen
+from wellcovered.verify import CheckReport, run_suite
 
 
 C4_FILE = "4 4\n0 1\n1 2\n2 3\n3 0\n"
@@ -148,17 +157,39 @@ class TestInputFailures:
         p = tmp_path / "c4.txt"
         p.write_text(C4_FILE)
 
-        def denied(self, *args, **kwargs):
-            raise PermissionError(13, "Permission denied", str(self))
+        def denied(fd, size):
+            raise PermissionError(13, "Permission denied")
 
         # the suite may run as root, which no file mode keeps out
-        monkeypatch.setattr(type(p), "read_text", denied)
+        monkeypatch.setattr("os.read", denied)
         assert main(["compute", str(p)]) == 2
         assert capsys.readouterr().err == f"error: {p}: cannot be read (Permission denied)\n"
 
     def test_directory_exits_2(self, tmp_path, capsys):
         assert main(["compute", str(tmp_path)]) == 2
         assert str(tmp_path) in capsys.readouterr().err
+
+    def test_over_long_file_name_exits_2(self, capsys):
+        # the OS rejects the name itself; this used to end in a traceback and exit 1
+        name = "a" * 300
+        assert main(["compute", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name}: cannot be read ({os.strerror(errno.ENAMETOOLONG)})\n"
+
+    @pytest.mark.parametrize("code", [errno.EACCES, errno.EIO, errno.EMFILE], ids=errno.errorcode.get)
+    def test_an_open_the_os_refuses_exits_2(self, tmp_path, capsys, monkeypatch, code):
+        # EACCES is what a directory without search permission gives a user
+        # who is not root; the suite may run as root, so the open is made to fail
+        p = tmp_path / "c4.txt"
+        p.write_text(C4_FILE)
+
+        def refused(path, flags, *args, **kwargs):
+            raise OSError(code, os.strerror(code), path)
+
+        monkeypatch.setattr("os.open", refused)
+        assert main(["compute", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: cannot be read ({os.strerror(code)})\n"
 
     def test_header_above_the_vertex_bound_exits_3(self, tmp_path, capsys):
         p = tmp_path / "huge.txt"
@@ -175,6 +206,109 @@ class TestInputFailures:
     def test_family_above_the_vertex_bound_exits_3(self, spec, capsys):
         assert main(["compute", spec]) == 3
         assert "at most 16384 are supported" in capsys.readouterr().err
+
+
+def _run_with_timeout(call, seconds=10):
+    """call()'s result, from a thread given `seconds` to finish."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(call()), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"still running after {seconds} s"
+    return result[0]
+
+
+class TestInputPaths:
+    """Every kind of input path, through `main`: one open, one fstat, reads to end of file."""
+
+    @staticmethod
+    def _not_a_file(source, capsys):
+        assert main(["compute", source]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {source!r} is neither a known family spec nor a readable file\n"
+        )
+
+    def test_directory(self, tmp_path, capsys):
+        self._not_a_file(str(tmp_path), capsys)
+
+    def test_fifo_returns_at_once(self, tmp_path, capsys):
+        fifo = tmp_path / "edges.fifo"
+        os.mkfifo(fifo)
+        try:
+            code = _run_with_timeout(lambda: main(["compute", str(fifo)]))
+        finally:
+            # a writer that opens the FIFO frees a reader stuck in its open
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # ENXIO: no reader, as there should be none
+                pass
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: {str(fifo)!r} is neither a known family spec nor a readable file\n"
+        )
+
+    def test_device(self, capsys):
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        self._not_a_file(os.devnull, capsys)
+
+    def test_socket(self, tmp_path, capsys):
+        # opening a socket fails with ENXIO, which counts as no file there
+        path = tmp_path / "s"
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.bind(str(path))
+            self._not_a_file(str(path), capsys)
+
+    @pytest.mark.parametrize(
+        "name", ["missing.txt", "c4.txt/edges.txt", "c4\0.txt"], ids=["missing", "through-a-file", "nul"],
+    )
+    def test_no_file_there(self, tmp_path, capsys, name):
+        (tmp_path / "c4.txt").write_text(C4_FILE)
+        self._not_a_file(f"{tmp_path}/{name}", capsys)
+
+    def test_crlf_file_prints_what_its_lf_twin_prints(self, tmp_path, capsys):
+        p = tmp_path / "c4.txt"
+        argv = ["compute", str(p), "--char", "0", "--char", "2", "--machine", "--basis", "--verbose"]
+        outputs = []
+        for newline in ("\n", "\r\n"):
+            p.write_bytes(("# a 4-cycle\n\n" + C4_FILE).replace("\n", newline).encode())
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+    def test_utf8_bom_is_not_skipped(self, tmp_path, capsys):
+        p = tmp_path / "bom.txt"
+        p.write_bytes(b"\xef\xbb\xbf" + C4_FILE.encode())
+        assert main(["compute", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {p} line 1: expected two integers, got '\\ufeff4 4'\n"
+        )
+
+    def test_a_file_whose_size_reads_0_is_read_whole(self):
+        status = Path("/proc/self/status")
+        assert status.stat().st_size == 0
+        text = _read_file(str(status))
+        assert text.endswith("\n")
+        keys = [line.partition(":")[0] for line in text.splitlines()]
+        assert keys == [line.partition(":")[0] for line in status.read_text().splitlines()]
+
+    def test_a_size_that_understates_the_file_reads_on_to_its_end(self, tmp_path, capsys, monkeypatch):
+        # K_100 as a file of about 3.5 times _MIN_READ bytes, so that with its
+        # size read as 0 it takes four reads and a final empty one
+        p = tmp_path / "k100.txt"
+        p.write_text("100 4950\n" + "".join(f"{u} {v}\n" for u in range(100) for v in range(u)))
+        assert 3 * cli._MIN_READ < p.stat().st_size < 4 * cli._MIN_READ
+        assert main(["compute", str(p), "--machine"]) == 0
+        whole = capsys.readouterr()
+        real_fstat = os.fstat
+
+        def understated(fd):
+            st = real_fstat(fd)
+            return os.stat_result((st.st_mode, st.st_ino, st.st_dev, st.st_nlink, st.st_uid,
+                                   st.st_gid, 0, st.st_atime, st.st_mtime, st.st_ctime))
+
+        monkeypatch.setattr("os.fstat", understated)
+        assert main(["compute", str(p), "--machine"]) == 0
+        assert capsys.readouterr() == whole and "edge_count = 4950" in whole.out
 
 
 class TestMachineFormat:
@@ -614,6 +748,88 @@ class TestParserReuse:
         assert capsys.readouterr().out.count("characteristics = 0") == 2
 
 
+# (argv, what it exercises); every one runs through `main` and through the
+# full parser, and must print and exit alike
+DISPATCH_CORPUS = [
+    (["compute", "crown:4"], "compute"),
+    (["compute", "crown:4", "--char", "0", "--char", "2", "--basis", "--verbose"], "compute-options"),
+    (["compute", "--char=2", "--machine", "crown:4"], "char-equals"),
+    (["compute", "crown:4", "--char", "x"], "char-x"),
+    (["compute", "crown:4", "--char"], "char-no-value"),
+    (["compute", "crown:4", "--mach", "--ba"], "abbreviations"),
+    (["compute", "crown:4", "--he"], "help-abbreviation"),
+    (["compute", "--", "crown:4"], "separator"),
+    (["compute", "crown:4", "--", "--machine"], "separator-then-option"),
+    (["compute", "crown:4", "extra"], "one-extra"),
+    (["compute", "crown:4", "--frob"], "unknown-option"),
+    (["compute"], "compute-no-input"),
+    (["compute", "no-such-kind:3"], "input-error"),
+    (["compute", "a" * 300], "name-too-long"),
+    (["compute", "-h"], "compute-h"),
+    (["compute", "crown:4", "--help"], "compute-help"),
+    (["verify", "union", "--trials", "2", "--machine"], "verify"),
+    (["verify", "family", "crown", "--max-n", "5"], "verify-kind"),
+    (["verify", "family", "--max-n", "4", "--char", "2", "--machine"], "verify-no-kind"),
+    (["verify", "lex", "crown"], "verify-kind-elsewhere"),
+    (["verify", "nosuch"], "verify-bad-section"),
+    (["verify", "--help"], "verify-help"),
+    (["families"], "families"),
+    (["families", "extra"], "families-extra"),
+    (["families", "-h"], "families-h"),
+    (["-h"], "top-h"),
+    (["--help"], "top-help"),
+    (["-h", "compute"], "top-h-before-command"),
+    ([], "no-command"),
+    (["frobnicate", "crown:4"], "unknown-command"),
+    (["comp", "crown:4"], "command-prefix"),
+    (["--char", "2", "compute", "crown:4"], "option-before-command"),
+]
+
+
+def _outcome(capsys, call):
+    """(exit code, stdout, stderr) of call(), with argparse's SystemExit as an exit code."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _full_parser_main(argv=None):
+    """`main` as it ran when the full parser parsed every argv."""
+    return cli._run(cli._parser().parse_args(argv))
+
+
+class TestDispatch:
+    """A command's words go straight to its own parser, with the full parser's results."""
+
+    @pytest.mark.parametrize("argv", [a for a, _ in DISPATCH_CORPUS], ids=[i for _, i in DISPATCH_CORPUS])
+    def test_main_matches_the_full_parser(self, capsys, argv):
+        want = _outcome(capsys, lambda: _full_parser_main(list(argv)))
+        assert _outcome(capsys, lambda: main(list(argv))) == want
+        assert want[0] in (0, 1, 2)
+
+    # the first three argv of the corpus parse without an error
+    @pytest.mark.parametrize("argv", [a for a, _ in DISPATCH_CORPUS[:3]], ids=[i for _, i in DISPATCH_CORPUS[:3]])
+    def test_namespace_matches_the_full_parser(self, argv):
+        assert cli._parse(argv) == cli._parser().parse_args(argv)
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["wellcovered", "compute", "crown:4", "--machine"])
+        want = _outcome(capsys, _full_parser_main)
+        assert _outcome(capsys, main) == want and want[0] == 0
+
+    def test_a_command_is_parsed_by_its_own_parser_alone(self, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the full parser ran")
+
+        monkeypatch.setattr(cli._parser(), "parse_args", refused)
+        assert main(["compute", "crown:4", "--char", "2", "--machine"]) == 0
+        assert main(["verify", "union", "--trials", "1"]) == 0
+        assert main(["families"]) == 0
+
+
 class TestVerifyCommand:
     def test_all_machine_output_is_pinned_at_seed_1(self, capsys):
         assert main(["verify", "all", "--machine"]) == 1
@@ -638,6 +854,24 @@ class TestVerifyCommand:
         argv = ["verify", "kron", "--seed", str(seed), "--trials", "200", "--machine"]
         assert main(argv) == 1
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_machine_render_matches_the_line_join(self):
+        def line_join(reports):
+            lines = []
+            for r in reports:
+                lines += [f"check = {r.check}", f"instance = {r.instance}"]
+                for key in ("characteristics", "predicted", "engine"):
+                    lines.append(f"{key} = " + " ".join(str(v) for v in getattr(r, key)))
+                lines.append(f"verdict = {r.verdict}")
+                if r.detail:
+                    lines.append(f"detail = {r.detail}")
+            return "\n".join(lines) + "\n"
+
+        reports = run_suite(seed=1, checks=("lex", "kron", "union"), trials=3)
+        reports.append(CheckReport("family", "crown:2", (0, 2), (), (), "skip", "too small"))
+        assert {bool(r.detail) for r in reports} == {False, True}
+        for some in (reports, reports[:1], []):
+            assert cli._render_check_machine(some) == line_join(some)
 
     def test_union_section_passes(self, capsys):
         assert main(["verify", "union", "--seed", "1", "--trials", "5"]) == 0
