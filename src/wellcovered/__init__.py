@@ -6,6 +6,11 @@ vector space; this package computes its dimension and a canonical basis
 exactly, over the rationals and over prime fields GF(p), and ships a
 verification harness that replays every known closed-form dimension formula
 against the engine.
+
+Importing the package loads only the engine.  The harness (`verify`, with
+the closed forms of `formulas`) loads the first time `run_suite` or
+`CheckReport` is looked up here, through the module `__getattr__`, or when
+it is imported itself; `fractions` loads where a `Fraction` is first built.
 """
 
 from .engine import (
@@ -51,7 +56,6 @@ from .mis import (
     is_maximal_independent,
     is_well_covered,
 )
-from .verify import CheckReport, run_suite
 
 __version__ = "0.1.0"
 
@@ -96,3 +100,20 @@ __all__ = [
     "run_suite",
     "turan",
 ]
+
+# the names the verify harness provides; see `__getattr__`
+_FROM_VERIFY = ("CheckReport", "run_suite")
+
+
+def __getattr__(name: str) -> object:
+    """A name of `_FROM_VERIFY`, read off `verify` on first access and kept here."""
+    if name not in _FROM_VERIFY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+
+    value = globals()[name] = getattr(verify, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -14,6 +14,11 @@ lines "u v" with 0-based vertex indices; blank lines and lines starting with
 Exit codes: 0 success, 1 verification failure, 2 input error (including a
 path that names no regular file, and a file the OS will not open or read or
 that is not UTF-8), 3 capacity (including too many vertices).
+
+Importing this module loads only the engine: the verify harness loads when
+the `verify` command runs (`run_suite` here is the call it goes through),
+and `fractions` only where a `Fraction` is built, in `ReportSection.basis`
+and in `parse_machine`'s check of basis entries.
 """
 
 from __future__ import annotations
@@ -26,10 +31,8 @@ import re
 import stat
 import sys
 import warnings
-from fractions import Fraction
-from pathlib import Path
 from time import perf_counter
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .engine import WcdimReport, compute_wcdim_fields
 from .engine import compute_wcdim  # noqa: F401  (perfbench/trace.py instruments cli.compute_wcdim)
@@ -39,7 +42,11 @@ from .families import FAMILY_BUILDERS, FamilySpec, build_family
 from .graphs import MAX_VERTICES, Graph, check_vertex_count
 from .graphs import new_graph  # noqa: F401  (perfbench/trace.py instruments cli.new_graph)
 from .records import Record
-from .verify import ALL_CHECKS, DEFAULT_CHARS, CheckReport, run_suite, summarize
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .verify import CheckReport
 
 _SPEC_RE = re.compile(r"^([a-z-]+)(?::(\d+(?:,\d+)*))?$")
 
@@ -174,11 +181,30 @@ def load_graph(source: str) -> tuple[Graph, str]:
     if m and m.group(1) in FAMILY_BUILDERS:
         spec = parse_family_spec(source)
         return build_family(spec), str(spec)
-    name = str(Path(source))
+    name = _path_text(source)
     text = _read_file(name)
     if text is None:
         raise InputError(f"{source!r} is neither a known family spec nor a readable file")
     return parse_graph_file(text, name=name), name
+
+
+def _path_text(source: str) -> str:
+    """What `str(pathlib.Path(source))` gives, made without the object.
+
+    On POSIX that drops every empty and "." component, keeps a root of
+    exactly two slashes and makes any other root one slash, and gives "."
+    for nothing left.  Elsewhere the path flavour does more, so it is asked.
+    """
+    if os.sep != "/":
+        from pathlib import Path
+
+        return str(Path(source))
+    parts = source.split("/")
+    if "" not in parts and "." not in parts:
+        return source
+    slashes = len(source) - len(source.lstrip("/"))
+    root = "//" if slashes == 2 else "/" * (slashes > 0)
+    return root + "/".join(part for part in parts if part and part != ".") or "."
 
 
 # O_NONBLOCK keeps the open of a FIFO from waiting for a writer; the fstat
@@ -259,6 +285,8 @@ class ReportSection(Record):
         """The basis vectors, with Fraction entries in every field."""
         if self.basis_lines is None:
             return None
+        from fractions import Fraction
+
         return tuple(tuple(Fraction(x) for x in line.split()) for line in self.basis_lines)
 
 
@@ -316,6 +344,8 @@ def _basis_line(value: str, n: int, checked: set[str]) -> str:
 
     `checked` holds the entries already found well formed.
     """
+    from fractions import Fraction
+
     entries = value.split()
     if len(entries) != n:
         raise InputError(f"basis vector {value!r} has {len(entries)} entries, not n = {n}")
@@ -465,6 +495,8 @@ def _render_check_machine(reports: Sequence[CheckReport]) -> str:
 
 
 def _render_check_text(reports: Sequence[CheckReport]) -> str:
+    from .verify import summarize
+
     lines = []
     for r in reports:
         status = r.verdict.upper()
@@ -479,15 +511,27 @@ def _render_check_text(reports: Sequence[CheckReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the command line spells each section without its hyphen: `verify multiblowup`
-_SECTION_ARGS = {name.replace("-", ""): name for name in ALL_CHECKS}
+# the sections of `verify.SECTIONS`, in its order, named here so that the
+# parser is built without loading the harness; the command line spells each
+# without its hyphen: `verify multiblowup`
+_SECTIONS = ("family", "blowup", "multi-blowup", "union", "lex", "kron")
+_SECTION_ARGS = {name.replace("-", ""): name for name in _SECTIONS}
+
+
+def run_suite(**options) -> list[CheckReport]:
+    """`verify.run_suite`, which `cmd_verify` calls through; the harness loads on the first call."""
+    from . import verify
+
+    return verify.run_suite(**options)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import DEFAULT_CHARS, summarize
+
     reports = run_suite(
         seed=args.seed,
         chars=args.char or DEFAULT_CHARS,
-        checks=ALL_CHECKS if args.selector == "all" else (_SECTION_ARGS[args.selector],),
+        checks=_SECTIONS if args.selector == "all" else (_SECTION_ARGS[args.selector],),
         family_kind=args.kind,
         family_max_n=args.max_n,
         trials=args.trials,

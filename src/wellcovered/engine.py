@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import time
 from functools import cached_property
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import InputError
@@ -306,6 +305,8 @@ def is_well_covered_weighting(
 
     The weights must be ints or Fractions, so the sums are exact.
     """
+    from fractions import Fraction
+
     if len(w) != g.n:
         raise InputError(f"weight vector length {len(w)} != n = {g.n}")
     for x in w:

@@ -18,7 +18,8 @@ order, scaling or size; over Q fractions appear only in the basis vectors.
 `RowSpace.basis` gives them as scalars and `RowSpace.basis_lines` as the
 text `compute --basis` prints, off the same rows by the same loop: the
 lines never go through scalar vectors, and each distinct entry is
-formatted once.
+formatted once, over Q straight from its integers (see `_ratio_text`), so
+`fractions` is imported only where a `Fraction` is built.
 
 The batch routines on a whole `ExactMatrix` (`rank`, `nullspace_basis`,
 `kronecker`, `reduce_first_row` and `move_dependent_row_first`) have no
@@ -38,15 +39,17 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 from .errors import InputError
 from .records import Record
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 _MAX_PRIME = 2**31
 
@@ -171,6 +174,12 @@ def _row_space(m: ExactMatrix, f: FieldSpec, name: str) -> RowSpace:
             break
         space.add(plus, minus)
     return space
+
+
+def _ratio_text(x: int, d: int) -> str:
+    """`str(Fraction(-x, d))` for d > 0, made from the two integers without the Fraction."""
+    g = gcd(x, d)
+    return str(-x // g) if g == d else f"{-x // g}/{d // g}"
 
 
 def rank(m: ExactMatrix, f: FieldSpec) -> int:
@@ -395,18 +404,16 @@ class RowSpace:
             raise ValueError(f"{f} cannot be read off this {self.field} row space")
         n, p = self.n, f.characteristic
         d, piv, rows = self._sparse_rref()
+        # the entry for lane value x is -x/D, so 0 gives zero and -D gives one
         if p:
             scale = -pow(d, -1, p)
-
-            def value(x: int) -> Scalar:
-                return x * scale % p
+            make = (lambda x: str(x * scale % p)) if text else (lambda x: x * scale % p)
+        elif text:
+            make = lambda x: _ratio_text(x, d)
         else:
+            from fractions import Fraction
 
-            def value(x: int) -> Scalar:
-                return Fraction(-x, d)
-
-        # the entry for lane value x is -x/D, so 0 gives zero and -D gives one
-        make = (lambda x: str(value(x))) if text else value
+            make = lambda x: Fraction(-x, d)
         entries: dict[int, object] = {}  # each distinct lane value, made once
         template = [make(0)] * n
         one = make(-d)

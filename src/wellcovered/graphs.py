@@ -21,12 +21,14 @@ CapacityError before anything per vertex is allocated.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import CapacityError, InputError
 from .records import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Enumeration keeps n co-adjacency masks of n bits each: n^2 bits, which is
 # 32 MB at this bound.  A vertex count above it is refused before any
@@ -253,6 +255,8 @@ def random_graph(n: int, edge_prob: Fraction | float | int, seed: int) -> Graph:
     The pseudorandom stream is fully determined by the seed, so identical
     (n, edge_prob, seed) triples always produce identical graphs.
     """
+    from fractions import Fraction
+
     p = edge_prob if isinstance(edge_prob, Fraction) else Fraction(edge_prob)
     num, den = p.numerator, p.denominator
     if not 0 <= num <= den:

@@ -218,6 +218,40 @@ def _run_with_timeout(call, seconds=10):
     return result[0]
 
 
+# each path shape `pathlib` normalises: empty and "." components, roots of
+# one, two and three slashes, ".." (kept), a trailing slash and spaces
+PATH_CORPUS = [
+    "./a", "a//b", "a/", "a/./b", "//a", "///a", ".", "a/../b", "", "/", "//", "///",
+    "a/.", "./", ".//a", "/./a", "//./a", "/.//a", "..", ".a", "a.", "...", "a b",
+    " a/ b /./c d ", "./ /.", "edges.txt", "/tmp/run 1/edges.txt", "a/b/c/",
+]
+
+
+@pytest.mark.skipif(os.sep != "/", reason="the string form is built on POSIX only")
+class TestPathText:
+    @pytest.mark.parametrize("source", PATH_CORPUS)
+    def test_corpus_matches_pathlib(self, source):
+        assert cli._path_text(source) == str(Path(source))
+
+    def test_every_short_path_matches_pathlib(self):
+        alphabet = "/.a "
+        sources = [""]
+        for k in range(6):
+            sources += [s + c for s in sources[-(4 ** k):] for c in alphabet]
+        assert len(sources) == sum(4 ** k for k in range(7))
+        assert [s for s in sources if cli._path_text(s) != str(Path(s))] == []
+
+    def test_a_normal_path_comes_back_as_itself(self):
+        source = "graphs/crown 5.txt"
+        assert cli._path_text(source) is source
+
+    def test_the_descriptor_is_the_normalised_path(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "c4 copy.txt").write_text(C4_FILE)
+        monkeypatch.chdir(tmp_path)
+        assert main(["compute", ".//./c4 copy.txt", "--machine"]) == 0
+        assert capsys.readouterr().out.startswith("graph = c4 copy.txt\n")
+
+
 class TestInputPaths:
     """Every kind of input path, through `main`: one open, one fstat, reads to end of file."""
 
@@ -899,6 +933,26 @@ class TestVerifyCommand:
     def test_negative_trials_exit_2(self, capsys):
         assert main(["verify", "all", "--trials", "-1"]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_the_section_words_map_one_to_one_onto_the_checks(self):
+        from wellcovered import verify
+
+        assert cli._SECTIONS == verify.ALL_CHECKS
+        assert list(cli._SECTION_ARGS.values()) == list(verify.ALL_CHECKS)
+        assert list(cli._SECTION_ARGS) == [c.replace("-", "") for c in verify.ALL_CHECKS]
+
+    def test_the_command_calls_the_suite_through_cli_run_suite(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_suite", lambda **options: calls.append(options) or [])
+        assert main(["verify", "multiblowup", "--seed", "4", "--char", "3"]) == 0
+        assert main(["verify", "all", "--machine"]) == 0
+        assert calls == [
+            dict(seed=4, chars=[3], checks=("multi-blowup",), family_kind=None,
+                 family_max_n=None, trials=None),
+            dict(seed=1, chars=(0, 2, 3, 5, 7), checks=cli._SECTIONS, family_kind=None,
+                 family_max_n=None, trials=None),
+        ]
+        assert capsys.readouterr().out == "0 passed, 0 failed, 0 skipped\n\n"
 
     def test_zero_trials_run_no_random_instance(self, capsys):
         assert main(["verify", "union", "--trials", "0"]) == 0

@@ -9,6 +9,7 @@ from wellcovered.engine import build_sum_system
 from wellcovered.exactlin import (
     ExactMatrix,
     _is_prime,
+    _ratio_text,
     kronecker,
     move_dependent_row_first,
     nullspace_basis,
@@ -510,3 +511,27 @@ class TestKronRankTable:
         row_count_prediction = kron_rank_case(k, q, rank(m, Q) < m.rows, rank(a, Q) < a.rows)
         assert row_count_prediction != rank_c
         assert rank_c == kron_rank_case(k, q, False, False)
+
+
+class TestRatioText:
+    """`_ratio_text(x, d)` prints what `str(Fraction(-x, d))` prints, for d > 0."""
+
+    def test_every_small_entry(self):
+        wrong = [
+            (x, d) for d in range(1, 201) for x in range(-500, 501)
+            if _ratio_text(x, d) != str(Fraction(-x, d))
+        ]
+        assert wrong == []
+
+    def test_entries_wider_than_64_bits(self):
+        rng = random.Random(24)
+        pairs = []
+        for _ in range(2000):
+            g = rng.getrandbits(rng.randrange(1, 90)) or 1
+            x = rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(0, 140)) * g
+            d = (rng.getrandbits(rng.randrange(0, 140)) or 1) * g
+            pairs.append((x, d))
+        pairs += [(-(2**64), 1), (2**64 + 1, 2**64), (3 * 2**70, 2**70), (0, 2**100)]
+        assert max(abs(x) for x, _ in pairs).bit_length() > 64
+        assert max(d for _, d in pairs).bit_length() > 64
+        assert [(x, d) for x, d in pairs if _ratio_text(x, d) != str(Fraction(-x, d))] == []

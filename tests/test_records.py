@@ -3,7 +3,8 @@
 Records that validate or cache are classes on `records.Record`; the pure
 ones are named tuples.  Each keeps its constructor, equality, hash, repr and
 error messages, and none can be changed after it is built.  The package's
-import loads none of the modules `dataclasses` brings in.
+import loads none of the modules `dataclasses` brings in, and neither it nor
+a `compute` run loads the verify harness or `fractions`.
 """
 
 import json
@@ -206,8 +207,20 @@ SRC = Path(wellcovered.__file__).resolve().parents[1]
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
+def _fresh(code: str, *flags: str) -> list:
+    """What `code` prints as JSON, run in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    ))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
 def test_a_fresh_import_loads_none_of_what_dataclasses_brings():
-    code = (
+    origin, package, cli = _fresh(
         "import json, sys\n"
         "start = set(sys.modules)\n"
         "import wellcovered\n"
@@ -216,14 +229,88 @@ def test_a_fresh_import_loads_none_of_what_dataclasses_brings():
         "cli = set(sys.modules) - start - package\n"
         "print(json.dumps([wellcovered.__file__, sorted(package), sorted(cli)]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
-        check=True,
-    )
-    origin, package, cli = json.loads(proc.stdout)
     assert Path(origin).resolve() == Path(wellcovered.__file__).resolve()
     assert "wellcovered.engine" in package and "wellcovered.cli" in cli
     assert [m for m in HEAVY if m in package or m in cli] == []
+
+
+# what the engine path leaves unloaded: the verify harness, its closed forms,
+# and `fractions` with the `decimal` it imports
+LAZY = ("wellcovered.verify", "wellcovered.formulas", "fractions", "decimal")
+
+
+def test_the_engine_path_loads_no_harness_and_no_fractions():
+    # -S keeps site's own imports out, so that none of LAZY is loaded before
+    # the package is, and each absence below says something
+    start, package, cli, run, code, out = _fresh(
+        "import contextlib, io, json, sys\n"
+        "start = set(sys.modules)\n"
+        "import wellcovered\n"
+        "package = set(sys.modules) - start\n"
+        "import wellcovered.cli\n"
+        "cli = set(sys.modules) - start - package\n"
+        "argv = ['compute', 'crown:5', '--char', '0', '--char', '2', '--machine', '--basis']\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = wellcovered.cli.main(argv)\n"
+        "run = set(sys.modules) - start - package - cli\n"
+        "print(json.dumps([sorted(start), sorted(package), sorted(cli), sorted(run), code,\n"
+        "                  out.getvalue()]))\n",
+        "-S",
+    )
+    assert [m for m in LAZY if m in start] == []
+    assert "wellcovered.engine" in package and "wellcovered.cli" in cli
+    assert [m for m in LAZY if m in package or m in cli or m in run] == []
+    assert code == 0 and out.startswith("graph = crown:5\n") and "basis 3 = 1 0 0 0 1 " in out
+
+
+ALL = [
+    "CapacityError", "CheckReport", "DEFAULT_MIS_LIMIT", "FamilySpec", "FieldSpec", "Graph",
+    "InputError", "KERNEL_IMPLEMENTATION", "MisList", "RowSpace", "WcdimReport", "blowup",
+    "build_family", "complement", "complete", "complete_multipartite", "compute_wcdim",
+    "compute_wcdim_fields", "compute_wcdim_sets", "crown", "cycle", "disjoint_union",
+    "empty_graph", "enumerate_mis", "gear", "is_independent", "is_maximal_independent",
+    "is_well_covered", "is_well_covered_weighting", "lex_product", "multi_blowup", "new_graph",
+    "path", "path_weight_structure", "petersen", "random_graph", "relabel", "run_suite", "turan",
+]
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        "names = {}; exec('from wellcovered import *', names)",
+        "wellcovered.run_suite",
+        "from wellcovered import CheckReport",
+        "from wellcovered import formulas",
+    ],
+    ids=["star", "attribute", "from-import", "formulas"],
+)
+def test_the_harness_names_load_on_first_access(first):
+    loaded, after, same, star, all_names, formulas, missing, listed = _fresh(
+        "import json, sys\n"
+        "import wellcovered\n"
+        "loaded = 'wellcovered.verify' in sys.modules\n"
+        f"{first}\n"
+        "after = sorted(m for m in ('wellcovered.verify', 'wellcovered.formulas') if m in sys.modules)\n"
+        "from wellcovered import formulas, verify\n"
+        "same = [wellcovered.run_suite is verify.run_suite,\n"
+        "        wellcovered.CheckReport is verify.CheckReport]\n"
+        "names = {}\n"
+        "exec('from wellcovered import *', names)\n"
+        "try:\n"
+        "    wellcovered.nosuch\n"
+        "    missing = None\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(json.dumps([loaded, after, same, sorted(set(names) - {'__builtins__'}),\n"
+        "                  wellcovered.__all__, formulas.__name__, missing,\n"
+        "                  sorted({'run_suite', 'CheckReport'} & set(dir(wellcovered)))]))\n"
+    )
+    assert not loaded
+    # the first access loads the harness, or for `formulas` that module alone
+    assert after == (["wellcovered.formulas"] if first.endswith("formulas") else
+                     ["wellcovered.formulas", "wellcovered.verify"])
+    assert same == [True, True]
+    assert star == all_names == ALL
+    assert formulas == "wellcovered.formulas"
+    assert missing == "module 'wellcovered' has no attribute 'nosuch'"
+    assert listed == ["CheckReport", "run_suite"]
