@@ -59,8 +59,15 @@ def parse_family_spec(text: str) -> FamilySpec:
     kind = m.group(1)
     if kind not in FAMILY_BUILDERS:
         raise InputError(f"unknown graph family {kind!r}")
-    params = tuple(int(p) for p in m.group(2).split(",")) if m.group(2) else ()
-    return FamilySpec(kind, params)
+    params = []
+    for i, p in enumerate(m.group(2).split(",") if m.group(2) else (), 1):
+        try:
+            params.append(int(p))
+        except ValueError:  # more digits than the interpreter converts to an int
+            raise InputError(
+                f"parameter {i} of {kind!r} has {len(p)} digits, too many to read as an integer"
+            ) from None
+    return FamilySpec(kind, tuple(params))
 
 
 # The layout `perfbench` writes its inputs in: a header line and one line

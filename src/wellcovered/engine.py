@@ -43,7 +43,7 @@ from .errors import InputError
 from .exactlin import ExactMatrix, FieldSpec, RowSpace, Scalar
 # perfbench/trace.py instruments engine.rank and engine.nullspace_basis
 from .exactlin import nullspace_basis, rank  # noqa: F401
-from .graphs import Graph
+from .graphs import Graph, check_vertex_count
 from .mis import DEFAULT_MIS_LIMIT, MisList, enumerate_mis, mis_family
 from .records import Record
 
@@ -222,10 +222,11 @@ def compute_wcdim_sets(
     """n minus the rank of the rows M_i - M_0 of a family of sets, over each field.
 
     `sets` is any nonempty family of bitmasks of vertices 0..n-1; an empty
-    family, a negative n or a set outside 0..2^n - 1 raises InputError.  One
-    integer row space serves Q and every GF(p) with p not dividing its
-    common pivot D; only a field with p | D is eliminated on its own, over
-    the same rows, until it reaches the rank over Q.  The baseline M_0 is
+    family, a negative n or a set outside 0..2^n - 1 raises InputError, and
+    n above MAX_VERTICES raises CapacityError before anything per vertex is
+    allocated.  One integer row space serves Q and every GF(p) with p not
+    dividing its common pivot D; only a field with p | D is eliminated on
+    its own, over the same rows, until it reaches the rank over Q.  The baseline M_0 is
     the first set of fewest vertices, the report's `base`: each row costs
     one addition per nonzero of M_i - M_0, so on crown(k) a pair
     {i, k + i} leaves most rows 4 nonzeros where a k-vertex side leaves
@@ -241,6 +242,7 @@ def compute_wcdim_sets(
         raise InputError("the family of sets must be nonempty")
     if n < 0 or min(sets) < 0 or max(sets) >> n:
         raise InputError(f"n = {n} must be non-negative and every set a bitmask of vertices 0..n-1")
+    check_vertex_count(n)
     if not fields:
         return []
     enum_ms, count, pieces = enumerated or (0.0, len(sets), 0)

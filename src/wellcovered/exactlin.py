@@ -237,6 +237,10 @@ def _bits(m: int, width: int = 1) -> Iterator[int]:
         m ^= low
 
 
+def _bad_row(plus: int, minus: int, n: int) -> str:
+    return f"row (plus={plus}, minus={minus}) is not two bitmasks of the columns below n = {n}"
+
+
 class RowSpace:
     """Incremental reduced row echelon form of the span of rows fed in one at a time.
 
@@ -281,6 +285,8 @@ class RowSpace:
     """
 
     def __init__(self, n: int, f: FieldSpec) -> None:
+        if not isinstance(n, int) or n < 0:
+            raise InputError(f"a row space needs a non-negative int of columns, got {n!r}")
         self.n = n
         self.field = f
         self.rank = 0
@@ -310,7 +316,12 @@ class RowSpace:
         return self.field.characteristic == 0 and p != 0 and self.common_pivot % p != 0
 
     def add(self, plus: int, minus: int = 0) -> bool:
-        """Absorb one row; True iff it was independent of the rows so far."""
+        """Absorb one row; True iff it was independent of the rows so far.
+
+        Raises InputError unless plus and minus are bitmasks of the n columns.
+        """
+        if (plus | minus) >> self.n:  # a negative mask shifts to -1
+            raise InputError(_bad_row(plus, minus, self.n))
         p = self.field.characteristic
         if p == 2:
             x = self._reduce_bits(plus ^ minus)
@@ -334,8 +345,11 @@ class RowSpace:
         """True iff the row is independent of the rows so far over f; nothing is stored.
 
         f defaults to the space's own field; an integer space also answers
-        over every prime field it `reads_off`.
+        over every prime field it `reads_off`.  Raises InputError unless plus
+        and minus are bitmasks of the n columns.
         """
+        if (plus | minus) >> self.n:
+            raise InputError(_bad_row(plus, minus, self.n))
         if f is None:
             f = self.field
         elif f != self.field and not self.reads_off(f):

@@ -11,11 +11,13 @@ with `mis_masks` and eliminates them once for all fields with
 `compute_wcdim_sets`.  So the engine runs without modular decomposition:
 the blowup, union and lex checks replace vertices by graphs, which is what
 the decomposition relies on, so they must not test it against itself.
-Within one `run_suite` call each distinct labelled graph is enumerated and
-eliminated once, however many checks build it: the random graphs of at
-most a few vertices recur within a section, and so do the graphs built
-from them.  A kron check's uniform family is eliminated once per pair of
-factors.  A check called on its own computes everything afresh.
+Within one `run_suite` call every check shares one memo, keyed by graph
+for the enumeration and by family of sets, (n, sets, characteristics),
+for the elimination: each distinct labelled graph is enumerated once and
+each distinct family eliminated once, however many checks meet it.  Small
+random graphs recur within a section, so do the graphs built from them,
+and a kron pair with a one-vertex factor eliminates the other factor's
+family.  A check called on its own keeps a memo for that call only.
 """
 
 from __future__ import annotations
@@ -81,11 +83,8 @@ DEFAULT_CHARS = (0, 2, 3, 5, 7)
 
 _HALF = Fraction(1, 2)
 
-# what the running `run_suite` call has reached the engine with: each graph,
-# (n, masks, limit) -> (n, sets, {characteristics: reports}), see `_computed`,
-# and the uniform family of each kron pair, ("kron", g.n, g.masks, h.n,
-# h.masks, characteristics) -> reports, see `check_kron_remark`
-_SEEN: ContextVar[dict | None] = ContextVar("_SEEN", default=None)
+# the memo of the running `run_suite` call, see `_computed`; unset outside one
+_SEEN: ContextVar[dict] = ContextVar("_SEEN")
 
 
 class CheckReport(NamedTuple):
@@ -109,34 +108,40 @@ def _random_descriptor(n: int, seed: int) -> str:
 
 
 def _computed(
-    graphs: Iterable[Graph], fields: Sequence[FieldSpec], limit: int
+    graphs: Iterable[Graph], fields: Sequence[FieldSpec], limit: int, seen: dict
 ) -> list[tuple[list[int], list[WcdimReport]]]:
     """Each graph's maximal independent sets and its reports over fields, in graph order.
 
-    Inside `run_suite` a distinct labelled graph is enumerated once per run
-    and eliminated once per list of characteristics; a check called on its
-    own computes everything afresh.  Every graph is enumerated before any
-    is eliminated, so a CapacityError propagates before anything is
-    eliminated; it is not kept, and the next call enumerates that graph
-    again.
+    `seen` keeps each graph's sets under (n, masks, limit).  Every graph is
+    enumerated before any is eliminated, so a CapacityError propagates
+    before anything is eliminated; it is not kept, and the next call
+    enumerates that graph again.
     """
-    seen = _SEEN.get()
-    entries = []
+    families = []
     for g in graphs:
-        if seen is None:
-            entries.append((g.n, mis_masks(g, limit), {}))
-            continue
         key = (g.n, g.masks, limit)
-        entry = seen.get(key)
-        if entry is None:
-            entry = seen[key] = (g.n, mis_masks(g, limit), {})
-        entries.append(entry)
+        sets = seen.get(key)
+        if sets is None:
+            sets = seen[key] = mis_masks(g, limit)
+        families.append((g.n, sets))
+    return _eliminated(families, fields, seen)
+
+
+def _eliminated(
+    families: Iterable[tuple[int, list[int]]], fields: Sequence[FieldSpec], seen: dict
+) -> list[tuple[list[int], list[WcdimReport]]]:
+    """Each family (n, sets) and its reports over fields, in family order.
+
+    `seen` keeps the reports under (n, tuple(sets), characteristics), a key
+    no graph's (n, masks, limit) can equal.
+    """
     chars = tuple([f.characteristic for f in fields])
     out = []
-    for n, sets, done in entries:
-        reports = done.get(chars)
+    for n, sets in families:
+        key = (n, tuple(sets), chars)
+        reports = seen.get(key)
         if reports is None:
-            reports = done[chars] = compute_wcdim_sets(n, sets, fields)
+            reports = seen[key] = compute_wcdim_sets(n, sets, fields)
         out.append((sets, reports))
     return out
 
@@ -158,7 +163,7 @@ def check_family(
     predicted = tuple(predict(spec.params, f) for f in chars)
     swept = tuple(f.characteristic for f in chars)
     try:
-        [(_, reports)] = _computed([g], chars, limit)
+        [(_, reports)] = _computed([g], chars, limit, _SEEN.get({}))
     except CapacityError as exc:
         return CheckReport("family", str(spec), swept, (), (), SKIP, str(exc))
     engine = tuple(r.wcdim for r in reports)
@@ -181,7 +186,7 @@ def _replay(
     if not fields:
         return []
     try:
-        computed = _computed(graphs(), fields, limit)
+        computed = _computed(graphs(), fields, limit, _SEEN.get({}))
     except CapacityError as e:
         return [CheckReport(check, desc, (f.characteristic,), (), (), SKIP, str(e)) for f in fields]
     reports = []
@@ -293,15 +298,15 @@ def check_kron_remark(
     of g's sets, q and rank(A) those of h's, and rank(C) is the difference
     rank of the uniform sets S x T, the rows of A (x) M.  These ranks belong
     to set families, so they do not depend on the row order.  One report per
-    field, in field order; each graph is enumerated once.  Inside
-    `run_suite` the uniform sets of a pair (g, h) are eliminated once per
-    list of characteristics; a call on its own eliminates them afresh.
+    field, in field order; each graph is enumerated once, and the uniform
+    sets are eliminated through the same memo as the graphs' sets.
     """
     desc = instance or f"g[{_graph_descriptor(g)}];h[{_graph_descriptor(h)}]"
     if not fields:
         return []
+    seen = _SEEN.get({})
     try:
-        computed = _computed((g, h, lex_product(g, h)), fields, limit)
+        computed = _computed((g, h, lex_product(g, h)), fields, limit, seen)
     except CapacityError as e:
         return [
             CheckReport("kron", desc, (f.characteristic,), (), (), SKIP, str(e)) for f in fields
@@ -312,14 +317,7 @@ def check_kron_remark(
     # for j in T and u in S: S times T's spread, 2^(j*a) summed over j in T
     spreads = [sum(1 << (j * a) for j in bits(t)) for t in sets_h]
     uniform = [s * spread for spread in spreads for s in sets_g]
-    seen = _SEEN.get()
-    if seen is None:
-        rcs = compute_wcdim_sets(a * h.n, uniform, fields)
-    else:
-        key = ("kron", a, g.masks, h.n, h.masks, tuple([f.characteristic for f in fields]))
-        rcs = seen.get(key)
-        if rcs is None:
-            rcs = seen[key] = compute_wcdim_sets(a * h.n, uniform, fields)
+    [(_, rcs)] = _eliminated([(a * h.n, uniform)], fields, seen)
     reports = []
     for f, rg, rh, rc, rp in zip(fields, rgs, rhs, rcs, rps):
         k, rank_m, q, rank_a = rg.diff_rank, rg.sum_rank, rh.diff_rank, rh.sum_rank
@@ -412,9 +410,9 @@ def run_suite(
     check section or family kind, an invalid characteristic, an option no
     requested section reads, or characteristics that no requested section
     sweeps (which would pass after comparing nothing) raise InputError.
-    Each distinct labelled graph is enumerated and eliminated once per
-    call, for every check that builds it, and so is each distinct uniform
-    family of the kron section; nothing is kept between calls.
+    Each distinct labelled graph is enumerated once per call, and each
+    distinct family of sets eliminated once, for every check that meets
+    it; nothing is kept between calls.
     """
     if trials is not None and trials < 0:
         raise InputError("trial counts must be non-negative")
@@ -442,7 +440,7 @@ def run_suite(
             f"they sweep {sorted(swept)}"
         )
     reports: list[CheckReport] = []
-    token = _SEEN.set({})  # every graph of this run, enumerated once
+    token = _SEEN.set({})  # the memo every check of this run shares
     try:
         for section, (_, default_trials) in SECTIONS.items():
             fs = _effective(sweep(section), chars)

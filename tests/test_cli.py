@@ -142,6 +142,11 @@ class TestLoadGraph:
         with pytest.raises(InputError):
             load_graph("no-such-thing:1")
 
+    def test_an_over_long_family_parameter(self):
+        # more digits than int() converts by default, 4300
+        with pytest.raises(InputError, match="parameter 2 of 'turan' has 5000 digits"):
+            load_graph("turan:3," + "9" * 5000)
+
 
 class TestInputFailures:
     """Every bad input ends in a documented exit code, with no traceback."""
@@ -440,6 +445,12 @@ class TestComputeCommand:
     def test_input_error_exit_code(self, capsys):
         assert main(["compute", "crown:"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_an_over_long_family_parameter_exits_2_in_one_line(self, capsys):
+        assert main(["compute", "crown:" + "9" * 5000]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: parameter 1 of 'crown' has 5000 digits, too many to read as an integer\n"
 
     def test_bad_characteristic_exit_code(self, capsys):
         assert main(["compute", "petersen", "--char", "4"]) == 2

@@ -332,6 +332,15 @@ class TestComputeWcdimSets:
         with pytest.raises(InputError):
             compute_wcdim_sets(-1, [0], [Q])
 
+    def test_a_vertex_count_above_the_limit_raises_capacity_error(self):
+        from wellcovered import CapacityError
+        from wellcovered.graphs import MAX_VERTICES
+
+        with pytest.raises(CapacityError, match="at most 16384"):
+            compute_wcdim_sets(MAX_VERTICES + 1, [1], [Q])
+        [report] = compute_wcdim_sets(MAX_VERTICES, [1], [Q])
+        assert report.wcdim == MAX_VERTICES
+
     def test_empty_field_list_builds_no_space(self, monkeypatch):
         from wellcovered import engine
 

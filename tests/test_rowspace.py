@@ -18,6 +18,7 @@ import pytest
 
 from wellcovered import (
     FieldSpec,
+    InputError,
     complete,
     crown,
     disjoint_union,
@@ -270,6 +271,24 @@ class TestRowSpace:
         assert space.add(0b010, 0b100) == (f.characteristic != 2)
         assert space.add(0b111) == (f.characteristic == 2)
         assert space.full and not space.add(0b100)
+
+    @pytest.mark.parametrize("f", FIELDS[:3], ids=str)
+    @pytest.mark.parametrize("n", [-1, 2.0, "3", None])
+    def test_a_column_count_that_is_not_a_non_negative_int_is_rejected(self, f, n):
+        with pytest.raises(InputError, match="non-negative int of columns"):
+            RowSpace(n, f)
+
+    @pytest.mark.parametrize("f", FIELDS[:3], ids=str)
+    @pytest.mark.parametrize("row", [(-1,), (1 << 5,), (1 << 3,), (0, -1), (1, 1 << 3), (-2, 1)])
+    def test_a_row_outside_the_columns_is_rejected(self, f, row):
+        space = RowSpace(3, f)
+        space.add(0b011)
+        for method in (space.add, space.independent):
+            with pytest.raises(InputError, match="columns below n = 3"):
+                method(*row)
+        assert space.rank == 1 and len(space.basis()) == 2
+        # the space still takes rows: (-1, 0, 1) is independent of (1, 1, 0)
+        assert space.add(0b100, 0b001) and space.rank == 2 and len(space.basis()) == 1
 
     @pytest.mark.parametrize("f", FIELDS, ids=str)
     def test_rows_span_the_input(self, f):

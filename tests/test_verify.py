@@ -20,7 +20,7 @@ from wellcovered import (
 from wellcovered.engine import build_sum_system
 from wellcovered.families import FamilySpec
 from wellcovered.formulas import kron_rank_case
-from wellcovered.mis import enumerate_mis
+from wellcovered.mis import DEFAULT_MIS_LIMIT, enumerate_mis
 from wellcovered.verify import (
     _lex_fibre_dimension,
     check_blowup,
@@ -369,14 +369,20 @@ class TestOneRunComputesEachGraphOnce:
 
         calls = []
         real = verify.compute_wcdim_sets
-        monkeypatch.setattr(
-            verify,
-            "compute_wcdim_sets",
-            lambda n, sets, fs: calls.append((n, tuple(sets))) or real(n, sets, fs),
-        )
+
+        def counted(n, sets, fs):
+            calls.append((n, tuple(sets), tuple(f.characteristic for f in fs)))
+            return real(n, sets, fs)
+
+        monkeypatch.setattr(verify, "compute_wcdim_sets", counted)
+        # across every section of a run no family reaches the engine twice
+        run_suite(seed=1)
+        assert len(calls) == len(set(calls))
+        calls.clear()
         reports = run_suite(seed=1, checks=("kron",))
         in_run = list(calls)
-        # on its own every check eliminates its three graphs and its uniform family
+        # on their own the checks give the same reports, and eliminate the
+        # families the run eliminates, some of them again: pairs repeat
         calls.clear()
         rng = random.Random("1:kron")
         pairs = list(chain(verify._designed_pairs()[:2], verify._pairs(rng, 30, 4)))
@@ -384,13 +390,17 @@ class TestOneRunComputesEachGraphOnce:
         for g, h, desc in pairs:
             alone.extend(check_kron_remark(g, h, fields(0, 2, 3), instance=desc))
         assert alone == reports
-        assert len(calls) == 4 * len(pairs)
-        # in the run each distinct graph and each distinct pair of factors
-        # reaches the engine once, though pairs repeat at this seed
-        graphs = {(x.n, x.masks) for g, h, _ in pairs for x in (g, h, lex_product(g, h))}
-        factors = {(g.n, g.masks, h.n, h.masks) for g, h, _ in pairs}
-        assert len(in_run) == len(graphs) + len(factors) < len(calls)
-        assert set(in_run) == set(calls)
+        assert sorted(in_run) == sorted(set(calls)) and len(in_run) < len(calls)
+        assert any(1 in (g.n, h.n) for g, h, _ in pairs)
+        # with a one-vertex factor the product is the other factor and so is
+        # the uniform family: only the two factors reach the engine
+        g, k1 = cycle(5), empty_graph(1)
+        for pair in ((g, k1), (k1, g)):
+            calls.clear()
+            check_kron_remark(*pair, fields(0, 2))
+            assert sorted(calls) == sorted(
+                (x.n, tuple(verify.mis_masks(x, DEFAULT_MIS_LIMIT)), (0, 2)) for x in pair
+            )
 
     def test_a_check_called_on_its_own_computes_afresh(self, monkeypatch):
         from wellcovered import verify
@@ -400,10 +410,10 @@ class TestOneRunComputesEachGraphOnce:
         monkeypatch.setattr(verify, "mis_masks", lambda *a: calls.append(a) or real(*a))
         g = cycle(5)
         first = check_union(g, g, fields(0, 2))
-        # g is enumerated once per factor, and again by the next call
-        assert len(calls) == 3 and calls[0] == calls[1]
+        # the repeated factor g is enumerated once per call, and again by the next call
+        assert [c[0].n for c in calls] == [5, 10]
         assert check_union(g, g, fields(0, 2)) == first
-        assert len(calls) == 6
+        assert calls[2:] == calls[:2]
 
     def test_a_capacity_overrun_is_not_kept(self, monkeypatch):
         from wellcovered import CapacityError, verify
@@ -412,17 +422,14 @@ class TestOneRunComputesEachGraphOnce:
         real = verify.mis_masks
         monkeypatch.setattr(verify, "mis_masks", lambda *a: calls.append(a) or real(*a))
         # cycle(4) has two maximal independent sets: one more than a limit of 1
-        token = verify._SEEN.set({})
-        try:
-            for _ in range(2):
-                with pytest.raises(CapacityError):
-                    verify._computed([cycle(4)], fields(0), 1)
-            assert verify._SEEN.get() == {}
-            for _ in range(2):
-                [(sets, _)] = verify._computed([cycle(4)], fields(0), 2)
-                assert sets == real(cycle(4), 2)
-        finally:
-            verify._SEEN.reset(token)
+        seen = {}
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                verify._computed([cycle(4)], fields(0), 1, seen)
+        assert seen == {}
+        for _ in range(2):
+            [(sets, _)] = verify._computed([cycle(4)], fields(0), 2, seen)
+            assert sets == real(cycle(4), 2)
         assert len(calls) == 3
 
 
