@@ -19,7 +19,6 @@ from .engine import (
     compute_wcdim_fields,
     compute_wcdim_sets,
     is_well_covered_weighting,
-    path_weight_structure,
 )
 from .errors import CapacityError, InputError
 from .exactlin import FieldSpec, RowSpace
@@ -93,7 +92,6 @@ __all__ = [
     "multi_blowup",
     "new_graph",
     "path",
-    "path_weight_structure",
     "petersen",
     "random_graph",
     "relabel",

@@ -329,38 +329,3 @@ def is_well_covered_weighting(
         if len(sums) > 1:
             return False
     return True
-
-
-class PathStructureResult(NamedTuple):
-    """Outcome of the path weight-structure check."""
-
-    ok: bool
-    wcdim: int
-    witness: str | None = None
-
-
-def path_weight_structure(g: Graph, f: FieldSpec = FieldSpec(0)) -> PathStructureResult:
-    """Check the weight structure of a path on n >= 5 vertices.
-
-    Every basis vector w of the well-covered space must satisfy
-    w[0] = w[1], w[2] = ... = w[n-3] = 0, and w[n-2] = w[n-1].
-    """
-    n = g.n
-    if n < 5:
-        raise InputError(f"path structure check needs n >= 5, got {n}")
-    for v in range(n):
-        expected = sum(1 << u for u in (v - 1, v + 1) if 0 <= u < n)
-        if g.masks[v] != expected:
-            raise InputError("graph is not a path with consecutive labels")
-    report = compute_wcdim(g, f)
-    for idx, w in enumerate(report.basis):
-        if w[0] != w[1]:
-            return PathStructureResult(False, report.wcdim, f"basis[{idx}]: w[0] != w[1]: {w}")
-        if w[n - 2] != w[n - 1]:
-            return PathStructureResult(False, report.wcdim, f"basis[{idx}]: w[n-2] != w[n-1]: {w}")
-        for v in range(2, n - 2):
-            if w[v] != 0:
-                return PathStructureResult(
-                    False, report.wcdim, f"basis[{idx}]: w[{v}] != 0: {w}"
-                )
-    return PathStructureResult(True, report.wcdim)

@@ -12,7 +12,8 @@ Outside data is checked once, where it enters: `new_graph` checks its edge
 list, the edge-list parser in `cli` checks every edge, and the public
 `Graph(n, masks)` constructor checks the masks it is given.  The package's
 own constructions are symmetric and loop-free by construction and build
-their result with `Graph.unchecked`, without a second pass over the edges.
+their result with `Graph.unchecked`, without a second pass over the edges;
+`multi_blowup` is `blowup` applied to each original vertex in turn.
 
 Every graph has at most `MAX_VERTICES` vertices; larger inputs raise
 CapacityError before anything per vertex is allocated.
@@ -190,48 +191,20 @@ def blowup(g: Graph, v: int, t: int) -> Graph:
 
 
 def multi_blowup(g: Graph, ts: Sequence[int]) -> Graph:
-    """Blow up every original vertex, processing them in ascending index order."""
-    return multi_blowup_slots(g, ts)[0]
-
-
-def multi_blowup_slots(g: Graph, ts: Sequence[int]) -> tuple[Graph, list[list[int]]]:
-    """Like multi_blowup, but also report where each original vertex's copies
-    ended up: slots[v] lists the final indices of the ts[v] twins of v.
-
-    The labels are those of calling `blowup` on each original vertex in
-    turn; only the labels are tracked through that sequence, and the result
-    is built once from them.
-    """
+    """Blow up every original vertex v into ts[v] twins: `blowup` applied to
+    each original vertex in ascending index order, at its current index."""
     if len(ts) != g.n:
         raise InputError(f"expected {g.n} blowup sizes, got {len(ts)}")
     if any(t < 1 for t in ts):
         raise InputError("blowup sizes must all be positive")
     check_vertex_count(sum(ts))
-    size = g.n
-    pos = list(range(g.n))  # current index of each not-yet-processed original
-    slots: list[list[int]] = []
-    for i in range(g.n):
-        cur = pos[i]
-        last = size - 1
-        # blowup's swap moves the vertex previously at `last` to `cur`
-        for j in range(i + 1, g.n):
-            if pos[j] == last:
-                pos[j] = cur
-        for s in slots:
-            for idx, x in enumerate(s):
-                if x == last:
-                    s[idx] = cur
-        slots.append(list(range(last, last + ts[i])))
-        size += ts[i] - 1
-    slot_masks = [sum(1 << x for x in s) for s in slots]
-    masks = [0] * size
-    for v, mask in enumerate(g.masks):
-        out = 0
-        for u in bits(mask):
-            out |= slot_masks[u]
-        for x in slots[v]:
-            masks[x] = out
-    return Graph.unchecked(size, tuple(masks)), slots
+    pos = list(range(g.n))  # current index of each original vertex
+    for v, t in enumerate(ts):
+        cur, last = pos[v], g.n - 1
+        g = blowup(g, cur, t)
+        # blowup moved the vertex that sat at `last` to `cur`
+        pos = [cur if p == last else p for p in pos]
+    return g
 
 
 def lex_product(g: Graph, h: Graph) -> Graph:

@@ -158,12 +158,11 @@ def check_family(
     """
     if not chars:
         raise InputError("check_family needs at least one characteristic")
-    g = build_family(spec)
     predict = FAMILIES[spec.kind].predict
     predicted = tuple(predict(spec.params, f) for f in chars)
     swept = tuple(f.characteristic for f in chars)
     try:
-        [(_, reports)] = _computed([g], chars, limit, _SEEN.get({}))
+        [(_, reports)] = _computed([build_family(spec)], chars, limit, _SEEN.get({}))
     except CapacityError as exc:
         return CheckReport("family", str(spec), swept, (), (), SKIP, str(exc))
     engine = tuple(r.wcdim for r in reports)

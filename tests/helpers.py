@@ -3,9 +3,11 @@
 Nothing here calls the package's enumeration or elimination code: maximal
 independent sets come from filtering all 2^n subsets with a direct
 definition check, maximal cliques in discovery order from a plain recursive
-Bron-Kerbosch, and ranks come from plain Gaussian elimination over the
-integers (fraction-free, for Q) or over residues.  Agreement between these
-and the package is the point of the tests, so keep them separate.
+Bron-Kerbosch, simplicial cliques from checking each closed neighbourhood
+against the adjacency masks, and ranks come from plain Gaussian elimination
+over the integers (fraction-free, for Q) or over residues.  Agreement
+between these and the package is the point of the tests, so keep them
+separate.
 """
 
 from fractions import Fraction
@@ -227,6 +229,20 @@ def ref_uniform_lex_dimension(g: Graph, h: Graph, char: int) -> int:
     mis_h = brute_force_mis(h)
     sets = [tuple(u * b + w for u in s for w in t) for s in brute_force_mis(g) for t in mis_h]
     return g.n * b - ref_rank(_difference_rows(sets, g.n * b), char)
+
+
+def ref_simplicial_cliques(g: Graph) -> list[int]:
+    """The simplicial cliques of g as vertex bitmasks, ascending, read off g.masks alone.
+
+    N[v] is a simplicial clique exactly when N(v) is a clique: every u in
+    N(v) has N[u] containing N[v].  Twins in one such clique give it once.
+    """
+    out = set()
+    for v, mask in enumerate(g.masks):
+        closed = mask | 1 << v
+        if all((g.masks[u] | 1 << u) & closed == closed for u in range(g.n) if mask >> u & 1):
+            out.add(closed)
+    return sorted(out)
 
 
 def all_graphs(n: int):

@@ -30,7 +30,6 @@ from wellcovered import (
     is_well_covered_weighting,
     lex_product,
     path,
-    path_weight_structure,
     petersen,
     random_graph,
     turan,
@@ -130,13 +129,14 @@ def test_c06_paths_dimensions_and_weight_structure():
     for n in range(1, 11):
         want = f_path(n).value
         for c in (0, 2, 3, 5):
-            got = compute_wcdim(path(n), F(c)).wcdim
-            if got != want:
-                failures.append((n, c, got, want))
+            r = compute_wcdim(path(n), F(c))
+            if r.wcdim != want:
+                failures.append((n, c, r.wcdim, want))
             if n >= 5:
-                result = path_weight_structure(path(n), F(c))
-                if not result.ok:
-                    failures.append((n, c, result.witness))
+                # the end pairs are the path's simplicial cliques
+                for w in r.basis:
+                    if w[0] != w[1] or w[n - 2] != w[n - 1] or any(w[2 : n - 2]):
+                        failures.append((n, c, w))
     report(6, "path dimensions 1,1,2,2,... and end-pair weight structure", failures)
 
 

@@ -9,6 +9,7 @@ from wellcovered import (
     InputError,
     complete,
     compute_wcdim,
+    compute_wcdim_fields,
     compute_wcdim_sets,
     crown,
     cycle,
@@ -19,7 +20,6 @@ from wellcovered import (
     is_well_covered_weighting,
     new_graph,
     path,
-    path_weight_structure,
     petersen,
     random_graph,
     relabel,
@@ -28,7 +28,7 @@ from wellcovered.engine import WcdimReport, build_difference_system, build_sum_s
 from wellcovered.exactlin import reduce_first_row
 from wellcovered.mis import MisList, mis_masks
 
-from helpers import all_graphs, ref_rank, ref_wcdim
+from helpers import all_graphs, ref_rank, ref_simplicial_cliques, ref_wcdim
 
 Q = FieldSpec(0)
 
@@ -382,28 +382,101 @@ class TestWeightingPredicate:
                     is_well_covered_weighting(g, w, f)
 
 
+def end_pairs(n):
+    """The canonical basis of path(n) for n >= 5: its two end edges' indicators."""
+    return ((1, 1) + (0,) * (n - 2), (0,) * (n - 2) + (1, 1))
+
+
 class TestPathStructure:
     def test_path5_passes(self):
-        result = path_weight_structure(path(5), Q)
-        assert result.ok and result.wcdim == 2
+        report = compute_wcdim(path(5), Q)
+        assert report.wcdim == 2 and report.basis == end_pairs(5)
 
     def test_path8_passes(self):
-        assert path_weight_structure(path(8), Q).ok
+        assert compute_wcdim(path(8), Q).basis == end_pairs(8)
 
     def test_path6_basis_is_the_two_end_pairs(self):
         report = compute_wcdim(path(6), Q)
         assert report.basis == ((1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1))
 
     def test_mod_p(self):
-        assert path_weight_structure(path(7), FieldSpec(3)).ok
+        assert compute_wcdim(path(7), FieldSpec(3)).basis == end_pairs(7)
 
-    def test_short_path_rejected(self):
-        with pytest.raises(InputError):
-            path_weight_structure(path(4), Q)
 
-    def test_non_path_rejected(self):
-        with pytest.raises(InputError):
-            path_weight_structure(cycle(5), Q)
+CHORDAL_FIELDS = [FieldSpec(c) for c in (0, 2, 3, 5)]
+
+
+def is_chordal(g):
+    """True iff deleting a simplicial vertex at a time empties g."""
+    alive = (1 << g.n) - 1
+    while alive:
+        for v in range(g.n):
+            nbrs = g.masks[v] & alive
+            if alive >> v & 1 and all(
+                (g.masks[u] | 1 << u) & nbrs == nbrs for u in range(g.n) if nbrs >> u & 1
+            ):
+                alive ^= 1 << v
+                break
+        else:
+            return False
+    return True
+
+
+def random_chordal_graph(n, rng):
+    """Each new vertex joined to a random nonempty part of a clique of the
+    earlier ones (a part of a clique is a clique), then the labels shuffled."""
+    label = list(range(n))
+    rng.shuffle(label)
+    cliques, edges = [], []
+    for v in range(n):
+        clique = rng.choice(cliques) if cliques else 0
+        members = [u for u in range(v) if clique >> u & 1]
+        joined = rng.sample(members, rng.randint(1, len(members))) if members else []
+        cliques.append(sum(1 << u for u in joined) | 1 << v)
+        edges += [(label[u], label[v]) for u in joined]
+    return new_graph(n, edges)
+
+
+def assert_chordal_law(g):
+    """wcdim is the number k of simplicial cliques, and their indicators span the space."""
+    cliques = ref_simplicial_cliques(g)
+    # each clique has a vertex no other one has, so the indicators are
+    # independent over every field
+    for mask in cliques:
+        others = 0
+        for other in cliques:
+            if other != mask:
+                others |= other
+        assert mask & ~others, g
+    indicators = [[mask >> v & 1 for v in range(g.n)] for mask in cliques]
+    k = len(indicators)
+    for f, report in zip(CHORDAL_FIELDS, compute_wcdim_fields(g, CHORDAL_FIELDS)):
+        c = f.characteristic
+        assert report.wcdim == k, (g, c)
+        assert ref_rank(list(report.basis) + indicators, c) == k, (g, c)
+
+
+class TestChordalLaw:
+    """On a chordal graph the well-covered space is the span of the
+    simplicial-clique indicators, over every field (Brown & Nowakowski)."""
+
+    # labelled chordal graphs on n vertices (OEIS A058862), 19,048 in all
+    COUNTS = {1: 1, 2: 2, 3: 8, 4: 61, 5: 822, 6: 18154}
+
+    @pytest.mark.parametrize("n", sorted(COUNTS))
+    def test_every_chordal_graph_on_at_most_6_vertices(self, n):
+        chordal = [g for g in all_graphs(n) if is_chordal(g)]
+        assert len(chordal) == self.COUNTS[n]
+        for g in chordal:
+            assert_chordal_law(g)
+
+    def test_seeded_random_chordal_graphs_on_7_to_18_vertices(self):
+        rng = random.Random(21)
+        for n in range(7, 19):
+            for _ in range(50):
+                g = random_chordal_graph(n, rng)
+                assert is_chordal(g)
+                assert_chordal_law(g)
 
 
 class TestEngineInvariants:

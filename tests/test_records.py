@@ -30,7 +30,6 @@ from wellcovered import (
     path,
 )
 from wellcovered.cli import ReportDocument, ReportSection
-from wellcovered.engine import PathStructureResult
 from wellcovered.exactlin import ExactMatrix
 from wellcovered.formulas import Prediction
 
@@ -86,11 +85,6 @@ CASES = {
         lambda: FamilySpec(kind="crown", params=(5,)),
         lambda: FamilySpec("crown", (6,)),
     ),
-    "PathStructureResult": (
-        lambda: PathStructureResult(True, 2),
-        lambda: PathStructureResult(True, 2, None),
-        lambda: PathStructureResult(False, 2, "basis[0]"),
-    ),
     "ReportDocument": (
         lambda: ReportDocument("g", 3, 1, (ReportSection(0, 2, 1, 2),)),
         lambda: ReportDocument("g", 3, 1, (ReportSection(0, 2, 1, 2),)),
@@ -103,7 +97,7 @@ EXPLICIT = ("FieldSpec", "ExactMatrix", "Graph", "MisList", "WcdimReport", "Repo
 FIRST_FIELD = {
     "FieldSpec": "characteristic", "ExactMatrix": "rows", "MisList": "sets",
     "ReportSection": "characteristic", "Prediction": "value", "CheckReport": "check",
-    "FamilySpec": "kind", "PathStructureResult": "ok", "ReportDocument": "graph",
+    "FamilySpec": "kind", "ReportDocument": "graph",
 }
 
 
@@ -156,9 +150,6 @@ def test_reprs_and_strs_are_unchanged():
         "basis_lines=('1 2',))"
     )
     assert repr(Prediction(1, "x")) == "Prediction(value=1, source='x', conditions=())"
-    assert repr(PathStructureResult(True, 2)) == (
-        "PathStructureResult(ok=True, wcdim=2, witness=None)"
-    )
     assert repr(CheckReport("a", "b", (0,), (1,), (1,), "pass")) == (
         "CheckReport(check='a', instance='b', characteristics=(0,), predicted=(1,), "
         "engine=(1,), verdict='pass', detail='')"
@@ -270,7 +261,7 @@ ALL = [
     "compute_wcdim_fields", "compute_wcdim_sets", "crown", "cycle", "disjoint_union",
     "empty_graph", "enumerate_mis", "gear", "is_independent", "is_maximal_independent",
     "is_well_covered", "is_well_covered_weighting", "lex_product", "multi_blowup", "new_graph",
-    "path", "path_weight_structure", "petersen", "random_graph", "relabel", "run_suite", "turan",
+    "path", "petersen", "random_graph", "relabel", "run_suite", "turan",
 ]
 
 

@@ -61,6 +61,12 @@ class TestCheckFamily:
         report = check_family(FamilySpec("petersen"), fields(0), limit=5)
         assert report.verdict == "skip"
 
+    def test_a_family_too_large_to_build_is_a_skip(self):
+        report = check_family(FamilySpec("complete", (20000,)), fields(0, 2))
+        assert report.verdict == "skip" and report.characteristics == (0, 2)
+        assert report.predicted == report.engine == ()
+        assert "graph has 20000 vertices; at most 16384 are supported" in report.detail
+
 
 class TestCheckBlowup:
     def test_c4_blowup(self):
