@@ -4,7 +4,7 @@ Vertices are always labelled 0..n-1.  Adjacency is stored as one bitmask
 per vertex: bit u of `masks[v]` is set exactly when u and v are adjacent.
 This is the form every consumer works in: the clique kernel branches on
 `P & masks[v]`, the modular decomposition compares neighbourhoods as
-integers, and every construction here shifts, swaps and ORs whole rows.
+integers, and every construction here shifts and ORs whole masks.
 The neighbour sets of `Graph.adj` are only a derived view, built on first
 use, for the tests and their brute-force oracle.
 
@@ -12,8 +12,10 @@ Outside data is checked once, where it enters: `new_graph` checks its edge
 list, the edge-list parser in `cli` checks every edge, and the public
 `Graph(n, masks)` constructor checks the masks it is given.  The package's
 own constructions are symmetric and loop-free by construction and build
-their result with `Graph.unchecked`, without a second pass over the edges;
-`multi_blowup` is `blowup` applied to each original vertex in turn.
+their result with `Graph.unchecked`, without a second pass over the edges.
+A construction that adds vertices keeps every old label and appends the
+new ones: `blowup` keeps v and puts its new twins after vertex n - 1, so
+`multi_blowup` is `blowup` folded over the original vertices.
 
 Every graph has at most `MAX_VERTICES` vertices; larger inputs raise
 CapacityError before anything per vertex is allocated.
@@ -163,47 +165,32 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 def blowup(g: Graph, v: int, t: int) -> Graph:
     """Replace vertex v by an independent set of t twins sharing v's neighbourhood.
 
-    Labelling convention (fixed for reproducibility): v is first swapped with
-    the last index n-1, then the replacement set occupies n-1, n, ..., n+t-2.
-    All other labels are stable.
+    Every label is kept: v is the first twin, and the t - 1 new ones take
+    n, ..., n + t - 2.  So t = 1 gives g back.
     """
     if not 0 <= v < g.n:
         raise InputError(f"vertex {v} out of range for n = {g.n}")
     if t < 1:
         raise InputError(f"blowup size must be positive, got {t}")
-    last = g.n - 1
-    check_vertex_count(last + t)
-    swap = 1 << v | 1 << last
-    masks = list(g.masks)
-    masks[v], masks[last] = masks[last], masks[v]
-    copies = ((1 << t) - 1) << last
-    for u in range(last):
-        mask = masks[u]
-        if (mask >> v ^ mask >> last) & 1:
-            mask ^= swap
-        if mask >> last & 1:
-            mask |= copies
-        masks[u] = mask
-    nbrs = masks[last]
-    if (nbrs >> v ^ nbrs >> last) & 1:
-        nbrs ^= swap
-    return Graph.unchecked(last + t, tuple(masks[:last]) + (nbrs,) * t)
+    n = g.n
+    check_vertex_count(n + t - 1)
+    twins = ((1 << (t - 1)) - 1) << n
+    masks = tuple(mask | twins if mask >> v & 1 else mask for mask in g.masks)
+    return Graph.unchecked(n + t - 1, masks + (g.masks[v],) * (t - 1))
 
 
 def multi_blowup(g: Graph, ts: Sequence[int]) -> Graph:
-    """Blow up every original vertex v into ts[v] twins: `blowup` applied to
-    each original vertex in ascending index order, at its current index."""
+    """Blow up every original vertex v into ts[v] twins: `blowup` folded over
+    the original vertices in ascending order.  Every blowup only appends, so
+    each original vertex keeps its label, and the new twins of v follow
+    those of every lower vertex."""
     if len(ts) != g.n:
         raise InputError(f"expected {g.n} blowup sizes, got {len(ts)}")
     if any(t < 1 for t in ts):
         raise InputError("blowup sizes must all be positive")
     check_vertex_count(sum(ts))
-    pos = list(range(g.n))  # current index of each original vertex
     for v, t in enumerate(ts):
-        cur, last = pos[v], g.n - 1
-        g = blowup(g, cur, t)
-        # blowup moved the vertex that sat at `last` to `cur`
-        pos = [cur if p == last else p for p in pos]
+        g = blowup(g, v, t)
     return g
 
 

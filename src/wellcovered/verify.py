@@ -15,9 +15,10 @@ Within one `run_suite` call every check shares one memo, keyed by graph
 for the enumeration and by family of sets, (n, sets, characteristics),
 for the elimination: each distinct labelled graph is enumerated once and
 each distinct family eliminated once, however many checks meet it.  Small
-random graphs recur within a section, so do the graphs built from them,
-and a kron pair with a one-vertex factor eliminates the other factor's
-family.  A check called on its own keeps a memo for that call only.
+random graphs recur within a section, so do the graphs built from them, a
+blowup by 1 is its base graph again, and a kron pair with a one-vertex
+factor eliminates the other factor's family.  A check called on its own
+keeps a memo for that call only.
 """
 
 from __future__ import annotations
@@ -405,10 +406,11 @@ def run_suite(
     section draws from its own stream seeded with (seed, section name), so
     running one section alone replays exactly the instances it would see
     inside the full suite.  Every random instance descriptor embeds the
-    sub-seed that regenerates its graph.  A negative trial count, an unknown
-    check section or family kind, an invalid characteristic, an option no
-    requested section reads, or characteristics that no requested section
-    sweeps (which would pass after comparing nothing) raise InputError.
+    sub-seed that regenerates its graph.  A negative trial count, a size
+    bound below 1, an unknown check section or family kind, an invalid
+    characteristic, an option no requested section or family kind reads, or
+    characteristics that no requested section sweeps (which would pass after
+    comparing nothing) raise InputError.
     Each distinct labelled graph is enumerated once per call, and each
     distinct family of sets eliminated once, for every check that meets
     it; nothing is kept between calls.
@@ -424,6 +426,11 @@ def run_suite(
         raise InputError("a trial count is only valid with a section that draws random trials")
     if family_kind is not None and family_kind not in FAMILIES:
         raise InputError(f"unknown graph family {family_kind!r}")
+    if family_max_n is not None:
+        if family_max_n < 1:
+            raise InputError(f"the family size bound must be positive, got {family_max_n}")
+        if family_kind is not None and FAMILIES[family_kind].sizes is None:
+            raise InputError(f"family {family_kind!r} takes no size bound")
     for c in chars:
         FieldSpec(c)  # reject invalid characteristics up front
 

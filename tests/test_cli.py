@@ -985,15 +985,24 @@ class TestVerifyCommand:
             (["kron", "--max-n", "3", "--trials", "1"], "family kind or size bound"),
             (["family", "crown", "--trials", "0"], "trial count"),
             (["family", "--trials", "5"], "trial count"),
+            (["family", "petersen", "--max-n", "9"], "'petersen' takes no size bound"),
+            (["family", "kpartite", "--max-n", "3"], "'kpartite' takes no size bound"),
+            (["family", "--max-n", "0"], "size bound must be positive, got 0"),
+            (["all", "--max-n", "-5"], "size bound must be positive, got -5"),
         ],
-        ids=["lex-max-n", "kron-max-n", "crown-trials", "family-trials"],
+        ids=[
+            "lex-max-n", "kron-max-n", "crown-trials", "family-trials",
+            "petersen-max-n", "kpartite-max-n", "family-max-n-0", "all-max-n-negative",
+        ],
     )
     def test_an_option_no_requested_section_reads_exits_2(self, capsys, argv, message):
-        # `verify lex --max-n 3` used to run as if --max-n were absent, and
-        # `verify family crown --trials 0` checked all 7 crown specs
+        # `verify lex --max-n 3` used to run as if --max-n were absent,
+        # `verify family crown --trials 0` checked all 7 crown specs, and
+        # `verify family petersen --max-n 9` ignored its bound
         assert main(["verify", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_all_takes_the_family_bound_and_the_trial_count(self, capsys):
         main(["verify", "all", "--max-n", "3", "--trials", "1", "--machine"])

@@ -113,14 +113,20 @@ class TestDisjointUnion:
 class TestBlowup:
     def test_identity_case(self):
         assert blowup(complete(2), 0, 1) == complete(2)
+        rng = random.Random(27)
+        for n in range(1, 8):
+            for _ in range(10):
+                g = rand_graph(n, rng.randrange(10**6))
+                assert all(blowup(g, v, 1) == g for v in range(n))
 
     def test_k2_blowup_is_star(self):
-        # copies of vertex 0 land on {1, 2}, both adjacent to the old partner
-        assert blowup(complete(2), 0, 2) == new_graph(3, [(0, 1), (0, 2)])
+        # vertex 0 keeps its label, and its new twin 2 shares its neighbour 1, the centre
+        assert blowup(complete(2), 0, 2) == new_graph(3, [(0, 1), (1, 2)])
 
     def test_k3_blowup_is_k211(self):
+        # the twins 0 and 3 form the block of two
         g = blowup(complete(3), 0, 2)
-        assert relabel(g, [2, 3, 0, 1]) == complete_multipartite([2, 1, 1])
+        assert relabel(g, [0, 2, 3, 1]) == complete_multipartite([2, 1, 1])
 
     def test_replacement_vertices_are_twins(self):
         for seed in range(10):
@@ -128,12 +134,12 @@ class TestBlowup:
             rng = random.Random(seed)
             v, t = rng.randrange(6), rng.randint(2, 3)
             h = blowup(g, v, t)
-            twins = range(g.n - 1, g.n - 1 + t)
+            twins = [v, *range(g.n, g.n + t - 1)]
             for a in twins:
                 for b in twins:
                     if a != b:
                         assert not h.has_edge(a, b)
-                assert h.adj[a] == h.adj[twins[0] if a != twins[0] else twins[1]]
+                assert h.adj[a] == g.adj[v]
 
     def test_errors(self):
         with pytest.raises(InputError):
@@ -143,27 +149,37 @@ class TestBlowup:
 
 
 class TestMultiBlowup:
-    def test_all_ones_is_the_tracked_relabelling(self):
-        # every t = 1, so the result is g relabelled by the slot permutation
-        g = path(3)
-        slots = ref_multi_blowup(g.n, g.edges(), [1, 1, 1])[2]
-        perm = [s[0] for s in slots]
-        assert multi_blowup(g, [1, 1, 1]) == relabel(g, perm)
+    def test_all_ones_gives_the_graph_back(self):
+        rng = random.Random(28)
+        for n in range(1, 8):
+            for _ in range(10):
+                g = rand_graph(n, rng.randrange(10**6))
+                assert multi_blowup(g, [1] * g.n) == g
 
     def test_k2_22_gives_k22(self):
-        assert multi_blowup(complete(2), [2, 2]) == complete_multipartite([2, 2])
+        # the blocks are {0, 2} and {1, 3}
+        g = complete(2)
+        h, slots = multi_blowup(g, [2, 2]), ref_multi_blowup(g.n, g.edges(), [2, 2])[2]
+        assert slots == [[0, 2], [1, 3]]
+        assert relabel(h, by_slots(slots)) == complete_multipartite([2, 2])
 
     def test_k3_222_gives_octahedron(self):
         g = complete(3)
         h, slots = multi_blowup(g, [2, 2, 2]), ref_multi_blowup(g.n, g.edges(), [2, 2, 2])[2]
-        perm = [0] * 6
-        want = complete_multipartite([2, 2, 2])
-        pos = 0
-        for s in slots:
-            for x in s:
-                perm[x] = pos
-                pos += 1
-        assert relabel(h, perm) == want
+        assert relabel(h, by_slots(slots)) == complete_multipartite([2, 2, 2])
+
+    def test_equals_the_fold_of_blowup_and_the_edge_lists(self):
+        rng = random.Random(2027)
+        for _ in range(3000):
+            n = rng.randint(0, 7)
+            g = rand_graph(n, rng.randrange(10**6))
+            ts = [rng.randint(1, 3) for _ in range(n)]
+            h = multi_blowup(g, ts)
+            folded = g
+            for v, t in enumerate(ts):
+                folded = blowup(folded, v, t)
+            assert h == folded
+            assert_is(h, *ref_multi_blowup(n, g.edges(), ts)[:2])
 
     def test_slots_partition_the_vertices(self):
         g = rand_graph(5, 3)
@@ -205,11 +221,7 @@ class TestLexProduct:
             prod = lex_product(g, empty_graph(t))
             blown = multi_blowup(g, [t] * g.n)
             slots = ref_multi_blowup(g.n, g.edges(), [t] * g.n)[2]
-            perm = [0] * blown.n
-            for u, s in enumerate(slots):
-                for w, x in enumerate(s):
-                    perm[x] = u * t + w
-            assert relabel(blown, perm) == prod
+            assert relabel(blown, by_slots(slots)) == prod
 
 
 class TestRandomGraph:
@@ -264,25 +276,26 @@ def assert_is(g, n, edges):
 
 
 def ref_blowup(n, edges, v, t):
-    """Swap v with n-1, then replace n-1 by t independent copies at n-1..n+t-2."""
-    last = n - 1
-    swap = {v: last, last: v}
-    swapped = [(swap.get(a, a), swap.get(b, b)) for a, b in edges]
-    nbrs = [a if b == last else b for a, b in swapped if last in (a, b)]
-    kept = [(a, b) for a, b in swapped if last not in (a, b)]
-    return n + t - 1, kept + [(u, last + c) for c in range(t) for u in nbrs]
+    """Keep every label, and join t - 1 new twins of v at n..n+t-2 to v's neighbours."""
+    nbrs = [a if b == v else b for a, b in edges if v in (a, b)]
+    return n + t - 1, edges + [(u, n + c) for c in range(t - 1) for u in nbrs]
 
 
 def ref_multi_blowup(n, edges, ts):
-    """Blow up each original vertex in turn, tracking where every copy lands."""
-    size, pos, slots = n, list(range(n)), []
-    for i in range(n):
-        cur, last = pos[i], size - 1
-        size, edges = ref_blowup(size, edges, cur, ts[i])
-        pos = [cur if p == last else p for p in pos]
-        slots = [[cur if x == last else x for x in s] for s in slots]
-        slots.append(list(range(last, last + ts[i])))
+    """Blow up each original vertex in turn; the slot of v is v and its appended twins."""
+    size, slots = n, []
+    for v in range(n):
+        slots.append([v, *range(size, size + ts[v] - 1)])
+        size, edges = ref_blowup(size, edges, v, ts[v])
     return size, edges, slots
+
+
+def by_slots(slots):
+    """The relabelling that puts each slot's vertices next to each other, slot by slot."""
+    perm = [0] * sum(map(len, slots))
+    for pos, x in enumerate(x for s in slots for x in s):
+        perm[x] = pos
+    return perm
 
 
 def test_new_graph_matches_the_edge_lists():

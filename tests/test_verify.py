@@ -88,6 +88,18 @@ class TestCheckBlowup:
             )[0]
             assert rep.verdict == "pass", rep
 
+    def test_a_size_one_blowup_enumerates_its_graph_once(self, monkeypatch):
+        # blowing up by 1 gives the graph back, so the check's memo meets it twice
+        from wellcovered import verify
+
+        calls = []
+        real = verify.mis_masks
+        monkeypatch.setattr(verify, "mis_masks", lambda *a: calls.append(a) or real(*a))
+        g = random_graph(6, 0.5, 27)
+        reports = check_blowup(g, 0, 1, fields(0, 2, 3))
+        assert [r.verdict for r in reports] == ["pass"] * 3
+        assert len(calls) == 1
+
 
 class TestCheckMultiBlowup:
     def test_k2(self):
@@ -545,8 +557,17 @@ class TestRunSuite:
             ({"checks": ("lex",), "family_kind": "crown"}, "family kind or size bound"),
             ({"checks": ("union", "kron"), "family_max_n": 3}, "family kind or size bound"),
             ({"checks": ("family",), "trials": 0}, "trial count"),
+            # these four used to sweep as if the bound were absent, or only
+            # each kind's lowest size
+            ({"family_kind": "petersen", "family_max_n": 9}, "'petersen' takes no size bound"),
+            ({"family_kind": "kpartite", "family_max_n": 3}, "'kpartite' takes no size bound"),
+            ({"checks": ("family",), "family_max_n": 0}, "size bound must be positive, got 0"),
+            ({"family_max_n": -5}, "size bound must be positive, got -5"),
         ],
-        ids=["lex-kind", "union-kron-max-n", "family-trials"],
+        ids=[
+            "lex-kind", "union-kron-max-n", "family-trials",
+            "petersen-max-n", "kpartite-max-n", "family-max-n-0", "all-max-n-negative",
+        ],
     )
     def test_options_no_requested_section_reads_are_rejected(self, request_, message):
         from wellcovered import InputError
