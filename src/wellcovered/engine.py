@@ -31,6 +31,9 @@ batch `build_difference_system` and `build_sum_system`, and the `rank` and
 `nullspace_basis` re-exported here, have no caller in the package and are
 not exported by `wellcovered`; they remain only as targets of the
 benchmark's tracer.
+
+Every enumeration is bounded by the constant `mis.DEFAULT_MIS_LIMIT`;
+nothing here passes or reads it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .exactlin import ExactMatrix, FieldSpec, RowSpace, Scalar
 # perfbench/trace.py instruments engine.rank and engine.nullspace_basis
 from .exactlin import nullspace_basis, rank  # noqa: F401
 from .graphs import Graph, check_vertex_count
-from .mis import DEFAULT_MIS_LIMIT, MisList, enumerate_mis, mis_family
+from .mis import MisList, enumerate_mis, mis_family
 from .records import Record
 
 
@@ -194,20 +197,17 @@ def _feed(space: RowSpace, order: Sequence[int], base: int, most: int) -> int:
     return fed
 
 
-def compute_wcdim_fields(
-    g: Graph,
-    fields: Sequence[FieldSpec],
-    limit: int = DEFAULT_MIS_LIMIT,
-) -> list[WcdimReport]:
+def compute_wcdim_fields(g: Graph, fields: Sequence[FieldSpec]) -> list[WcdimReport]:
     """Well-covered dimension of g over each field, from one enumeration.
 
-    `compute_wcdim_sets` eliminates the sets of `mis_family`, where `limit`
-    bounds each enumerated quotient.  An empty field list enumerates nothing.
+    `compute_wcdim_sets` eliminates the sets of `mis_family`, where
+    DEFAULT_MIS_LIMIT bounds each enumerated quotient.  An empty field list
+    enumerates nothing.
     """
     if not fields:
         return []
     t0 = time.perf_counter()
-    count, masks, pieces = mis_family(g, limit)
+    count, masks, pieces = mis_family(g)
     enumerated = ((time.perf_counter() - t0) * 1e3, count, pieces)
     return compute_wcdim_sets(g.n, masks, fields, enumerated=enumerated)
 
@@ -233,7 +233,7 @@ def compute_wcdim_sets(
     k.  The rank, basis and sum rank are the same for any baseline;
     only D, and with it which fields need their own elimination, may
     differ.  The rows are fed in eight strided passes over the family,
-    skipping the baseline's place.  `enumerated` is the
+    without the baseline.  `enumerated` is the
     (milliseconds, exact set count, pieces) of the enumeration that found
     the sets, by default (0, len(sets), 0); the reports carry that count as
     `mis_count`.  An empty field list builds no space.
@@ -247,7 +247,6 @@ def compute_wcdim_sets(
         return []
     enum_ms, count, pieces = enumerated or (0.0, len(sets), 0)
     base = min(sets, key=int.bit_count)  # the first set of fewest vertices
-    b = sets.index(base)
     # depth-first discovery order clusters similar sets; eight interleaved
     # strided passes spread them out, so full rank comes after about n rows
     # instead of after most of the list.  The baseline's own row M_0 - M_0
@@ -256,9 +255,7 @@ def compute_wcdim_sets(
         *sets[0::8], *sets[1::8], *sets[2::8], *sets[3::8],
         *sets[4::8], *sets[5::8], *sets[6::8], *sets[7::8],
     ]
-    k, s = divmod(b, 8)  # the baseline is entry k of pass s
-    q, longer = divmod(len(sets), 8)  # a pass holds q sets, the first `longer` one more
-    del order[s * q + min(s, longer) + k]
+    order.remove(base)
     t1 = time.perf_counter()
     integer = RowSpace(n, _Q)
     fed = _feed(integer, order, base, n)
@@ -288,21 +285,12 @@ def compute_wcdim_sets(
     return reports
 
 
-def compute_wcdim(
-    g: Graph,
-    f: FieldSpec = FieldSpec(0),
-    limit: int = DEFAULT_MIS_LIMIT,
-) -> WcdimReport:
+def compute_wcdim(g: Graph, f: FieldSpec = FieldSpec(0)) -> WcdimReport:
     """Well-covered dimension of g over f; the report reads its basis on demand."""
-    return compute_wcdim_fields(g, (f,), limit)[0]
+    return compute_wcdim_fields(g, (f,))[0]
 
 
-def is_well_covered_weighting(
-    g: Graph,
-    w: Sequence[Scalar],
-    f: FieldSpec = FieldSpec(0),
-    limit: int = DEFAULT_MIS_LIMIT,
-) -> bool:
+def is_well_covered_weighting(g: Graph, w: Sequence[Scalar], f: FieldSpec = FieldSpec(0)) -> bool:
     """True iff every maximal independent set of g has the same w-sum in f.
 
     The weights must be ints or Fractions, so the sums are exact.
@@ -316,7 +304,7 @@ def is_well_covered_weighting(
             raise InputError(f"weights must be ints or Fractions, got {x!r}")
     p = f.characteristic
     sums = set()
-    for s in enumerate_mis(g, limit):
+    for s in enumerate_mis(g):
         total: Scalar = sum((w[v] for v in s), start=Fraction(0) if p == 0 else 0)
         if p == 0:
             sums.add(Fraction(total))

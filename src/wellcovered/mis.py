@@ -9,6 +9,11 @@ here reads the graph's own adjacency bitmasks, `Graph.masks`: a
 co-adjacency mask is one XOR away, and the decomposition compares
 neighbourhoods as integers.
 
+Every enumeration stops at `DEFAULT_MIS_LIMIT` sets (10^6) and raises
+CapacityError past it, since the count can be exponential in n.  The
+limit is a constant, not a parameter: `_cliques` is the one place that
+reads it, for every graph and quotient enumerated here.
+
 `mis_masks` returns the sets as bitmasks in the kernel's depth-first
 discovery order.  `enumerate_mis` sorts them into the canonical order
 (lexicographic by sorted member lists), so the assembled batch systems are
@@ -35,6 +40,7 @@ from .errors import CapacityError, InputError
 from .graphs import Graph, bits
 from .records import Record
 
+# the bound every enumeration uses; read only by `_cliques`, at call time
 DEFAULT_MIS_LIMIT = 10**6
 
 
@@ -58,22 +64,22 @@ class MisList(Record):
         return self.sets[i]
 
 
-def _cliques(co_masks: list[int], limit: int, within: int, what: str) -> list[int]:
+def _cliques(co_masks: list[int], within: int, what: str) -> list[int]:
+    limit = DEFAULT_MIS_LIMIT
     try:
         return kernels.maximal_cliques(co_masks, limit, within)
     except ValueError as exc:
         raise CapacityError(f"{what} has more than {limit} maximal independent sets") from exc
 
 
-def mis_masks(g: Graph, limit: int = DEFAULT_MIS_LIMIT) -> list[int]:
+def mis_masks(g: Graph) -> list[int]:
     """Every maximal independent set of g as a vertex bitmask, in discovery order.
 
-    Raises CapacityError if the count exceeds `limit` (the count can be
-    exponential in n, so unbounded enumeration would be a foot-gun).
+    Raises CapacityError if the count exceeds DEFAULT_MIS_LIMIT.
     """
     full = (1 << g.n) - 1
     co_masks = [full ^ mask ^ 1 << v for v, mask in enumerate(g.masks)]
-    return _cliques(co_masks, limit, full, "graph")
+    return _cliques(co_masks, full, "graph")
 
 
 def _parts(adj: tuple[int, ...], s: int, flip: int) -> list[int]:
@@ -152,7 +158,7 @@ def _merge_twins(adj: tuple[int, ...], s: int, count: list[int], family: list[li
     return s
 
 
-def mis_family(g: Graph, limit: int = DEFAULT_MIS_LIMIT) -> tuple[int, list[int], int]:
+def mis_family(g: Graph) -> tuple[int, list[int], int]:
     """(exact count, spanning family, pieces enumerated) of g's maximal independent sets.
 
     The family is a list of maximal independent sets of g with the same
@@ -161,13 +167,13 @@ def mis_family(g: Graph, limit: int = DEFAULT_MIS_LIMIT) -> tuple[int, list[int]
     components and co-components, found again on every quotient until none
     is left; each module is contracted to one of its vertices, which then
     carries the count and family of the subgraph it stands for.  Only the
-    quotients with no module left are enumerated, and `limit` applies to
-    each of them (CapacityError); the count itself is unbounded.  A graph
-    with no module gets exactly `mis_masks(g)` back, in the same order.
+    quotients with no module left are enumerated, and DEFAULT_MIS_LIMIT
+    applies to each of them (CapacityError); the count itself is unbounded.
+    A graph with no module gets exactly `mis_masks(g)` back, in the same order.
     """
     n = g.n
     if n < 2:
-        masks = mis_masks(g, limit)
+        masks = mis_masks(g)
         return len(masks), masks, 1
     adj = g.masks
     full = (1 << n) - 1
@@ -194,13 +200,13 @@ def mis_family(g: Graph, limit: int = DEFAULT_MIS_LIMIT) -> tuple[int, list[int]
             continue
         pieces += 1
         if s == full:  # nothing contracted: the family is every set
-            masks = _cliques(co_masks, limit, s, "graph")
+            masks = _cliques(co_masks, s, "graph")
             return len(masks), masks, pieces
         total = 0
         out = []
         # modules with more than one set, varied in the first set of Q that holds them
         unvaried = sum(1 << v for v in bits(s) if len(family[v]) > 1)
-        for q in _cliques(co_masks, limit, s, "an enumerated quotient of the graph"):
+        for q in _cliques(co_masks, s, "an enumerated quotient of the graph"):
             base = 0
             c = 1
             for v in bits(q):
@@ -221,13 +227,13 @@ def mis_family(g: Graph, limit: int = DEFAULT_MIS_LIMIT) -> tuple[int, list[int]
     return count[r], family[r], pieces
 
 
-def enumerate_mis(g: Graph, limit: int = DEFAULT_MIS_LIMIT) -> MisList:
+def enumerate_mis(g: Graph) -> MisList:
     """Every maximal independent set of g, sorted canonically.
 
     The zero-vertex graph has exactly one maximal independent set, the empty
-    set.  Raises CapacityError if the count exceeds `limit`.
+    set.  Raises CapacityError if the count exceeds DEFAULT_MIS_LIMIT.
     """
-    masks = mis_masks(g, limit)
+    masks = mis_masks(g)
     sets = sorted(tuple(v for v in range(g.n) if mask >> v & 1) for mask in masks)
     return MisList(tuple(sets), g.n)
 
@@ -255,6 +261,6 @@ def is_maximal_independent(g: Graph, s: Iterable[int]) -> bool:
     return all(mask >> v & 1 or g.masks[v] & mask for v in range(g.n))
 
 
-def is_well_covered(g: Graph, limit: int = DEFAULT_MIS_LIMIT) -> bool:
+def is_well_covered(g: Graph) -> bool:
     """True iff all maximal independent sets of g share one cardinality."""
-    return len({len(s) for s in enumerate_mis(g, limit)}) <= 1
+    return len(set(map(int.bit_count, mis_masks(g)))) <= 1

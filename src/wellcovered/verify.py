@@ -7,18 +7,19 @@ always carry the instance descriptor needed to rebuild the inputs: family
 parameters, or the (n, p, seed) triple of a random graph.  Capacity
 overruns are recorded as skips, never as passes or failures.  Every check
 reaches the engine one way: it enumerates every set of each graph once
-with `mis_masks` and eliminates them once for all fields with
+with `mis_masks`, bounded like every enumeration by the constant
+`mis.DEFAULT_MIS_LIMIT`, and eliminates them once for all fields with
 `compute_wcdim_sets`.  So the engine runs without modular decomposition:
 the blowup, union and lex checks replace vertices by graphs, which is what
 the decomposition relies on, so they must not test it against itself.
-Within one `run_suite` call every check shares one memo, keyed by graph
-for the enumeration and by family of sets, (n, sets, characteristics),
-for the elimination: each distinct labelled graph is enumerated once and
-each distinct family eliminated once, however many checks meet it.  Small
-random graphs recur within a section, so do the graphs built from them, a
-blowup by 1 is its base graph again, and a kron pair with a one-vertex
-factor eliminates the other factor's family.  A check called on its own
-keeps a memo for that call only.
+Within one `run_suite` call every check shares one memo, keyed by graph,
+(n, masks), for the enumeration and by family of sets, (n, sets,
+characteristics), for the elimination: each distinct labelled graph is
+enumerated once and each distinct family eliminated once, however many
+checks meet it.  Small random graphs recur within a section, so do the
+graphs built from them, a blowup by 1 is its base graph again, and a kron
+pair with a one-vertex factor eliminates the other factor's family.  A
+check called on its own keeps a memo for that call only.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ from .engine import WcdimReport, compute_wcdim_sets
 from .errors import CapacityError, InputError
 from .exactlin import FieldSpec
 from .families import FAMILY_BUILDERS, FamilySpec, build_family
-from .graphs import Graph, bits, blowup, disjoint_union, lex_product, multi_blowup, random_graph
-from .mis import DEFAULT_MIS_LIMIT, mis_masks
+from .graphs import (
+    MAX_VERTICES, Graph, bits, blowup, disjoint_union, lex_product, multi_blowup, random_graph,
+)
+from .mis import mis_masks
 
 # perfbench/trace.py instruments these names here; nothing in this module calls them
 from .engine import build_sum_system, compute_wcdim  # noqa: F401
@@ -109,21 +112,21 @@ def _random_descriptor(n: int, seed: int) -> str:
 
 
 def _computed(
-    graphs: Iterable[Graph], fields: Sequence[FieldSpec], limit: int, seen: dict
+    graphs: Iterable[Graph], fields: Sequence[FieldSpec], seen: dict
 ) -> list[tuple[list[int], list[WcdimReport]]]:
     """Each graph's maximal independent sets and its reports over fields, in graph order.
 
-    `seen` keeps each graph's sets under (n, masks, limit).  Every graph is
+    `seen` keeps each graph's sets under (n, masks).  Every graph is
     enumerated before any is eliminated, so a CapacityError propagates
     before anything is eliminated; it is not kept, and the next call
     enumerates that graph again.
     """
     families = []
     for g in graphs:
-        key = (g.n, g.masks, limit)
+        key = (g.n, g.masks)
         sets = seen.get(key)
         if sets is None:
-            sets = seen[key] = mis_masks(g, limit)
+            sets = seen[key] = mis_masks(g)
         families.append((g.n, sets))
     return _eliminated(families, fields, seen)
 
@@ -134,7 +137,7 @@ def _eliminated(
     """Each family (n, sets) and its reports over fields, in family order.
 
     `seen` keeps the reports under (n, tuple(sets), characteristics), a key
-    no graph's (n, masks, limit) can equal.
+    no graph's (n, masks) can equal.
     """
     chars = tuple([f.characteristic for f in fields])
     out = []
@@ -147,11 +150,7 @@ def _eliminated(
     return out
 
 
-def check_family(
-    spec: FamilySpec,
-    chars: Sequence[FieldSpec],
-    limit: int = DEFAULT_MIS_LIMIT,
-) -> CheckReport:
+def check_family(spec: FamilySpec, chars: Sequence[FieldSpec]) -> CheckReport:
     """Engine wcdim must equal the family's formula for every characteristic.
 
     Raises InputError for an empty characteristic list, which would
@@ -163,7 +162,7 @@ def check_family(
     predicted = tuple(predict(spec.params, f) for f in chars)
     swept = tuple(f.characteristic for f in chars)
     try:
-        [(_, reports)] = _computed([build_family(spec)], chars, limit, _SEEN.get({}))
+        [(_, reports)] = _computed([build_family(spec)], chars, _SEEN.get({}))
     except CapacityError as exc:
         return CheckReport("family", str(spec), swept, (), (), SKIP, str(exc))
     engine = tuple(r.wcdim for r in reports)
@@ -173,7 +172,7 @@ def check_family(
 
 def _replay(
     check: str, desc: str, graphs: Callable[[], Sequence[Graph]], fields: Sequence[FieldSpec],
-    limit: int, compare: Callable[..., tuple[tuple[int, ...], tuple[int, ...], str]],
+    compare: Callable[..., tuple[tuple[int, ...], tuple[int, ...], str]],
 ) -> list[CheckReport]:
     """One report per field, in field order, comparing a formula with the engine.
 
@@ -186,7 +185,7 @@ def _replay(
     if not fields:
         return []
     try:
-        computed = _computed(graphs(), fields, limit, _SEEN.get({}))
+        computed = _computed(graphs(), fields, _SEEN.get({}))
     except CapacityError as e:
         return [CheckReport(check, desc, (f.characteristic,), (), (), SKIP, str(e)) for f in fields]
     reports = []
@@ -198,8 +197,7 @@ def _replay(
 
 
 def check_blowup(
-    g: Graph, v: int, t: int, fields: Sequence[FieldSpec],
-    instance: str = "", limit: int = DEFAULT_MIS_LIMIT,
+    g: Graph, v: int, t: int, fields: Sequence[FieldSpec], instance: str = "",
 ) -> list[CheckReport]:
     """wcdim of the blowup must be m + t - 1 where m is wcdim of g.
 
@@ -207,14 +205,13 @@ def check_blowup(
     """
     desc = instance or _graph_descriptor(g)
     return _replay(
-        "blowup", f"{desc};v={v};t={t}", lambda: (g, blowup(g, v, t)), fields, limit,
+        "blowup", f"{desc};v={v};t={t}", lambda: (g, blowup(g, v, t)), fields,
         lambda rg, rb: ((formulas.f_blowup(rg.wcdim, t).value,), (rb.wcdim,), ""),
     )
 
 
 def check_multi_blowup(
-    g: Graph, ts: Sequence[int], fields: Sequence[FieldSpec],
-    instance: str = "", limit: int = DEFAULT_MIS_LIMIT,
+    g: Graph, ts: Sequence[int], fields: Sequence[FieldSpec], instance: str = "",
 ) -> list[CheckReport]:
     """wcdim after blowing every vertex must be (m - n) + sum(ts).
 
@@ -222,7 +219,7 @@ def check_multi_blowup(
     """
     desc = instance or _graph_descriptor(g)
     return _replay(
-        "multi-blowup", f"{desc};ts={list(ts)}", lambda: (g, multi_blowup(g, ts)), fields, limit,
+        "multi-blowup", f"{desc};ts={list(ts)}", lambda: (g, multi_blowup(g, ts)), fields,
         lambda rg, rb: ((formulas.f_multi_blowup(rg.wcdim, g.n, ts).value,), (rb.wcdim,), ""),
     )
 
@@ -243,8 +240,7 @@ def _lex_fibre_dimension(a: int, n: int, m: int, b: int, rank_a: int) -> int:
 
 
 def check_lex(
-    g: Graph, h: Graph, fields: Sequence[FieldSpec],
-    instance: str = "", limit: int = DEFAULT_MIS_LIMIT,
+    g: Graph, h: Graph, fields: Sequence[FieldSpec], instance: str = "",
 ) -> list[CheckReport]:
     """Engine wcdim of the lexicographic product vs the published closed form.
 
@@ -266,12 +262,11 @@ def check_lex(
             )
         return (want,), (got,), detail
 
-    return _replay("lex", desc, lambda: (g, h, lex_product(g, h)), fields, limit, compare)
+    return _replay("lex", desc, lambda: (g, h, lex_product(g, h)), fields, compare)
 
 
 def check_union(
-    g: Graph, h: Graph, fields: Sequence[FieldSpec],
-    instance: str = "", limit: int = DEFAULT_MIS_LIMIT,
+    g: Graph, h: Graph, fields: Sequence[FieldSpec], instance: str = "",
 ) -> list[CheckReport]:
     """wcdim of a disjoint union must be the sum of the parts' dimensions.
 
@@ -279,14 +274,13 @@ def check_union(
     """
     desc = instance or f"g[{_graph_descriptor(g)}];h[{_graph_descriptor(h)}]"
     return _replay(
-        "union", desc, lambda: (g, h, disjoint_union(g, h)), fields, limit,
+        "union", desc, lambda: (g, h, disjoint_union(g, h)), fields,
         lambda rg, rh, ru: ((formulas.f_union(rg.wcdim, rh.wcdim).value,), (ru.wcdim,), ""),
     )
 
 
 def check_kron_remark(
-    g: Graph, h: Graph, fields: Sequence[FieldSpec],
-    instance: str = "", limit: int = DEFAULT_MIS_LIMIT,
+    g: Graph, h: Graph, fields: Sequence[FieldSpec], instance: str = "",
 ) -> list[CheckReport]:
     """Replay the reduced-Kronecker rank table and the product rank shortcut.
 
@@ -306,7 +300,7 @@ def check_kron_remark(
         return []
     seen = _SEEN.get({})
     try:
-        computed = _computed((g, h, lex_product(g, h)), fields, limit, seen)
+        computed = _computed((g, h, lex_product(g, h)), fields, seen)
     except CapacityError as e:
         return [
             CheckReport("kron", desc, (f.characteristic,), (), (), SKIP, str(e)) for f in fields
@@ -344,27 +338,29 @@ def _effective(check_chars: Sequence[int], chars: Sequence[int]) -> list[FieldSp
     return [FieldSpec(c) for c in check_chars if c in set(chars)]
 
 
-def _family_specs(rng: random.Random, kind: str | None, max_n: int | None) -> list[FamilySpec]:
-    """Every instance the family section checks, kind by kind in FAMILIES order."""
-    specs: list[FamilySpec] = []
+def _family_specs(rng: random.Random, kind: str | None, max_n: int | None) -> Iterator[FamilySpec]:
+    """Every instance the family section checks, kind by kind in FAMILIES order.
+
+    Built one at a time as the sweep reaches it, so a turan sweep, about
+    max_n^2 / 2 instances, never holds them all.
+    """
     for k, family in FAMILIES.items():
         if kind not in (None, k):
             continue
         arity = FAMILY_BUILDERS[k].arity
         if arity == 0:
-            specs.append(FamilySpec(k))
+            yield FamilySpec(k)
         elif arity is None:
             for _ in range(20):
                 blocks = rng.randint(1, 5)
-                specs.append(FamilySpec(k, tuple(rng.randint(1, 4) for _ in range(blocks))))
+                yield FamilySpec(k, tuple(rng.randint(1, 4) for _ in range(blocks)))
         else:
             lo, hi = family.sizes
             ns = range(lo, (hi if max_n is None else max(lo, max_n)) + 1)
             if arity == 1:
-                specs.extend(FamilySpec(k, (n,)) for n in ns)
+                yield from (FamilySpec(k, (n,)) for n in ns)
             else:  # turan:n,r, with every r from 1 to n
-                specs.extend(FamilySpec(k, (n, r)) for n in ns for r in range(1, n + 1))
-    return specs
+                yield from (FamilySpec(k, (n, r)) for n in ns for r in range(1, n + 1))
 
 
 def _draw(rng: random.Random, cap: int) -> tuple[Graph, str]:
@@ -407,11 +403,14 @@ def run_suite(
     running one section alone replays exactly the instances it would see
     inside the full suite.  Every random instance descriptor embeds the
     sub-seed that regenerates its graph.  A negative trial count, a size
-    bound below 1, an unknown check section or family kind, an invalid
+    bound outside 1..MAX_VERTICES (every sized family has at least n
+    vertices at parameter n, so a larger bound would only add capacity
+    skips), an unknown check section or family kind, an invalid
     characteristic, an option no requested section or family kind reads, or
     characteristics that no requested section sweeps (which would pass after
     comparing nothing) raise InputError.
-    Each distinct labelled graph is enumerated once per call, and each
+    Each distinct labelled graph is enumerated once per call, up to the
+    constant `mis.DEFAULT_MIS_LIMIT` sets (an overrun is a skip), and each
     distinct family of sets eliminated once, for every check that meets
     it; nothing is kept between calls.
     """
@@ -427,8 +426,10 @@ def run_suite(
     if family_kind is not None and family_kind not in FAMILIES:
         raise InputError(f"unknown graph family {family_kind!r}")
     if family_max_n is not None:
-        if family_max_n < 1:
-            raise InputError(f"the family size bound must be positive, got {family_max_n}")
+        if not 1 <= family_max_n <= MAX_VERTICES:
+            raise InputError(
+                f"the family size bound must lie in 1..{MAX_VERTICES}, got {family_max_n}"
+            )
         if family_kind is not None and FAMILIES[family_kind].sizes is None:
             raise InputError(f"family {family_kind!r} takes no size bound")
     for c in chars:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from wellcovered import Graph, InputError, cli
+from wellcovered import Graph, InputError, cli, mis
 from wellcovered.cli import (
     ReportDocument,
     ReportSection,
@@ -422,6 +422,14 @@ class TestComputeCommand:
         out = capsys.readouterr().out
         assert "over Q: wcdim = 3" in out
         assert "over GF(2): wcdim = 4" in out
+
+    def test_an_enumeration_past_the_limit_exits_3_with_one_line(self, capsys, monkeypatch):
+        # cycle(12) has no module, so it is enumerated whole: 29 sets, past 5
+        monkeypatch.setattr(mis, "DEFAULT_MIS_LIMIT", 5)
+        assert main(["compute", "cycle:12"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "capacity error: graph has more than 5 maximal independent sets\n"
 
     def test_cycle6_basis(self, capsys):
         assert main(["compute", "cycle:6", "--basis"]) == 0
@@ -923,6 +931,31 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "0 failed, 0 skipped" in out
 
+    def test_an_enumeration_past_the_limit_is_a_skip_naming_it(self, capsys, monkeypatch):
+        monkeypatch.setattr(mis, "DEFAULT_MIS_LIMIT", 5)
+        assert main(["verify", "family", "petersen", "--machine"]) == 3
+        assert capsys.readouterr().out == (
+            "check = family\ninstance = petersen\ncharacteristics = 0 2 3 5\n"
+            "predicted = \nengine = \nverdict = skip\n"
+            "detail = graph has more than 5 maximal independent sets\n"
+        )
+
+    @pytest.mark.parametrize("kind, bound", [("turan", "16385"), ("crown", "100000000")])
+    def test_a_size_bound_past_max_vertices_exits_2_before_the_sweep(
+        self, capsys, monkeypatch, kind, bound
+    ):
+        # a turan sweep to 16384 has about 134 million instances
+        from wellcovered import verify
+
+        def unbuilt(*args):
+            raise AssertionError("the sweep was started")
+
+        monkeypatch.setattr(verify, "_family_specs", unbuilt)
+        assert main(["verify", "family", kind, "--max-n", bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the family size bound must lie in 1..16384, got {bound}\n"
+
     def test_family_crown(self, capsys):
         assert main(["verify", "family", "crown", "--max-n", "9"]) == 0
         out = capsys.readouterr().out
@@ -987,8 +1020,8 @@ class TestVerifyCommand:
             (["family", "--trials", "5"], "trial count"),
             (["family", "petersen", "--max-n", "9"], "'petersen' takes no size bound"),
             (["family", "kpartite", "--max-n", "3"], "'kpartite' takes no size bound"),
-            (["family", "--max-n", "0"], "size bound must be positive, got 0"),
-            (["all", "--max-n", "-5"], "size bound must be positive, got -5"),
+            (["family", "--max-n", "0"], "size bound must lie in 1..16384, got 0"),
+            (["all", "--max-n", "-5"], "size bound must lie in 1..16384, got -5"),
         ],
         ids=[
             "lex-max-n", "kron-max-n", "crown-trials", "family-trials",

@@ -22,6 +22,7 @@ from wellcovered import (
     disjoint_union,
     empty_graph,
     lex_product,
+    mis,
     multi_blowup,
     new_graph,
     path,
@@ -134,15 +135,17 @@ def test_pieces_count_the_enumerated_quotients():
     assert (report.mis_count, report.stats.pieces) == (81, 0)
 
 
-def test_the_limit_applies_to_each_enumerated_quotient():
+def test_the_limit_applies_to_each_enumerated_quotient(monkeypatch):
     c5 = cycle(5)
     g = disjoint_union(c5, disjoint_union(c5, c5))
-    assert compute_wcdim(g, limit=5).mis_count == 125
-    assert mis_family(g, limit=5)[0] == 125
+    monkeypatch.setattr(mis, "DEFAULT_MIS_LIMIT", 5)
+    assert compute_wcdim(g).mis_count == 125
+    assert mis_family(g)[0] == 125
     with pytest.raises(CapacityError):
-        compute_wcdim(g, limit=4)
+        mis_masks(g)
+    monkeypatch.setattr(mis, "DEFAULT_MIS_LIMIT", 4)
     with pytest.raises(CapacityError):
-        mis_masks(g, limit=5)
+        compute_wcdim(g)
 
 
 def test_empty_and_tiny_graphs():

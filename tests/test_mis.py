@@ -12,6 +12,7 @@ from wellcovered import (
     is_maximal_independent,
     is_well_covered,
     lex_product,
+    mis,
     new_graph,
     path,
     petersen,
@@ -57,9 +58,10 @@ class TestEnumerate:
             sets = enumerate_mis(random_graph(7, 0.5, seed)).sets
             assert list(sets) == sorted(sets)
 
-    def test_capacity_limit(self):
+    def test_capacity_limit(self, monkeypatch):
+        monkeypatch.setattr(mis, "DEFAULT_MIS_LIMIT", 10)
         with pytest.raises(CapacityError):
-            enumerate_mis(petersen(), limit=10)
+            enumerate_mis(petersen())
 
     def test_cycle_counts_follow_perrin(self):
         for n, count in PERRIN.items():

@@ -13,6 +13,7 @@ from wellcovered import (
     empty_graph,
     gear,
     lex_product,
+    mis,
     new_graph,
     path,
     random_graph,
@@ -20,7 +21,7 @@ from wellcovered import (
 from wellcovered.engine import build_sum_system
 from wellcovered.families import FamilySpec
 from wellcovered.formulas import kron_rank_case
-from wellcovered.mis import DEFAULT_MIS_LIMIT, enumerate_mis
+from wellcovered.mis import enumerate_mis
 from wellcovered.verify import (
     _lex_fibre_dimension,
     check_blowup,
@@ -57,8 +58,9 @@ class TestCheckFamily:
         report = check_family(FamilySpec("gear", (5,)), fields(0))
         assert report.verdict == "pass" and report.engine == (0,)
 
-    def test_capacity_becomes_skip(self):
-        report = check_family(FamilySpec("petersen"), fields(0), limit=5)
+    def test_capacity_becomes_skip(self, monkeypatch):
+        monkeypatch.setattr(mis, "DEFAULT_MIS_LIMIT", 5)
+        report = check_family(FamilySpec("petersen"), fields(0))
         assert report.verdict == "skip"
 
     def test_a_family_too_large_to_build_is_a_skip(self):
@@ -305,16 +307,17 @@ class TestBatchedChecks:
             check_family(FamilySpec("petersen"), [])
         assert calls == []
 
-    def test_capacity_overrun_skips_every_field(self):
+    def test_capacity_overrun_skips_every_field(self, monkeypatch):
         # cycle(4) has two maximal independent sets, one more than the limit
+        monkeypatch.setattr(mis, "DEFAULT_MIS_LIMIT", 1)
         fs = fields(0, 2, 3)
         g, h = cycle(4), complete(2)
         for reports in (
-            check_blowup(g, 0, 2, fs, limit=1),
-            check_multi_blowup(g, [2] * 4, fs, limit=1),
-            check_union(g, h, fs, limit=1),
-            check_lex(g, h, fs, limit=1),
-            check_kron_remark(g, h, fs, limit=1),
+            check_blowup(g, 0, 2, fs),
+            check_multi_blowup(g, [2] * 4, fs),
+            check_union(g, h, fs),
+            check_lex(g, h, fs),
+            check_kron_remark(g, h, fs),
         ):
             assert [r.verdict for r in reports] == ["skip"] * 3
             assert [r.characteristics for r in reports] == [(0,), (2,), (3,)]
@@ -417,7 +420,7 @@ class TestOneRunComputesEachGraphOnce:
             calls.clear()
             check_kron_remark(*pair, fields(0, 2))
             assert sorted(calls) == sorted(
-                (x.n, tuple(verify.mis_masks(x, DEFAULT_MIS_LIMIT)), (0, 2)) for x in pair
+                (x.n, tuple(verify.mis_masks(x)), (0, 2)) for x in pair
             )
 
     def test_a_check_called_on_its_own_computes_afresh(self, monkeypatch):
@@ -440,20 +443,44 @@ class TestOneRunComputesEachGraphOnce:
         real = verify.mis_masks
         monkeypatch.setattr(verify, "mis_masks", lambda *a: calls.append(a) or real(*a))
         # cycle(4) has two maximal independent sets: one more than a limit of 1
+        monkeypatch.setattr(mis, "DEFAULT_MIS_LIMIT", 1)
         seen = {}
         for _ in range(2):
             with pytest.raises(CapacityError):
-                verify._computed([cycle(4)], fields(0), 1, seen)
+                verify._computed([cycle(4)], fields(0), seen)
         assert seen == {}
+        monkeypatch.setattr(mis, "DEFAULT_MIS_LIMIT", 2)
         for _ in range(2):
-            [(sets, _)] = verify._computed([cycle(4)], fields(0), 2, seen)
-            assert sets == real(cycle(4), 2)
+            [(sets, _)] = verify._computed([cycle(4)], fields(0), seen)
+            assert sets == real(cycle(4))
         assert len(calls) == 3
 
 
 class TestRunSuite:
     def test_deterministic(self):
         assert run_suite(seed=3, trials=4) == run_suite(seed=3, trials=4)
+
+    def test_a_family_sweep_builds_each_instance_when_it_reaches_it(self, monkeypatch):
+        # a turan sweep to 1000 has 500,500 instances, 74 MB as a list
+        import tracemalloc
+
+        from wellcovered import verify
+
+        class Reached(Exception):
+            pass
+
+        def first(spec, fs):
+            raise Reached(str(spec))
+
+        monkeypatch.setattr(verify, "check_family", first)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Reached, match="^turan:1,1$"):
+                run_suite(checks=("family",), family_kind="turan", family_max_n=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22
 
     def test_section_filter(self):
         reports = run_suite(seed=1, checks=("union",), trials=5)
@@ -561,8 +588,8 @@ class TestRunSuite:
             # each kind's lowest size
             ({"family_kind": "petersen", "family_max_n": 9}, "'petersen' takes no size bound"),
             ({"family_kind": "kpartite", "family_max_n": 3}, "'kpartite' takes no size bound"),
-            ({"checks": ("family",), "family_max_n": 0}, "size bound must be positive, got 0"),
-            ({"family_max_n": -5}, "size bound must be positive, got -5"),
+            ({"checks": ("family",), "family_max_n": 0}, "size bound must lie in 1..16384, got 0"),
+            ({"family_max_n": -5}, "size bound must lie in 1..16384, got -5"),
         ],
         ids=[
             "lex-kind", "union-kron-max-n", "family-trials",
