@@ -15,6 +15,10 @@ Exit codes: 0 success, 1 verification failure, 2 input error (including a
 path that names no regular file, and a file the OS will not open or read or
 that is not UTF-8), 3 capacity (including too many vertices).
 
+A plain command line (positionals, then exact option strings with their
+values) is read straight off the command parser's actions; any other
+spelling goes through argparse, with its messages and exit codes.
+
 Importing this module loads only the engine: the verify harness loads when
 the `verify` command runs (`run_suite` here is the call it goes through),
 and `fractions` only where a `Fraction` is built, in `ReportSection.basis`
@@ -619,18 +623,107 @@ def _command_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.Argu
     return commands.choices
 
 
+@functools.cache
+def _plain_form(command: argparse.ArgumentParser) -> tuple[dict, dict, list, int] | None:
+    """(start, options, positionals, required) for `command`'s plain command lines,
+    read off its actions; None if it has an action they do not cover.
+
+    `start` is the namespace argparse starts from: each action's default,
+    then `set_defaults`.  `options` maps each option string of a flag (a
+    `store_const`, so a `store_true`) or of a one-value `store` or `append`
+    to its action; the help action is left out, so `-h` is never plain.
+    `positionals` are those that take one word (the first `required` of
+    them) or, after those, at most one.  `build_parser` uses no other
+    argparse feature (a required option, a string default, an exclusive
+    group); the seeded comparison with argparse in the tests fails if it
+    comes to.
+    """
+    start, options, positionals = {}, {}, []
+    for a in command._actions:
+        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
+            start.setdefault(a.dest, a.default)
+        if isinstance(a, argparse._HelpAction):
+            continue
+        if not a.option_strings:
+            # a one-word positional after an optional one would take the word before it
+            if a.nargs not in (None, "?") or a.nargs is None and positionals and positionals[-1].nargs:
+                return None
+            positionals.append(a)
+        elif isinstance(a, argparse._StoreConstAction) or (
+            isinstance(a, (argparse._StoreAction, argparse._AppendAction)) and a.nargs is None
+        ):
+            options.update(dict.fromkeys(a.option_strings, a))
+        else:
+            return None
+    for dest, value in command._defaults.items():
+        start.setdefault(dest, value)
+    return start, options, positionals, sum(p.nargs is None for p in positionals)
+
+
+def _read_plain(
+    command: argparse.ArgumentParser, name: str, words: Sequence[str]
+) -> argparse.Namespace | None:
+    """What `command.parse_known_args(words, Namespace(command=name))` returns
+    with no word left over, for a plain command line; None for any other.
+
+    A plain line is positionals, then exact option strings, each value
+    option's followed by a word that does not start with "-".  Each word
+    goes through the parser's own `_get_value` and `_check_value`, and its
+    action sets it, as in argparse.
+    """
+    form = _plain_form(command)
+    if form is None:
+        return None
+    start, options, positionals, required = form
+    args = argparse.Namespace()
+    vars(args).update(start, command=name)
+    filled, after_option = 0, False
+    words = iter(words)
+    for word in words:
+        option = None
+        if word[:1] != "-":
+            if after_option or filled == len(positionals):
+                return None  # a positional after an option, or one too many
+            action = positionals[filled]
+            filled += 1
+        else:
+            action, option, after_option = options.get(word), word, True
+            if action is None:
+                return None  # an abbreviation, `--opt=value`, `--`, `-h`, a negative number
+            if action.nargs == 0:
+                action(command, args, None, word)
+                continue
+            word = next(words, "-")  # no value reads as an option word
+            if word[:1] == "-":
+                return None
+        try:
+            value = command._get_value(action, word)
+            if action.choices is not None:
+                command._check_value(action, value)
+        except argparse.ArgumentError:
+            return None
+        action(command, args, value, option)
+    return args if filled >= required else None
+
+
 def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
     """What `_parser().parse_args(argv)` returns, parsing each word once where it can.
 
     The full parser hands every word after the command to the command's own
-    parser, so a command word goes straight to that parser.  The full parser
-    runs only with no command or an unknown one, and when the command's
-    parser leaves words over, so that the error about them is its own.
+    parser, so a command word goes straight to that parser.  A plain command
+    line is read straight off that parser's actions (`_read_plain`), and
+    any other goes through its `parse_known_args`, with argparse's messages
+    and exit codes.  The full parser runs only with no command or an
+    unknown one, and when the command's parser leaves words over, so that
+    the error about them is its own.
     """
     words = sys.argv[1:] if argv is None else list(argv)
     parser = _parser()
     command = _command_parsers(parser).get(words[0]) if words else None
     if command is not None:
+        args = _read_plain(command, words[0], words[1:])
+        if args is not None:
+            return args
         args, extras = command.parse_known_args(words[1:], argparse.Namespace(command=words[0]))
         if not extras:
             return args

@@ -1,5 +1,8 @@
+import argparse
+import contextlib
 import errno
 import hashlib
+import io
 import os
 import random
 import re
@@ -770,11 +773,15 @@ class TestParserReuse:
         real = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
         cli._parser.cache_clear()
+        cli._plain_form.cache_clear()
         try:
+            # `--char=0` is not plain, so each call also runs the command's parser
             for _ in range(3):
-                assert main(["compute", "complete:3"]) == 0
+                assert main(["compute", "complete:3", "--char=0"]) == 0
+            assert main(["compute", "complete:3", "--char", "0"]) == 0
         finally:
             cli._parser.cache_clear()
+            cli._plain_form.cache_clear()
         assert built == [1]
 
     def test_consecutive_calls_share_no_state(self, capsys):
@@ -836,6 +843,10 @@ DISPATCH_CORPUS = [
     (["frobnicate", "crown:4"], "unknown-command"),
     (["comp", "crown:4"], "command-prefix"),
     (["--char", "2", "compute", "crown:4"], "option-before-command"),
+    (["compute", "crown:4", "--char", "-3"], "char-negative"),
+    (["compute", "crown:4", "--char", "\u0663"], "char-arabic-indic-digit"),
+    (["compute", "crown:4", "--machine", "--machine"], "repeated-flag"),
+    (["verify", "family", "--max-n", "4", "crown"], "verify-kind-after-option"),
 ]
 
 
@@ -881,6 +892,122 @@ class TestDispatch:
         assert main(["compute", "crown:4", "--char", "2", "--machine"]) == 0
         assert main(["verify", "union", "--trials", "1"]) == 0
         assert main(["families"]) == 0
+
+    def test_the_benchmark_command_lines_never_reach_argparse(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("3 2\n0 1\n1 2\n")
+        compute = ["compute", str(path), *"--char 0 --char 2 --char 10007 --machine --basis".split()]
+        verify = [["verify", section, "--seed", "7", "--machine"] for section in cli._SECTION_ARGS]
+        want = [cli._parser().parse_args(argv) for argv in verify]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("argparse parsed a plain command line")
+
+        monkeypatch.setattr(cli._parser(), "parse_args", refused)
+        for command in cli._command_parsers(cli._parser()).values():
+            monkeypatch.setattr(command, "parse_known_args", refused)
+        assert main(compute) == 0
+        assert parse_machine(capsys.readouterr().out).sections[2].characteristic == 10007
+        assert [cli._parse(argv) for argv in verify] == want
+        assert main(["families"]) == 0
+
+
+# words each command line is drawn from: values and positionals of every
+# kind the reader must convert, check or turn away
+PLAIN_VALUES = ["0", "2", "3", "10007", "-3", "٣", "+2", "1_0", "", "x", " 2"]
+PLAIN_POSITIONALS = ["crown:4", "family", "union", "all", "nosuch"]
+
+
+def _draw_words(rng, command):
+    """A seeded command line for `command`: positionals, then mostly exact
+    options with values, mixed with abbreviations, `=` forms, `--`, `-h`,
+    stray values and positionals."""
+    options = [s for a in command._actions for s in a.option_strings]
+    valued = {s for a in command._actions if a.nargs is None for s in a.option_strings}
+    noise = [
+        *PLAIN_VALUES, *PLAIN_POSITIONALS, "--", "-h",
+        *(s[:k] for s in options if s.startswith("--") for k in range(3, len(s))),
+        *(f"{s}={v}" for s in valued for v in PLAIN_VALUES),
+    ]
+    words = [rng.choice(PLAIN_POSITIONALS) for _ in range(rng.choice([0, 1, 1, 1, 2, 2, 3]))]
+    for _ in range(rng.randint(0, 4)):
+        if options and rng.random() < 0.7:
+            option = rng.choice(options)
+            words.append(option)
+            if option in valued and rng.random() < 0.9:
+                words.append(rng.choice(PLAIN_VALUES))
+        else:
+            words.append(rng.choice(noise))
+    return words
+
+
+def _argparse_reads(command, name, words):
+    """The namespace `command.parse_known_args` gives for words with none left over, else None."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args, extras = command.parse_known_args(list(words), argparse.Namespace(command=name))
+    except SystemExit:
+        return None
+    return None if extras else args
+
+
+class TestPlainReader:
+    """A plain command line reads as argparse reads it; any other falls back to argparse."""
+
+    # at least this many of the 2,000 drawn lines of each command are plain
+    PLAIN_AT_LEAST = {"compute": 250, "verify": 250, "families": 40}
+
+    @pytest.mark.parametrize("name", ["compute", "verify", "families"])
+    def test_the_reader_agrees_with_argparse_on_seeded_command_lines(self, name):
+        command = cli._command_parsers(cli._parser())[name]
+        rng = random.Random(f"plain-{name}")
+        read = 0
+        for _ in range(2000):
+            words = _draw_words(rng, command)
+            got = cli._read_plain(command, name, words)
+            if got is not None:
+                read += 1
+                assert got == _argparse_reads(command, name, words), words
+        assert read >= self.PLAIN_AT_LEAST[name]
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "crown:4", "--mach"],
+        ["compute", "crown:4", "--char=2"],
+        ["compute", "--", "crown:4"],
+        ["compute", "crown:4", "-h"],
+        ["families", "--help"],
+        ["compute", "crown:4", "--char", "-3"],
+        ["compute", "crown:4", "--char", "x"],
+        ["compute", "crown:4", "--char"],
+        ["compute", "--machine", "crown:4"],
+        ["verify", "family", "--max-n", "4", "crown"],
+        ["verify", "family", "crown", "extra"],
+        ["verify", "nosuch"],
+        ["verify"],
+        ["families", "extra"],
+    ], ids=" ".join)
+    def test_other_command_lines_fall_back(self, argv):
+        assert cli._read_plain(cli._command_parsers(cli._parser())[argv[0]], argv[0], argv[1:]) is None
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "crown:4", "--char", "٣", "--char", "+2", "--char", "1_0", "--char", " 2"],
+        ["compute", "crown:4", "--machine", "--machine"],
+        ["compute", ""],
+        ["verify", "family", "crown", "--max-n", "4", "--char", "2", "--char", "3"],
+        ["verify", "all"],
+        ["families"],
+    ], ids=" ".join)
+    def test_plain_command_lines_are_read(self, argv):
+        command = cli._command_parsers(cli._parser())[argv[0]]
+        got = cli._read_plain(command, argv[0], argv[1:])
+        assert got is not None and got == _argparse_reads(command, argv[0], argv[1:])
+
+    def test_an_append_never_changes_its_default(self):
+        command = cli._command_parsers(cli.build_parser())["compute"]
+        command.set_defaults(char=[5])
+        args = cli._read_plain(command, "compute", ["crown:4", "--char", "2"])
+        assert args.char == [5, 2] and command.get_default("char") == [5]
+        assert args == _argparse_reads(command, "compute", ["crown:4", "--char", "2"])
 
 
 class TestVerifyCommand:
