@@ -15,9 +15,9 @@ Exit codes: 0 success, 1 verification failure, 2 input error (including a
 path that names no regular file, and a file the OS will not open or read or
 that is not UTF-8), 3 capacity (including too many vertices).
 
-A plain command line (positionals, then exact option strings with their
-values) is read straight off the command parser's actions; any other
-spelling goes through argparse, with its messages and exit codes.
+Positionals and options may come in any order.  A plain command line is
+read straight off the command parser's actions; any other spelling goes
+through argparse's intermixed parse, with its messages and exit codes.
 
 Importing this module loads only the engine: the verify harness loads when
 the `verify` command runs (`run_suite` here is the call it goes through),
@@ -663,31 +663,30 @@ def _plain_form(command: argparse.ArgumentParser) -> tuple[dict, dict, list, int
 def _read_plain(
     command: argparse.ArgumentParser, name: str, words: Sequence[str]
 ) -> argparse.Namespace | None:
-    """What `command.parse_known_args(words, Namespace(command=name))` returns
-    with no word left over, for a plain command line; None for any other.
+    """What `command.parse_known_intermixed_args(words, Namespace(command=name))`
+    returns with no word left over, for a plain command line; None for any other.
 
-    A plain line is positionals, then exact option strings, each value
-    option's followed by a word that does not start with "-".  Each word
-    goes through the parser's own `_get_value` and `_check_value`, and its
-    action sets it, as in argparse.
+    A plain line is positionals, each filling the next, and exact option
+    strings, in any order; a value option's is followed by a word that does
+    not start with "-".  Each word goes through the parser's own
+    `_get_value` and `_check_value`, and its action sets it, as in argparse.
     """
     form = _plain_form(command)
     if form is None:
         return None
     start, options, positionals, required = form
-    args = argparse.Namespace()
-    vars(args).update(start, command=name)
-    filled, after_option = 0, False
+    args = argparse.Namespace(**start, command=name)
+    filled = 0
     words = iter(words)
     for word in words:
         option = None
         if word[:1] != "-":
-            if after_option or filled == len(positionals):
-                return None  # a positional after an option, or one too many
+            if filled == len(positionals):
+                return None  # one positional too many
             action = positionals[filled]
             filled += 1
         else:
-            action, option, after_option = options.get(word), word, True
+            action, option = options.get(word), word
             if action is None:
                 return None  # an abbreviation, `--opt=value`, `--`, `-h`, a negative number
             if action.nargs == 0:
@@ -707,27 +706,27 @@ def _read_plain(
 
 
 def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
-    """What `_parser().parse_args(argv)` returns, parsing each word once where it can.
+    """The namespace of argv, with a command's positionals and options in any order.
 
-    The full parser hands every word after the command to the command's own
-    parser, so a command word goes straight to that parser.  A plain command
-    line is read straight off that parser's actions (`_read_plain`), and
-    any other goes through its `parse_known_args`, with argparse's messages
-    and exit codes.  The full parser runs only with no command or an
-    unknown one, and when the command's parser leaves words over, so that
-    the error about them is its own.
+    A command word hands the rest to that command's own parser: a plain line
+    is read straight off its actions (`_read_plain`), any other goes through
+    its `parse_known_intermixed_args`, with argparse's messages and exit
+    codes, and words it leaves over get the full parser's error.  The full
+    parser runs only for a missing or unknown command and top-level options.
     """
     words = sys.argv[1:] if argv is None else list(argv)
     parser = _parser()
     command = _command_parsers(parser).get(words[0]) if words else None
-    if command is not None:
-        args = _read_plain(command, words[0], words[1:])
-        if args is not None:
-            return args
-        args, extras = command.parse_known_args(words[1:], argparse.Namespace(command=words[0]))
-        if not extras:
-            return args
-    return parser.parse_args(words)
+    if command is None:
+        return parser.parse_args(words)
+    args = _read_plain(command, words[0], words[1:])
+    if args is None:
+        args, extras = command.parse_known_intermixed_args(
+            words[1:], argparse.Namespace(command=words[0])
+        )
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _run(args: argparse.Namespace) -> int:

@@ -262,5 +262,6 @@ def is_maximal_independent(g: Graph, s: Iterable[int]) -> bool:
 
 
 def is_well_covered(g: Graph) -> bool:
-    """True iff all maximal independent sets of g share one cardinality."""
-    return len(set(map(int.bit_count, mis_masks(g)))) <= 1
+    """True iff all maximal independent sets of g share one cardinality, that is, iff
+    `mis_family`'s sets do: every maximal independent set is an affine combination of them."""
+    return len(set(map(int.bit_count, mis_family(g)[1]))) <= 1

@@ -846,7 +846,20 @@ DISPATCH_CORPUS = [
     (["compute", "crown:4", "--char", "-3"], "char-negative"),
     (["compute", "crown:4", "--char", "\u0663"], "char-arabic-indic-digit"),
     (["compute", "crown:4", "--machine", "--machine"], "repeated-flag"),
-    (["verify", "family", "--max-n", "4", "crown"], "verify-kind-after-option"),
+]
+
+# (a command line with a positional after an option, the same words with
+# the positionals first, what it exercises): argparse reads the second
+# alike on every Python
+REORDERED = [
+    ("verify family --max-n 4 crown --machine", "verify family crown --max-n 4 --machine",
+     "verify-kind-after-option"),
+    ("compute --machine crown:4", "compute crown:4 --machine", "compute-input-after-flag"),
+    ("compute --char 2 crown:4 --basis", "compute crown:4 --char 2 --basis", "compute-input-inside"),
+    ("verify union --trials 2 --seed 3 extra", "verify union extra --trials 2 --seed 3",
+     "verify-kind-elsewhere-after-options"),
+    ("verify family --max-n 4 crown extra", "verify family crown extra --max-n 4",
+     "verify-extra-after-option"),
 ]
 
 
@@ -865,6 +878,10 @@ def _full_parser_main(argv=None):
     return cli._run(cli._parser().parse_args(argv))
 
 
+def _full_parser_ran(*args, **kwargs):
+    raise AssertionError("the full parser ran")
+
+
 class TestDispatch:
     """A command's words go straight to its own parser, with the full parser's results."""
 
@@ -873,6 +890,12 @@ class TestDispatch:
         want = _outcome(capsys, lambda: _full_parser_main(list(argv)))
         assert _outcome(capsys, lambda: main(list(argv))) == want
         assert want[0] in (0, 1, 2)
+
+    @pytest.mark.parametrize("argv, first", [r[:2] for r in REORDERED], ids=[r[2] for r in REORDERED])
+    def test_positionals_may_follow_options(self, capsys, argv, first):
+        want = _outcome(capsys, lambda: _full_parser_main(first.split()))
+        assert _outcome(capsys, lambda: main(first.split())) == want
+        assert _outcome(capsys, lambda: main(argv.split())) == want
 
     # the first three argv of the corpus parse without an error
     @pytest.mark.parametrize("argv", [a for a, _ in DISPATCH_CORPUS[:3]], ids=[i for _, i in DISPATCH_CORPUS[:3]])
@@ -885,10 +908,7 @@ class TestDispatch:
         assert _outcome(capsys, main) == want and want[0] == 0
 
     def test_a_command_is_parsed_by_its_own_parser_alone(self, capsys, monkeypatch):
-        def refused(*args, **kwargs):
-            raise AssertionError("the full parser ran")
-
-        monkeypatch.setattr(cli._parser(), "parse_args", refused)
+        monkeypatch.setattr(cli._parser(), "parse_args", _full_parser_ran)
         assert main(["compute", "crown:4", "--char", "2", "--machine"]) == 0
         assert main(["verify", "union", "--trials", "1"]) == 0
         assert main(["families"]) == 0
@@ -906,10 +926,25 @@ class TestDispatch:
         monkeypatch.setattr(cli._parser(), "parse_args", refused)
         for command in cli._command_parsers(cli._parser()).values():
             monkeypatch.setattr(command, "parse_known_args", refused)
+            monkeypatch.setattr(command, "parse_known_intermixed_args", refused)
         assert main(compute) == 0
         assert parse_machine(capsys.readouterr().out).sections[2].characteristic == 10007
         assert [cli._parse(argv) for argv in verify] == want
         assert main(["families"]) == 0
+
+    @pytest.mark.parametrize("argv, extras", [
+        ("compute crown:4 extra more", "extra more"),
+        ("verify family crown extra", "extra"),
+        ("families extra", "extra"),
+    ], ids=["compute", "verify", "families"])
+    def test_left_over_words_get_the_full_parsers_error_without_it(
+        self, capsys, monkeypatch, argv, extras
+    ):
+        want = _outcome(capsys, lambda: _full_parser_main(argv.split()))
+        monkeypatch.setattr(cli._parser(), "parse_args", _full_parser_ran)
+        assert _outcome(capsys, lambda: main(argv.split())) == want
+        usage = "usage: wellcovered [-h] {compute,verify,families} ...\n"
+        assert want == (2, "", f"{usage}wellcovered: error: unrecognized arguments: {extras}\n")
 
 
 # words each command line is drawn from: values and positionals of every
@@ -919,9 +954,9 @@ PLAIN_POSITIONALS = ["crown:4", "family", "union", "all", "nosuch"]
 
 
 def _draw_words(rng, command):
-    """A seeded command line for `command`: positionals, then mostly exact
-    options with values, mixed with abbreviations, `=` forms, `--`, `-h`,
-    stray values and positionals."""
+    """A seeded command line for `command`: positionals and mostly exact
+    options with values, in any order, mixed with abbreviations, `=` forms,
+    `--`, `-h`, stray values and positionals."""
     options = [s for a in command._actions for s in a.option_strings]
     valued = {s for a in command._actions if a.nargs is None for s in a.option_strings}
     noise = [
@@ -929,30 +964,34 @@ def _draw_words(rng, command):
         *(s[:k] for s in options if s.startswith("--") for k in range(3, len(s))),
         *(f"{s}={v}" for s in valued for v in PLAIN_VALUES),
     ]
-    words = [rng.choice(PLAIN_POSITIONALS) for _ in range(rng.choice([0, 1, 1, 1, 2, 2, 3]))]
+    # each option keeps its value after it; the positionals fall anywhere
+    chunks = [[rng.choice(PLAIN_POSITIONALS)] for _ in range(rng.choice([0, 1, 1, 1, 2, 2, 3]))]
     for _ in range(rng.randint(0, 4)):
         if options and rng.random() < 0.7:
             option = rng.choice(options)
-            words.append(option)
+            chunks.append([option])
             if option in valued and rng.random() < 0.9:
-                words.append(rng.choice(PLAIN_VALUES))
+                chunks[-1].append(rng.choice(PLAIN_VALUES))
         else:
-            words.append(rng.choice(noise))
-    return words
+            chunks.append([rng.choice(noise)])
+    rng.shuffle(chunks)
+    return [word for chunk in chunks for word in chunk]
 
 
 def _argparse_reads(command, name, words):
-    """The namespace `command.parse_known_args` gives for words with none left over, else None."""
+    """What `command.parse_known_intermixed_args` gives for words with none left over, else None."""
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            args, extras = command.parse_known_args(list(words), argparse.Namespace(command=name))
+            args, extras = command.parse_known_intermixed_args(
+                list(words), argparse.Namespace(command=name)
+            )
     except SystemExit:
         return None
     return None if extras else args
 
 
 class TestPlainReader:
-    """A plain command line reads as argparse reads it; any other falls back to argparse."""
+    """A plain command line reads as the intermixed parse reads it; any other falls back to argparse."""
 
     # at least this many of the 2,000 drawn lines of each command are plain
     PLAIN_AT_LEAST = {"compute": 250, "verify": 250, "families": 40}
@@ -979,8 +1018,6 @@ class TestPlainReader:
         ["compute", "crown:4", "--char", "-3"],
         ["compute", "crown:4", "--char", "x"],
         ["compute", "crown:4", "--char"],
-        ["compute", "--machine", "crown:4"],
-        ["verify", "family", "--max-n", "4", "crown"],
         ["verify", "family", "crown", "extra"],
         ["verify", "nosuch"],
         ["verify"],
@@ -993,7 +1030,9 @@ class TestPlainReader:
         ["compute", "crown:4", "--char", "٣", "--char", "+2", "--char", "1_0", "--char", " 2"],
         ["compute", "crown:4", "--machine", "--machine"],
         ["compute", ""],
+        ["compute", "--machine", "crown:4"],
         ["verify", "family", "crown", "--max-n", "4", "--char", "2", "--char", "3"],
+        ["verify", "family", "--max-n", "4", "crown"],
         ["verify", "all"],
         ["families"],
     ], ids=" ".join)

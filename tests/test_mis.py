@@ -19,7 +19,7 @@ from wellcovered import (
     random_graph,
 )
 
-from helpers import brute_force_mis
+from helpers import all_graphs, brute_force_mis
 
 # number of maximal independent sets of the n-cycle (Perrin sequence)
 PERRIN = {3: 3, 4: 2, 5: 5, 6: 5, 7: 7, 8: 10, 9: 12, 10: 17}
@@ -107,6 +107,19 @@ class TestPredicates:
         assert is_well_covered(cycle(7))
         assert not is_well_covered(cycle(8))
         assert is_well_covered(complete(5))
+
+    def test_well_covered_reads_the_spanning_family(self):
+        # 13 disjoint triangles have 3^13 = 1,594,323 sets, past the limit,
+        # and a family of 27, all of size 13
+        assert is_well_covered(lex_product(empty_graph(13), complete(3)))
+        with pytest.raises(CapacityError):
+            is_well_covered(path(60))  # a prime graph is enumerated whole
+
+    def test_well_covered_agrees_with_every_sets_sizes(self):
+        graphs = [g for n in range(6) for g in all_graphs(n)]
+        graphs += [random_graph(seed % 13, 0.5, seed) for seed in range(200)]
+        for g in graphs:
+            assert is_well_covered(g) == (len(set(map(int.bit_count, mis.mis_masks(g)))) <= 1), g
 
 
 class TestLexProductStructure:
