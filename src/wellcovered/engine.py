@@ -26,11 +26,12 @@ first time `WcdimReport.basis` (vectors) or `basis_lines` (text) is
 accessed, and the sum rank the first time `sum_rank` is, so callers that
 need only the dimension never pay for them.  `compute_wcdim_sets`
 eliminates any family of sets the same way; every set of g, without the
-decomposition, is `compute_wcdim_sets(g.n, mis_masks(g), fields)`.  The
-batch `build_difference_system` and `build_sum_system`, and the `rank` and
-`nullspace_basis` re-exported here, have no caller in the package and are
-not exported by `wellcovered`; they remain only as targets of the
-benchmark's tracer.
+decomposition, is `compute_wcdim_sets(g.n, mis_masks(g), fields)`, and
+`is_well_covered_weighting`, re-exported from `mis`, sums over the family.
+The batch `build_difference_system` and `build_sum_system`, and the `rank`
+and `nullspace_basis` re-exported here, have no caller in the package and
+are not exported by `wellcovered`; they, and the `enumerate_mis` imported
+here, remain only as targets of the benchmark's tracer.
 
 Every enumeration is bounded by the constant `mis.DEFAULT_MIS_LIMIT`;
 nothing here passes or reads it.
@@ -47,7 +48,8 @@ from .exactlin import ExactMatrix, FieldSpec, RowSpace, Scalar
 # perfbench/trace.py instruments engine.rank and engine.nullspace_basis
 from .exactlin import nullspace_basis, rank  # noqa: F401
 from .graphs import Graph, check_vertex_count
-from .mis import MisList, enumerate_mis, mis_family
+# perfbench/trace.py instruments engine.enumerate_mis; is_well_covered_weighting is re-exported
+from .mis import MisList, enumerate_mis, is_well_covered_weighting, mis_family  # noqa: F401
 from .records import Record
 
 
@@ -288,32 +290,3 @@ def compute_wcdim_sets(
 def compute_wcdim(g: Graph, f: FieldSpec = FieldSpec(0)) -> WcdimReport:
     """Well-covered dimension of g over f; the report reads its basis on demand."""
     return compute_wcdim_fields(g, (f,))[0]
-
-
-def is_well_covered_weighting(g: Graph, w: Sequence[Scalar], f: FieldSpec = FieldSpec(0)) -> bool:
-    """True iff every maximal independent set of g has the same w-sum in f.
-
-    The weights must be ints or Fractions, so the sums are exact.
-    """
-    from fractions import Fraction
-
-    if len(w) != g.n:
-        raise InputError(f"weight vector length {len(w)} != n = {g.n}")
-    for x in w:
-        if not isinstance(x, (int, Fraction)):
-            raise InputError(f"weights must be ints or Fractions, got {x!r}")
-    p = f.characteristic
-    sums = set()
-    for s in enumerate_mis(g):
-        total: Scalar = sum((w[v] for v in s), start=Fraction(0) if p == 0 else 0)
-        if p == 0:
-            sums.add(Fraction(total))
-        else:
-            if isinstance(total, Fraction):
-                if total.denominator % p == 0:
-                    raise InputError(f"weight sum {total} has no residue mod {p}")
-                total = total.numerator * pow(total.denominator, -1, p)
-            sums.add(total % p)
-        if len(sums) > 1:
-            return False
-    return True

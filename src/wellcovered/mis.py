@@ -28,15 +28,17 @@ maximal independent sets of G are those of Q without x, and those of Q
 with x replaced by any maximal independent set of G[X].  So the sets of
 G[X], plus those of Q with x replaced by one fixed set of G[X], span the
 sets of G, and the count is a sum over the sets of Q of the product of
-the counts of their modules (Gallai 1967).
+the counts of their modules (Gallai 1967).  The well-coveredness tests
+below sum over that family alone, so they answer wherever the engine does.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import kernels
 from .errors import CapacityError, InputError
+from .exactlin import FieldSpec, Scalar
 from .graphs import Graph, bits
 from .records import Record
 
@@ -261,7 +263,32 @@ def is_maximal_independent(g: Graph, s: Iterable[int]) -> bool:
     return all(mask >> v & 1 or g.masks[v] & mask for v in range(g.n))
 
 
+def is_well_covered_weighting(g: Graph, w: Sequence[Scalar], f: FieldSpec = FieldSpec(0)) -> bool:
+    """True iff every maximal independent set of g has the same w-sum in f.
+
+    The weights must be ints or Fractions, so the sums are exact.  Only the
+    sets of `mis_family` are summed: every maximal independent set is an
+    affine combination of them with integer coefficients, so their sums
+    agree exactly when all sums do, over Q and over every GF(p), and one of
+    them has no residue mod p exactly when some set's sum has none; that
+    raises InputError, as every sum is taken before any is compared.
+    """
+    from fractions import Fraction
+
+    if len(w) != g.n:
+        raise InputError(f"weight vector length {len(w)} != n = {g.n}")
+    for x in w:
+        if not isinstance(x, (int, Fraction)):
+            raise InputError(f"weights must be ints or Fractions, got {x!r}")
+    sums = {sum(w[v] for v in bits(m)) for m in mis_family(g)[1]}
+    if p := f.characteristic:  # an int's denominator is 1
+        for t in sums:
+            if t.denominator % p == 0:
+                raise InputError(f"weight sum {t} has no residue mod {p}")
+        sums = {t.numerator * pow(t.denominator, -1, p) % p for t in sums}
+    return len(sums) <= 1
+
+
 def is_well_covered(g: Graph) -> bool:
-    """True iff all maximal independent sets of g share one cardinality, that is, iff
-    `mis_family`'s sets do: every maximal independent set is an affine combination of them."""
-    return len(set(map(int.bit_count, mis_family(g)[1]))) <= 1
+    """True iff all maximal independent sets of g share one cardinality (all-ones over Q)."""
+    return is_well_covered_weighting(g, [1] * g.n)

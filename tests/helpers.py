@@ -185,6 +185,19 @@ def ref_wcdim(g: Graph, char: int) -> int:
     return g.n - ref_rank(_difference_rows(brute_force_mis(g), g.n), char)
 
 
+def ref_is_well_covered_weighting(g: Graph, w, char: int) -> bool:
+    """True iff every maximal independent set has the same w-sum, taken mod char unless it is 0.
+
+    Every set's sum is taken first, over `brute_force_mis`; for char > 0
+    they become residues by `_residues`' rule, which raises ValueError if
+    one has none, whatever the other sums are.
+    """
+    sums = [sum((Fraction(w[v]) for v in s), Fraction(0)) for s in brute_force_mis(g)]
+    if char:
+        sums = _residues([sums], char)[0]
+    return len(set(sums)) <= 1
+
+
 def _indicator(s, n: int) -> list[int]:
     row = [0] * n
     for v in s:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wellcovered import (
+    CapacityError,
     FieldSpec,
     InputError,
     complete,
@@ -18,6 +19,7 @@ from wellcovered import (
     enumerate_mis,
     is_well_covered,
     is_well_covered_weighting,
+    lex_product,
     new_graph,
     path,
     petersen,
@@ -28,7 +30,13 @@ from wellcovered.engine import WcdimReport, build_difference_system, build_sum_s
 from wellcovered.exactlin import reduce_first_row
 from wellcovered.mis import MisList, mis_masks
 
-from helpers import all_graphs, ref_rank, ref_simplicial_cliques, ref_wcdim
+from helpers import (
+    all_graphs,
+    ref_is_well_covered_weighting,
+    ref_rank,
+    ref_simplicial_cliques,
+    ref_wcdim,
+)
 
 Q = FieldSpec(0)
 
@@ -134,7 +142,7 @@ class TestComputeWcdim:
                 assert len(r.basis) == r.wcdim
                 assert r.sum_rank in (r.diff_rank, r.diff_rank + 1)
                 for w in r.basis:
-                    assert is_well_covered_weighting(g, w, f)
+                    assert ref_is_well_covered_weighting(g, w, f.characteristic)
 
     def test_basis_is_read_off_once_on_first_access(self, monkeypatch):
         from wellcovered.exactlin import RowSpace
@@ -333,7 +341,6 @@ class TestComputeWcdimSets:
             compute_wcdim_sets(-1, [0], [Q])
 
     def test_a_vertex_count_above_the_limit_raises_capacity_error(self):
-        from wellcovered import CapacityError
         from wellcovered.graphs import MAX_VERTICES
 
         with pytest.raises(CapacityError, match="at most 16384"):
@@ -380,6 +387,48 @@ class TestWeightingPredicate:
             for f in (Q, FieldSpec(5)):
                 with pytest.raises(InputError):
                     is_well_covered_weighting(g, w, f)
+
+    def test_a_sum_without_a_residue_raises_whatever_the_set_order(self):
+        # the sets of P4 are {0, 2}, {0, 3} and {1, 3}; in the first vector
+        # the first two sums differ before the third, 1/3, is reached
+        for w in ([0, Fraction(1, 3), 1, 0], [Fraction(1, 3), 0, 1, 0]):
+            with pytest.raises(InputError, match="no residue mod 3"):
+                is_well_covered_weighting(path(4), w, FieldSpec(3))
+            assert not is_well_covered_weighting(path(4), w, Q)
+
+    def test_agrees_with_the_brute_force_oracle_on_every_graph_up_to_five_vertices(self):
+        rng = random.Random(32)
+        outcomes = Counter()
+        for n in range(6):
+            for g in all_graphs(n):
+                for c in (0, 2, 3):
+                    f = FieldSpec(c)
+                    weightings = [[1] * n] + [[1] + [0] * (n - 1)] * (n > 0)
+                    weightings += compute_wcdim(g, f).basis
+                    weightings += [
+                        [Fraction(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(n)]
+                        for _ in range(2)
+                    ]
+                    for w in weightings:
+                        try:
+                            want = ref_is_well_covered_weighting(g, w, c)
+                        except ValueError:
+                            with pytest.raises(InputError):
+                                is_well_covered_weighting(g, w, f)
+                            outcomes["no residue"] += 1
+                        else:
+                            assert is_well_covered_weighting(g, w, f) == want, (g, w, c)
+                            outcomes[want] += 1
+        assert min(outcomes[True], outcomes[False], outcomes["no residue"]) > 100, outcomes
+
+    def test_reads_the_spanning_family_past_the_limit(self):
+        # 13 disjoint triangles have 3^13 = 1,594,323 sets and a family of 27
+        g = lex_product(empty_graph(13), complete(3))
+        for f in (Q, FieldSpec(3)):
+            assert is_well_covered_weighting(g, [1] * g.n, f)
+            assert not is_well_covered_weighting(g, [1] + [0] * (g.n - 1), f)
+        with pytest.raises(CapacityError):
+            is_well_covered_weighting(path(60), [1] * 60, Q)  # a prime graph's family is every set
 
 
 def end_pairs(n):
@@ -514,8 +563,7 @@ class TestEngineInvariants:
         rng = random.Random(31)
         for _ in range(40):
             g = random_graph(rng.randint(1, 7), 0.5, rng.randrange(10**6))
-            if is_well_covered(g):
-                assert is_well_covered_weighting(g, [1] * g.n, Q)
+            assert is_well_covered(g) == ref_is_well_covered_weighting(g, [1] * g.n, 0), g
 
     def test_baseline_choice_does_not_change_the_rank(self):
         rng = random.Random(44)
