@@ -202,43 +202,28 @@ def _feed(space: RowSpace, order: Sequence[int], base: int, most: int) -> int:
 def compute_wcdim_fields(g: Graph, fields: Sequence[FieldSpec]) -> list[WcdimReport]:
     """Well-covered dimension of g over each field, from one enumeration.
 
-    `compute_wcdim_sets` eliminates the sets of `mis_family`, where
-    DEFAULT_MIS_LIMIT bounds each enumerated quotient.  An empty field list
-    enumerates nothing.
+    `_eliminate` streams the sets of `mis_family`, where DEFAULT_MIS_LIMIT
+    bounds each enumerated quotient, and the reports carry its exact count
+    as `mis_count`.  An empty field list enumerates nothing.
     """
     if not fields:
         return []
     t0 = time.perf_counter()
     count, masks, pieces = mis_family(g)
-    enumerated = ((time.perf_counter() - t0) * 1e3, count, pieces)
-    return compute_wcdim_sets(g.n, masks, fields, enumerated=enumerated)
+    return _eliminate(g.n, masks, fields, (time.perf_counter() - t0) * 1e3, count, pieces)
 
 
 def compute_wcdim_sets(
-    n: int,
-    sets: Sequence[int],
-    fields: Sequence[FieldSpec],
-    *,
-    enumerated: tuple[float, int, int] | None = None,
+    n: int, sets: Sequence[int], fields: Sequence[FieldSpec]
 ) -> list[WcdimReport]:
     """n minus the rank of the rows M_i - M_0 of a family of sets, over each field.
 
     `sets` is any nonempty family of bitmasks of vertices 0..n-1; an empty
     family, a negative n or a set outside 0..2^n - 1 raises InputError, and
     n above MAX_VERTICES raises CapacityError before anything per vertex is
-    allocated.  One integer row space serves Q and every GF(p) with p not
-    dividing its common pivot D; only a field with p | D is eliminated on
-    its own, over the same rows, until it reaches the rank over Q.  The baseline M_0 is
-    the first set of fewest vertices, the report's `base`: each row costs
-    one addition per nonzero of M_i - M_0, so on crown(k) a pair
-    {i, k + i} leaves most rows 4 nonzeros where a k-vertex side leaves
-    k.  The rank, basis and sum rank are the same for any baseline;
-    only D, and with it which fields need their own elimination, may
-    differ.  The rows are fed in eight strided passes over the family,
-    without the baseline.  `enumerated` is the
-    (milliseconds, exact set count, pieces) of the enumeration that found
-    the sets, by default (0, len(sets), 0); the reports carry that count as
-    `mis_count`.  An empty field list builds no space.
+    allocated.  The family is eliminated as `_eliminate` describes, and the
+    reports carry len(sets) as `mis_count`.  An empty field list builds no
+    space.
     """
     if not sets:
         raise InputError("the family of sets must be nonempty")
@@ -247,7 +232,28 @@ def compute_wcdim_sets(
     check_vertex_count(n)
     if not fields:
         return []
-    enum_ms, count, pieces = enumerated or (0.0, len(sets), 0)
+    return _eliminate(n, sets, fields, 0.0, len(sets), 0)
+
+
+def _eliminate(
+    n: int, sets: Sequence[int], fields: Sequence[FieldSpec],
+    enum_ms: float, count: int, pieces: int,
+) -> list[WcdimReport]:
+    """The reports of a valid family of sets over a nonempty field list.
+
+    One integer row space serves Q and every GF(p) with p not dividing its
+    common pivot D; only a field with p | D is eliminated on its own, over
+    the same rows, until it reaches the rank over Q.  The baseline M_0 is
+    the first set of fewest vertices, the report's `base`: each row costs
+    one addition per nonzero of M_i - M_0, so on crown(k) a pair
+    {i, k + i} leaves most rows 4 nonzeros where a k-vertex side leaves
+    k.  The rank, basis and sum rank are the same for any baseline;
+    only D, and with it which fields need their own elimination, may
+    differ.  The rows are fed in eight strided passes over the family,
+    without the baseline.  (enum_ms, count, pieces) are the milliseconds,
+    exact set count and pieces of the enumeration that found the sets, as
+    the reports carry them.
+    """
     base = min(sets, key=int.bit_count)  # the first set of fewest vertices
     # depth-first discovery order clusters similar sets; eight interleaved
     # strided passes spread them out, so full rank comes after about n rows

@@ -40,7 +40,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 from .errors import InputError
@@ -55,28 +55,10 @@ _MAX_PRIME = 2**31
 
 
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; the witness set covers everything below 2^31."""
-    if p < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13):
-        if p % q == 0:
-            return p == q
-    d = p - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division by 2 and every odd q up to isqrt(p); FieldSpec keeps p below 2^31."""
+    if p < 2 or p % 2 == 0:
+        return p == 2
+    return all(p % q for q in range(3, isqrt(p) + 1, 2))
 
 
 class FieldSpec(Record):

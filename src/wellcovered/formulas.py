@@ -47,13 +47,10 @@ def f_multipartite(sizes: Sequence[int]) -> Prediction:
 
 
 def f_turan(n: int, r: int) -> Prediction:
-    """Turan graph T(n, r); reduces to n - (r - 1) when r divides n."""
+    """Turan graph T(n, r): its r blocks hold n vertices, so n - (r - 1) for every r."""
     if r < 1 or r > n:
         raise InputError(f"turan formula needs 1 <= r <= n, got n={n}, r={r}")
-    q, rem = divmod(n, r)
-    value = rem * (q + 1) + (r - rem) * q - (r - 1)
-    conds = ("r divides n: reduces to n-(r-1)",) if rem == 0 else ()
-    return Prediction(value, "turan", conds)
+    return Prediction(n - (r - 1), "turan")
 
 
 def f_path(n: int) -> Prediction:

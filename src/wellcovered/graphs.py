@@ -209,6 +209,17 @@ def lex_product(g: Graph, h: Graph) -> Graph:
     return Graph.unchecked(g.n * b, tuple(masks))
 
 
+def disjunctive_product(g: Graph, h: Graph) -> Graph:
+    """Disjunctive product, labelled as `lex_product`: (u, w) ~ (u', w') iff uu'
+    is an edge of g or ww' is an edge of h.  So it is lex_product(g, h) with
+    each (u, w) also joined to (u', w') for every u' and every neighbour w' of w."""
+    b = h.n
+    lex = lex_product(g, h)
+    every = sum(1 << u * b for u in range(g.n))  # the lowest vertex of each copy of h
+    masks = tuple(m | h.masks[v % b] * every for v, m in enumerate(lex.masks))
+    return Graph.unchecked(lex.n, masks)
+
+
 def random_graph(n: int, edge_prob: Fraction | float | int, seed: int) -> Graph:
     """Erdos-Renyi style graph with an exactly rational edge probability.
 

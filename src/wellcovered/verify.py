@@ -1,25 +1,26 @@
 """Oracle harness: replay every closed-form predictor against the engine.
 
 Every check compares a formula with the engine, exact integers with no
-tolerance; even the Kronecker check reads its ranks off the engine's row
-spaces, so nothing here runs a second elimination.  Failed reports
-always carry the instance descriptor needed to rebuild the inputs: family
-parameters, or the (n, p, seed) triple of a random graph.  Capacity
-overruns are recorded as skips, never as passes or failures.  Every check
-reaches the engine one way: it enumerates every set of each graph once
-with `mis_masks`, bounded like every enumeration by the constant
-`mis.DEFAULT_MIS_LIMIT`, and eliminates them once for all fields with
-`compute_wcdim_sets`.  So the engine runs without modular decomposition:
-the blowup, union and lex checks replace vertices by graphs, which is what
-the decomposition relies on, so they must not test it against itself.
-Within one `run_suite` call every check shares one memo, keyed by graph,
-(n, masks), for the enumeration and by family of sets, (n, sets,
-characteristics), for the elimination: each distinct labelled graph is
-enumerated once and each distinct family eliminated once, however many
-checks meet it.  Small random graphs recur within a section, so do the
-graphs built from them, a blowup by 1 is its base graph again, and a kron
-pair with a one-vertex factor eliminates the other factor's family.  A
-check called on its own keeps a memo for that call only.
+tolerance; even the Kronecker check reads its ranks off the engine's
+reports for graphs, the disjunctive product among them, so nothing here
+runs a second elimination.  Failed reports always carry the instance
+descriptor needed to rebuild the inputs: family parameters, or the
+(n, p, seed) triple of a random graph.  Capacity overruns are recorded as
+skips, never as passes or failures.  Every check reaches the engine one
+way: it enumerates every set of each graph once with `mis_masks`, bounded
+like every enumeration by the constant `mis.DEFAULT_MIS_LIMIT`, and
+eliminates them once for all fields with `compute_wcdim_sets`.  So the
+engine runs without modular decomposition: the blowup, union and lex
+checks replace vertices by graphs, which is what the decomposition relies
+on, so they must not test it against itself.
+Within one `run_suite` call every check shares one memo, keyed by graph:
+(n, masks) for the enumeration and (n, masks, characteristics) for the
+elimination, so each distinct labelled graph is enumerated once and
+eliminated once per field list, however many checks meet it.  Small
+random graphs recur within a section, so do the graphs built from them, a
+blowup by 1 is its base graph again, and with a one-vertex factor both
+kron products are the other factor.  A check called on its own keeps a
+memo for that call only.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .errors import CapacityError, InputError
 from .exactlin import FieldSpec
 from .families import FAMILY_BUILDERS, FamilySpec, build_family
 from .graphs import (
-    MAX_VERTICES, Graph, bits, blowup, disjoint_union, lex_product, multi_blowup, random_graph,
+    MAX_VERTICES, Graph, blowup, disjoint_union, disjunctive_product, lex_product, multi_blowup,
+    random_graph,
 )
 from .mis import mis_masks
 
@@ -113,40 +115,28 @@ def _random_descriptor(n: int, seed: int) -> str:
 
 def _computed(
     graphs: Iterable[Graph], fields: Sequence[FieldSpec], seen: dict
-) -> list[tuple[list[int], list[WcdimReport]]]:
-    """Each graph's maximal independent sets and its reports over fields, in graph order.
+) -> list[list[WcdimReport]]:
+    """Each graph's reports over fields, in graph order.
 
-    `seen` keeps each graph's sets under (n, masks).  Every graph is
-    enumerated before any is eliminated, so a CapacityError propagates
-    before anything is eliminated; it is not kept, and the next call
-    enumerates that graph again.
+    `seen` keeps each graph's sets under (n, masks) and its reports under
+    (n, masks, characteristics).  Every graph is enumerated before any is
+    eliminated, so a CapacityError propagates before anything is
+    eliminated; it is not kept, and the next call enumerates that graph again.
     """
+    chars = tuple([f.characteristic for f in fields])
     families = []
     for g in graphs:
         key = (g.n, g.masks)
         sets = seen.get(key)
         if sets is None:
             sets = seen[key] = mis_masks(g)
-        families.append((g.n, sets))
-    return _eliminated(families, fields, seen)
-
-
-def _eliminated(
-    families: Iterable[tuple[int, list[int]]], fields: Sequence[FieldSpec], seen: dict
-) -> list[tuple[list[int], list[WcdimReport]]]:
-    """Each family (n, sets) and its reports over fields, in family order.
-
-    `seen` keeps the reports under (n, tuple(sets), characteristics), a key
-    no graph's (n, masks) can equal.
-    """
-    chars = tuple([f.characteristic for f in fields])
+        families.append((g.n, sets, key + (chars,)))
     out = []
-    for n, sets in families:
-        key = (n, tuple(sets), chars)
+    for n, sets, key in families:
         reports = seen.get(key)
         if reports is None:
             reports = seen[key] = compute_wcdim_sets(n, sets, fields)
-        out.append((sets, reports))
+        out.append(reports)
     return out
 
 
@@ -162,7 +152,7 @@ def check_family(spec: FamilySpec, chars: Sequence[FieldSpec]) -> CheckReport:
     predicted = tuple(predict(spec.params, f) for f in chars)
     swept = tuple(f.characteristic for f in chars)
     try:
-        [(_, reports)] = _computed([build_family(spec)], chars, _SEEN.get({}))
+        [reports] = _computed([build_family(spec)], chars, _SEEN.get({}))
     except CapacityError as exc:
         return CheckReport("family", str(spec), swept, (), (), SKIP, str(exc))
     engine = tuple(r.wcdim for r in reports)
@@ -189,7 +179,7 @@ def _replay(
     except CapacityError as e:
         return [CheckReport(check, desc, (f.characteristic,), (), (), SKIP, str(e)) for f in fields]
     reports = []
-    for f, *rs in zip(fields, *(graph_reports for _, graph_reports in computed)):
+    for f, *rs in zip(fields, *computed):
         want, got, detail = compare(*rs)
         verdict = PASS if want == got else FAIL
         reports.append(CheckReport(check, desc, (f.characteristic,), want, got, verdict, detail))
@@ -289,34 +279,19 @@ def check_kron_remark(
     k = rank(reduced M), q = rank(reduced A) and the row-dependency flags,
     and the product's dimension is asserted to be ab - rank(C).  Every rank
     is read off the engine: k and rank(M) are the difference and sum ranks
-    of g's sets, q and rank(A) those of h's, and rank(C) is the difference
-    rank of the uniform sets S x T, the rows of A (x) M.  These ranks belong
-    to set families, so they do not depend on the row order.  One report per
-    field, in field order; each graph is enumerated once, and the uniform
-    sets are eliminated through the same memo as the graphs' sets.
+    of g's sets, q and rank(A) those of h's.  The maximal independent sets
+    of the disjunctive product G v H are the products S x T, the rows of
+    A (x) M with the columns permuted, so rank(C) is its difference rank
+    and ab - rank(C) its dimension: the remark reads wcdim(G . H) =
+    wcdim(G v H).  One report per field, in field order; each graph is
+    enumerated once.
     """
     desc = instance or f"g[{_graph_descriptor(g)}];h[{_graph_descriptor(h)}]"
-    if not fields:
-        return []
-    seen = _SEEN.get({})
-    try:
-        computed = _computed((g, h, lex_product(g, h)), fields, seen)
-    except CapacityError as e:
-        return [
-            CheckReport("kron", desc, (f.characteristic,), (), (), SKIP, str(e)) for f in fields
-        ]
-    (sets_g, rgs), (sets_h, rhs), (_, rps) = computed
-    a = g.n
-    # the row of A (x) M for sets T of h and S of g is 1 in column j*a + u
-    # for j in T and u in S: S times T's spread, 2^(j*a) summed over j in T
-    spreads = [sum(1 << (j * a) for j in bits(t)) for t in sets_h]
-    uniform = [s * spread for spread in spreads for s in sets_g]
-    [(_, rcs)] = _eliminated([(a * h.n, uniform)], fields, seen)
-    reports = []
-    for f, rg, rh, rc, rp in zip(fields, rgs, rhs, rcs, rps):
+
+    def compare(rg: WcdimReport, rh: WcdimReport, rp: WcdimReport, rc: WcdimReport) -> tuple:
         k, rank_m, q, rank_a = rg.diff_rank, rg.sum_rank, rh.diff_rank, rh.sum_rank
         rank_c = rc.diff_rank
-        want_rank = formulas.kron_rank_case(k, q, rank_m < len(sets_g), rank_a < len(sets_h))
+        want_rank = formulas.kron_rank_case(k, q, rank_m < rg.mis_count, rank_a < rh.mis_count)
         want_dim, got_dim = rc.wcdim, rp.wcdim
         detail = ""
         if want_rank != rank_c:
@@ -328,10 +303,11 @@ def check_kron_remark(
             )
         elif want_dim != got_dim:
             detail = f"ab - rank(C) = {want_dim} != engine {got_dim}"
-        want, got = (want_rank, want_dim), (rank_c, got_dim)
-        verdict = PASS if want == got else FAIL
-        reports.append(CheckReport("kron", desc, (f.characteristic,), want, got, verdict, detail))
-    return reports
+        return (want_rank, want_dim), (rank_c, got_dim), detail
+
+    return _replay(
+        "kron", desc, lambda: (g, h, lex_product(g, h), disjunctive_product(g, h)), fields, compare
+    )
 
 
 def _effective(check_chars: Sequence[int], chars: Sequence[int]) -> list[FieldSpec]:
@@ -410,9 +386,9 @@ def run_suite(
     characteristics that no requested section sweeps (which would pass after
     comparing nothing) raise InputError.
     Each distinct labelled graph is enumerated once per call, up to the
-    constant `mis.DEFAULT_MIS_LIMIT` sets (an overrun is a skip), and each
-    distinct family of sets eliminated once, for every check that meets
-    it; nothing is kept between calls.
+    constant `mis.DEFAULT_MIS_LIMIT` sets (an overrun is a skip), and
+    eliminated once per field list, for every check that meets it; nothing
+    is kept between calls.
     """
     if trials is not None and trials < 0:
         raise InputError("trial counts must be non-negative")

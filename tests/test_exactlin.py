@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import isqrt
 
 import pytest
 
@@ -67,6 +68,14 @@ class TestFieldSpec:
     def test_primality_helper(self):
         assert all(_is_prime(p) for p in (2, 3, 5, 7, 11, 97, 2**31 - 1))
         assert not any(_is_prime(c) for c in (0, 1, 4, 9, 91, 561, 2**31))
+
+    def test_primality_helper_matches_a_sieve(self):
+        limit = 10**5
+        sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+        for q in range(2, isqrt(limit) + 1):
+            if sieve[q]:
+                sieve[q * q :: q] = bytearray(len(range(q * q, limit, q)))
+        assert [p for p in range(limit) if _is_prime(p)] == [p for p in range(limit) if sieve[p]]
 
     def test_str(self):
         assert str(FieldSpec(0)) == "Q"

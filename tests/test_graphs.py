@@ -25,9 +25,9 @@ from wellcovered import (
 )
 from wellcovered.cli import parse_graph_file
 from wellcovered.families import FamilySpec
-from wellcovered.graphs import MAX_VERTICES, Graph
+from wellcovered.graphs import MAX_VERTICES, Graph, disjunctive_product
 
-from helpers import all_graphs
+from helpers import all_graphs, brute_force_mis
 
 
 def rand_graph(n, seed):
@@ -361,6 +361,37 @@ def test_lex_product_matches_the_edge_lists():
             h = new_graph(b, hedges)
             assert_is(lex_product(g, h), *ref_lex_product(n, edges, b, hedges))
             assert_is(lex_product(h, g), *ref_lex_product(b, hedges, n, edges))
+
+
+def ref_disjunctive_product(a, gedges, b, hedges):
+    """(u, w) ~ (u', w') iff uu' or ww' is an edge; (u, w) is u * b + w."""
+    in_g = [(u * b + w, u2 * b + w2) for u, u2 in gedges for w, w2 in product(range(b), repeat=2)]
+    in_h = [(u * b + w, u2 * b + w2) for w, w2 in hedges for u, u2 in product(range(a), repeat=2)]
+    return a * b, in_g + in_h
+
+
+def test_disjunctive_product_matches_the_edge_lists():
+    factors = [(0, []), (1, []), (2, []), (2, [(0, 1)]), (3, [(0, 1), (1, 2)])]
+    for n, edges in SMALL:
+        g = new_graph(n, edges)
+        for b, hedges in factors:
+            h = new_graph(b, hedges)
+            assert_is(disjunctive_product(g, h), *ref_disjunctive_product(n, edges, b, hedges))
+            assert_is(disjunctive_product(h, g), *ref_disjunctive_product(b, hedges, n, edges))
+
+
+def test_disjunctive_product_sets_are_the_products_of_the_factors_sets():
+    # so they are the rows of A (x) M, and among the sets of the lexicographic product
+    small = [g for n in range(1, 4) for g in all_graphs(n)]
+    for g, h in product(small, repeat=2):
+        b = h.n
+        want = sorted(
+            tuple(sorted(u * b + w for u in s for w in t))
+            for s in brute_force_mis(g) for t in brute_force_mis(h)
+        )
+        got = brute_force_mis(disjunctive_product(g, h))
+        assert got == want
+        assert set(got) <= set(brute_force_mis(lex_product(g, h)))
 
 
 def test_random_graph_matches_the_edge_list_stream():

@@ -108,12 +108,16 @@ class TestPredicates:
         assert not is_well_covered(cycle(8))
         assert is_well_covered(complete(5))
 
-    def test_well_covered_reads_the_spanning_family(self):
+    def test_well_covered_reads_the_spanning_family(self, monkeypatch):
         # 13 disjoint triangles have 3^13 = 1,594,323 sets, past the limit,
         # and a family of 27, all of size 13
         assert is_well_covered(lex_product(empty_graph(13), complete(3)))
+        # a prime graph is enumerated whole: path(12) has 28 sets
+        monkeypatch.setattr(mis, "DEFAULT_MIS_LIMIT", 27)
         with pytest.raises(CapacityError):
-            is_well_covered(path(60))  # a prime graph is enumerated whole
+            is_well_covered(path(12))
+        monkeypatch.setattr(mis, "DEFAULT_MIS_LIMIT", 28)
+        assert not is_well_covered(path(12))
 
     def test_well_covered_agrees_with_every_sets_sizes(self):
         graphs = [g for n in range(6) for g in all_graphs(n)]

@@ -276,8 +276,9 @@ class TestBatchedChecks:
             (check_kron_remark, (g, h)),
         ]
         batched = [check(*args, fs) for check, args in checks]
-        # two graphs per blowup check, three per union, lex and kron check
-        assert len(calls) == 2 + 2 + 3 + 3 + 3
+        # two graphs per blowup check, three per union and lex check, and
+        # four per kron check: g, h and both products
+        assert len(calls) == 2 + 2 + 3 + 3 + 4
         for (check, args), reports in zip(checks, batched):
             assert [r.characteristics for r in reports] == [(0,), (2,), (3,), (5,)]
             assert reports == [check(*args, [f])[0] for f in fs]
@@ -413,8 +414,8 @@ class TestOneRunComputesEachGraphOnce:
         assert alone == reports
         assert sorted(in_run) == sorted(set(calls)) and len(in_run) < len(calls)
         assert any(1 in (g.n, h.n) for g, h, _ in pairs)
-        # with a one-vertex factor the product is the other factor and so is
-        # the uniform family: only the two factors reach the engine
+        # with a one-vertex factor both products are the other factor: only
+        # the two factors reach the engine
         g, k1 = cycle(5), empty_graph(1)
         for pair in ((g, k1), (k1, g)):
             calls.clear()
@@ -451,8 +452,8 @@ class TestOneRunComputesEachGraphOnce:
         assert seen == {}
         monkeypatch.setattr(mis, "DEFAULT_MIS_LIMIT", 2)
         for _ in range(2):
-            [(sets, _)] = verify._computed([cycle(4)], fields(0), seen)
-            assert sets == real(cycle(4))
+            [reports] = verify._computed([cycle(4)], fields(0), seen)
+            assert [r.mis_count for r in reports] == [2]
         assert len(calls) == 3
 
 
