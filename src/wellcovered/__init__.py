@@ -7,10 +7,15 @@ exactly, over the rationals and over prime fields GF(p), and ships a
 verification harness that replays every known closed-form dimension formula
 against the engine.
 
-Importing the package loads only the engine.  The harness (`verify`, with
-the closed forms of `formulas`) loads the first time `run_suite` or
-`CheckReport` is looked up here, through the module `__getattr__`, or when
-it is imported itself; `fractions` loads where a `Fraction` is first built.
+Importing the package loads only what a `compute` runs: the engine, the
+row spaces of `exactlin`, the enumeration of `mis` and `kernels`, `graphs`,
+`records` and `errors`.  The rest loads the first time one of its names is
+looked up here, through the module `__getattr__`, or when it is imported
+itself: the family builders of `families` (`crown`, `build_family`, ...),
+and the harness (`verify`, with the closed forms of `formulas`) for
+`run_suite` and `CheckReport`.  The batch routines of `batch`, which
+nothing in the package calls, load the same way from `exactlin`, `engine`
+and `kernels`; `fractions` loads where a `Fraction` is first built.
 """
 
 from .engine import (
@@ -22,19 +27,6 @@ from .engine import (
 )
 from .errors import CapacityError, InputError
 from .exactlin import FieldSpec, RowSpace
-from .families import (
-    FamilySpec,
-    build_family,
-    complete,
-    complete_multipartite,
-    crown,
-    cycle,
-    empty_graph,
-    gear,
-    path,
-    petersen,
-    turan,
-)
 from .graphs import (
     Graph,
     blowup,
@@ -99,17 +91,27 @@ __all__ = [
     "turan",
 ]
 
-# the names the verify harness provides; see `__getattr__`
-_FROM_VERIFY = ("CheckReport", "run_suite")
+# the names read off a module that loads on first use: name -> that module; see `__getattr__`
+_LAZY = {
+    **dict.fromkeys(("CheckReport", "run_suite"), "verify"),
+    **dict.fromkeys(
+        (
+            "FamilySpec", "build_family", "complete", "complete_multipartite", "crown", "cycle",
+            "empty_graph", "gear", "path", "petersen", "turan",
+        ),
+        "families",
+    ),
+}
 
 
 def __getattr__(name: str) -> object:
-    """A name of `_FROM_VERIFY`, read off `verify` on first access and kept here."""
-    if name not in _FROM_VERIFY:
+    """A name of `_LAZY`, read off its module on first access and kept here."""
+    module = _LAZY.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import verify
+    from importlib import import_module
 
-    value = globals()[name] = getattr(verify, name)
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
     return value
 
 

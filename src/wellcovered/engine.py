@@ -28,10 +28,10 @@ need only the dimension never pay for them.  `compute_wcdim_sets`
 eliminates any family of sets the same way; every set of g, without the
 decomposition, is `compute_wcdim_sets(g.n, mis_masks(g), fields)`, and
 `is_well_covered_weighting`, re-exported from `mis`, sums over the family.
-The batch `build_difference_system` and `build_sum_system`, and the `rank`
-and `nullspace_basis` re-exported here, have no caller in the package and
-are not exported by `wellcovered`; they, and the `enumerate_mis` imported
-here, remain only as targets of the benchmark's tracer.
+The batch `build_difference_system`, `build_sum_system`, `rank` and
+`nullspace_basis` live in `batch`, which this module's `__getattr__` reads
+them from on first access (see `_BATCH`); they, and the `enumerate_mis`
+imported here, are looked up here only by the benchmark's tracer.
 
 Every enumeration is bounded by the constant `mis.DEFAULT_MIS_LIMIT`;
 nothing here passes or reads it.
@@ -44,12 +44,10 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .errors import InputError
-from .exactlin import ExactMatrix, FieldSpec, RowSpace, Scalar
-# perfbench/trace.py instruments engine.rank and engine.nullspace_basis
-from .exactlin import nullspace_basis, rank  # noqa: F401
+from .exactlin import FieldSpec, RowSpace, Scalar
 from .graphs import Graph, check_vertex_count
 # perfbench/trace.py instruments engine.enumerate_mis; is_well_covered_weighting is re-exported
-from .mis import MisList, enumerate_mis, is_well_covered_weighting, mis_family  # noqa: F401
+from .mis import enumerate_mis, is_well_covered_weighting, mis_family  # noqa: F401
 from .records import Record
 
 
@@ -144,45 +142,6 @@ class WcdimReport(Record):
         if self.wcdim == 0:
             return ()
         return tuple(self.space.basis_lines(self.field))
-
-
-def build_difference_system(mis: MisList, baseline: int = 0) -> ExactMatrix:
-    """(k-1) x n integer matrix with rows M_i - M_baseline in canonical order.
-
-    Row entries are +1 on M_i \\ M_base, -1 on M_base \\ M_i, 0 elsewhere.
-    """
-    k = len(mis)
-    if k == 0:
-        raise InputError("difference system needs a nonempty MIS list")
-    if not 0 <= baseline < k:
-        raise InputError(f"baseline index {baseline} out of range for {k} sets")
-    n = mis.graph_n
-    base = set(mis[baseline])
-    rows = []
-    for i, s in enumerate(mis):
-        if i == baseline:
-            continue
-        row = [0] * n
-        for v in s:
-            row[v] += 1
-        for v in base:
-            row[v] -= 1
-        rows.append(row)
-    return ExactMatrix.from_rows(rows, n)
-
-
-def build_sum_system(mis: MisList) -> ExactMatrix:
-    """k x n 0/1 incidence matrix; row i is the indicator vector of M_i."""
-    if len(mis) == 0:
-        raise InputError("sum system needs a nonempty MIS list")
-    n = mis.graph_n
-    rows = []
-    for s in mis:
-        row = [0] * n
-        for v in s:
-            row[v] = 1
-        rows.append(row)
-    return ExactMatrix.from_rows(rows, n)
 
 
 _Q = FieldSpec(0)
@@ -296,3 +255,17 @@ def _eliminate(
 def compute_wcdim(g: Graph, f: FieldSpec = FieldSpec(0)) -> WcdimReport:
     """Well-covered dimension of g over f; the report reads its basis on demand."""
     return compute_wcdim_fields(g, (f,))[0]
+
+
+# the batch builders and ranks perfbench/trace.py instruments here; see `__getattr__`
+_BATCH = ("build_difference_system", "build_sum_system", "rank", "nullspace_basis")
+
+
+def __getattr__(name: str) -> object:
+    """A name of `_BATCH`, read off `batch` on first access and kept here."""
+    if name not in _BATCH:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import batch
+
+    value = globals()[name] = getattr(batch, name)
+    return value

@@ -21,13 +21,8 @@ lines never go through scalar vectors, and each distinct entry is
 formatted once, over Q straight from its integers (see `_ratio_text`), so
 `fractions` is imported only where a `Fraction` is built.
 
-The batch routines on a whole `ExactMatrix` (`rank`, `nullspace_basis`,
-`kronecker`, `reduce_first_row` and `move_dependent_row_first`) have no
-caller in the package; they remain only as targets of the benchmark's
-tracer, and are not exported by `wellcovered`.  They take the matrices
-the package builds, with entries in {-1, 0, 1}, and `rank`,
-`nullspace_basis` and `move_dependent_row_first` feed the rows into a
-`RowSpace`, so there is no second elimination.
+The batch routines on a whole `ExactMatrix` live in `batch`, which this
+module's `__getattr__` reads them from on first access (see `_BATCH`).
 
 Prime-power fields are deliberately not implemented: for integer matrices
 (every system built here is one), row reduction never leaves the prime
@@ -41,7 +36,7 @@ import sys
 from bisect import bisect_right
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 from .errors import InputError
 from .records import Record
@@ -82,102 +77,10 @@ class FieldSpec(Record):
         return "Q" if self.characteristic == 0 else f"GF({self.characteristic})"
 
 
-class ExactMatrix(Record):
-    """Dense matrix of exact scalars (ints or Fractions), row-major."""
-
-    _fields = ("rows", "cols", "entries")
-    rows: int
-    cols: int
-    entries: tuple[Scalar, ...]
-
-    def __init__(self, rows: int, cols: int, entries: tuple[Scalar, ...]) -> None:
-        if rows < 0 or cols < 0:
-            raise InputError("matrix dimensions must be non-negative")
-        if len(entries) != rows * cols:
-            raise InputError(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
-            )
-        self.__dict__.update(rows=rows, cols=cols, entries=entries)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[Scalar]], cols: int | None = None) -> "ExactMatrix":
-        """The matrix with these rows; `cols`, when given, must be their length.
-
-        With no rows `cols` is the width (default 0); ragged rows, or rows
-        of another length than `cols`, raise InputError.
-        """
-        rows = [tuple(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise InputError("ragged rows")
-            if cols is not None and cols != width:
-                raise InputError(f"rows of length {width} given for {cols} columns")
-            cols = width
-        elif cols is None:
-            cols = 0
-        return cls(len(rows), cols, tuple(x for r in rows for x in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_list(self) -> list[tuple[Scalar, ...]]:
-        return [self.row(i) for i in range(self.rows)]
-
-
-def _signed_rows(m: ExactMatrix, name: str) -> list[tuple[int, int]]:
-    """Each row of m as its (plus, minus) bitmasks; any entry outside {-1, 0, 1} raises InputError."""
-    out = []
-    for i in range(m.rows):
-        plus = minus = 0
-        for j, x in enumerate(m.row(i)):
-            if x == 1:
-                plus |= 1 << j
-            elif x == -1:
-                minus |= 1 << j
-            elif x != 0:
-                raise InputError(f"{name} needs entries in {{-1, 0, 1}}, got {x!r}")
-        out.append((plus, minus))
-    return out
-
-
-def _row_space(m: ExactMatrix, f: FieldSpec, name: str) -> RowSpace:
-    """The `RowSpace` over f spanned by the rows of m, fed until it is full."""
-    space = RowSpace(m.cols, f)
-    for plus, minus in _signed_rows(m, name):
-        if space.full:
-            break
-        space.add(plus, minus)
-    return space
-
-
 def _ratio_text(x: int, d: int) -> str:
     """`str(Fraction(-x, d))` for d > 0, made from the two integers without the Fraction."""
     g = gcd(x, d)
     return str(-x // g) if g == d else f"{-x // g}/{d // g}"
-
-
-def rank(m: ExactMatrix, f: FieldSpec) -> int:
-    """Rank of m over the field; empty matrices have rank 0.  Entries must lie in {-1, 0, 1}."""
-    return _row_space(m, f, "rank").rank
-
-
-def nullspace_basis(m: ExactMatrix, f: FieldSpec) -> list[tuple[Scalar, ...]]:
-    """Canonical basis of the right nullspace of m over the field.
-
-    Exactly cols - rank(m) vectors, one per free column in ascending order,
-    each with a 1 in its free column.  Over characteristic 0 the entries are
-    Fractions; over GF(p) they are residues in 0..p-1.  Entries of m must
-    lie in {-1, 0, 1}.
-    """
-    return _row_space(m, f, "nullspace_basis").basis()
 
 
 # memoryview formats of the unsigned C integers, by width in bits; lanes of
@@ -368,7 +271,7 @@ class RowSpace:
     def basis(self, f: FieldSpec | None = None) -> list[tuple[Scalar, ...]]:
         """The canonical nullspace basis over f (default: the space's own field).
 
-        As `nullspace_basis` gives it for any spanning set of the rows: one
+        As `batch.nullspace_basis` gives it for any spanning set of the rows: one
         vector per free column, ascending, with a 1 in its own column; the
         entries are Fractions over Q and residues in 0..p-1 over GF(p).  An
         integer space reads it straight off its RREF, for its own field and
@@ -689,42 +592,18 @@ class RowSpace:
         return [(j, self._lane(v, j)) for j in _bits(z & self._ones, b)]
 
 
-def kronecker(a: ExactMatrix, m: ExactMatrix) -> ExactMatrix:
-    """Kronecker product a (x) m: entry ((i1*rm+i2),(j1*cm+j2)) = a[i1,j1]*m[i2,j2]."""
-    rm, cm = m.rows, m.cols
-    entries = []
-    for i1 in range(a.rows):
-        for i2 in range(rm):
-            arow = a.row(i1)
-            mrow = m.row(i2)
-            for x in arow:
-                entries.extend(x * y for y in mrow)
-    return ExactMatrix(a.rows * rm, a.cols * cm, tuple(entries))
+# the batch names that moved to `batch`, still resolved here for whoever imports them from here
+_BATCH = (
+    "ExactMatrix", "_signed_rows", "_row_space", "rank", "nullspace_basis", "kronecker",
+    "reduce_first_row", "move_dependent_row_first",
+)
 
 
-def reduce_first_row(m: ExactMatrix) -> ExactMatrix:
-    """Subtract row 0 from every other row, then drop row 0."""
-    if m.rows < 1:
-        raise InputError("reduce_first_row needs at least one row")
-    first = m.row(0)
-    entries = []
-    for i in range(1, m.rows):
-        entries.extend(a - b for a, b in zip(m.row(i), first))
-    return ExactMatrix(m.rows - 1, m.cols, tuple(entries))
+def __getattr__(name: str) -> object:
+    """A name of `_BATCH`, read off `batch` on first access and kept here."""
+    if name not in _BATCH:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import batch
 
-
-def move_dependent_row_first(m: ExactMatrix, f: FieldSpec) -> ExactMatrix:
-    """Swap a row lying in the span of the other rows to position 0.
-
-    The first row (in order) that is linearly dependent on the rows before
-    it is chosen; such a row exists exactly when rank(m) < rows.  If every
-    row is independent the matrix is returned unchanged.  The entries must
-    lie in {-1, 0, 1}, as in the 0/1 sum systems of the Kronecker check;
-    anything else raises InputError.
-    """
-    space = RowSpace(m.cols, f)
-    for i, (plus, minus) in enumerate(_signed_rows(m, "move_dependent_row_first")):
-        if not space.add(plus, minus):
-            order = [i] + [j for j in range(m.rows) if j != i]
-            return ExactMatrix.from_rows([m.row(j) for j in order], m.cols)
-    return m
+    value = globals()[name] = getattr(batch, name)
+    return value

@@ -15,7 +15,8 @@ own constructions are symmetric and loop-free by construction and build
 their result with `Graph.unchecked`, without a second pass over the edges.
 A construction that adds vertices keeps every old label and appends the
 new ones: `blowup` keeps v and puts its new twins after vertex n - 1, so
-`multi_blowup` is `blowup` folded over the original vertices.
+`multi_blowup` labels its result as `blowup` folded over the original
+vertices would.
 
 Every graph has at most `MAX_VERTICES` vertices; larger inputs raise
 CapacityError before anything per vertex is allocated.
@@ -183,15 +184,32 @@ def multi_blowup(g: Graph, ts: Sequence[int]) -> Graph:
     """Blow up every original vertex v into ts[v] twins: `blowup` folded over
     the original vertices in ascending order.  Every blowup only appends, so
     each original vertex keeps its label, and the new twins of v follow
-    those of every lower vertex."""
-    if len(ts) != g.n:
-        raise InputError(f"expected {g.n} blowup sizes, got {len(ts)}")
+    those of every lower vertex.
+
+    Built in one pass rather than by the fold: v's class is v with its new
+    twins, each original mask is the union of its neighbours' classes, and
+    each twin copies its vertex's mask.
+    """
+    n = g.n
+    if len(ts) != n:
+        raise InputError(f"expected {n} blowup sizes, got {len(ts)}")
     if any(t < 1 for t in ts):
         raise InputError("blowup sizes must all be positive")
     check_vertex_count(sum(ts))
+    classes = []
+    start = n  # the label of v's first new twin
     for v, t in enumerate(ts):
-        g = blowup(g, v, t)
-    return g
+        classes.append(1 << v | ((1 << (t - 1)) - 1) << start)
+        start += t - 1
+    masks = []
+    for mask in g.masks:
+        out = 0
+        for u in bits(mask):
+            out |= classes[u]
+        masks.append(out)
+    for v, t in enumerate(ts):
+        masks += [masks[v]] * (t - 1)
+    return Graph.unchecked(len(masks), tuple(masks))
 
 
 def lex_product(g: Graph, h: Graph) -> Graph:

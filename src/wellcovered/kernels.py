@@ -1,10 +1,10 @@
-"""The inner-loop kernel, maximal clique enumeration, and a batch GF(p) rank.
+"""The inner-loop kernel: maximal clique enumeration.
 
 Vertex sets are bitmasks held in Python integers, so there is no limit on
 the vertex count.  `mis` enumerates through `maximal_cliques`, which is
-looked up on this module at call time, so a tracer can wrap it.  `gf_rank`
-has no caller: `exactlin.rank` reads a `RowSpace` instead.  It remains
-only as a target of the benchmark's tracer.
+looked up on this module at call time, so a tracer can wrap it.  The batch
+`gf_rank` lives in `batch`, which `__getattr__` reads it from on first
+access, for the benchmark's tracer.
 """
 
 # the benchmark stamps its results with this name (wellcovered.KERNEL_IMPLEMENTATION)
@@ -101,33 +101,12 @@ def maximal_cliques(adj_masks, limit, within=None):
         x |= low
 
 
-def gf_rank(entries, rows, cols, p):
-    """Rank of a rows x cols matrix over GF(p); entries are row-major ints."""
-    a = [e % p for e in entries]
-    rank = 0
-    for c in range(cols):
-        piv = -1
-        for r in range(rank, rows):
-            if a[r * cols + c]:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            pr, pp = rank * cols, piv * cols
-            for j in range(c, cols):
-                a[pr + j], a[pp + j] = a[pp + j], a[pr + j]
-        base = rank * cols
-        inv = pow(a[base + c], p - 2, p)
-        for j in range(c, cols):
-            a[base + j] = a[base + j] * inv % p
-        for r in range(rank + 1, rows):
-            f = a[r * cols + c]
-            if f:
-                off = r * cols
-                for j in range(c, cols):
-                    a[off + j] = (a[off + j] - f * a[base + j]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+
+def __getattr__(name: str) -> object:
+    """`gf_rank`, read off `batch` on first access and kept here."""
+    if name != "gf_rank":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import batch
+
+    value = globals()[name] = batch.gf_rank
+    return value

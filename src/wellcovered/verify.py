@@ -43,8 +43,10 @@ from .graphs import (
 from .mis import mis_masks
 
 # perfbench/trace.py instruments these names here; nothing in this module calls them
-from .engine import build_sum_system, compute_wcdim  # noqa: F401
-from .exactlin import kronecker, move_dependent_row_first, rank, reduce_first_row  # noqa: F401
+from .batch import (  # noqa: F401
+    build_sum_system, kronecker, move_dependent_row_first, rank, reduce_first_row,
+)
+from .engine import compute_wcdim  # noqa: F401
 from .mis import enumerate_mis  # noqa: F401
 
 PASS = "pass"

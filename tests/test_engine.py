@@ -26,8 +26,8 @@ from wellcovered import (
     random_graph,
     relabel,
 )
-from wellcovered.engine import WcdimReport, build_difference_system, build_sum_system
-from wellcovered.exactlin import reduce_first_row
+from wellcovered.batch import build_difference_system, build_sum_system, reduce_first_row
+from wellcovered.engine import WcdimReport
 from wellcovered.mis import MisList, mis_masks
 
 from helpers import (

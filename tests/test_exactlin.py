@@ -6,17 +6,16 @@ from math import isqrt
 import pytest
 
 from wellcovered import FieldSpec, InputError
-from wellcovered.engine import build_sum_system
-from wellcovered.exactlin import (
+from wellcovered.batch import (
     ExactMatrix,
-    _is_prime,
-    _ratio_text,
+    build_sum_system,
     kronecker,
     move_dependent_row_first,
     nullspace_basis,
     rank,
     reduce_first_row,
 )
+from wellcovered.exactlin import _is_prime, _ratio_text
 from wellcovered.formulas import kron_rank_case
 from wellcovered.mis import enumerate_mis
 from wellcovered.graphs import new_graph, random_graph

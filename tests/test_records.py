@@ -3,8 +3,11 @@
 Records that validate or cache are classes on `records.Record`; the pure
 ones are named tuples.  Each keeps its constructor, equality, hash, repr and
 error messages, and none can be changed after it is built.  The package's
-import loads none of the modules `dataclasses` brings in, and neither it nor
-a `compute` run loads the verify harness or `fractions`.
+import loads exactly the modules a `compute` runs, none of those
+`dataclasses` brings in, and neither it nor a `compute` run loads the
+verify harness or `fractions`.  Every name that the package, `exactlin`,
+`engine` or `kernels` resolves on first use is the object of the module
+it comes from.
 """
 
 import json
@@ -30,7 +33,7 @@ from wellcovered import (
     path,
 )
 from wellcovered.cli import ReportDocument, ReportSection
-from wellcovered.exactlin import ExactMatrix
+from wellcovered.batch import ExactMatrix
 from wellcovered.formulas import Prediction
 
 
@@ -223,6 +226,60 @@ def test_a_fresh_import_loads_none_of_what_dataclasses_brings():
     assert Path(origin).resolve() == Path(wellcovered.__file__).resolve()
     assert "wellcovered.engine" in package and "wellcovered.cli" in cli
     assert [m for m in HEAVY if m in package or m in cli] == []
+
+
+# the package's modules that `import wellcovered` loads: those a `compute` runs
+EAGER = [
+    "wellcovered", "wellcovered.engine", "wellcovered.errors", "wellcovered.exactlin",
+    "wellcovered.graphs", "wellcovered.kernels", "wellcovered.mis", "wellcovered.records",
+]
+
+
+def test_a_fresh_import_loads_exactly_what_compute_runs():
+    # -S keeps site's own imports out, so that `fractions` is absent before the import
+    package, fractions = _fresh(
+        "import json, sys\n"
+        "import wellcovered\n"
+        "package = sorted(m for m in sys.modules if m.partition('.')[0] == 'wellcovered')\n"
+        "print(json.dumps([package, 'fractions' in sys.modules]))\n",
+        "-S",
+    )
+    # so none of batch, families, verify or formulas
+    assert package == EAGER
+    assert not fractions
+
+
+def test_every_lazy_name_is_one_object(monkeypatch):
+    from importlib import import_module
+
+    from wellcovered import batch, engine, exactlin, families, kernels
+
+    hooks = {
+        exactlin: exactlin._BATCH, engine: engine._BATCH, kernels: ("gf_rank",),
+        wellcovered: tuple(wellcovered._LAZY),
+    }
+    # drop what earlier lookups kept, so that every name goes through its module's __getattr__
+    for module, names in hooks.items():
+        for name in names:
+            monkeypatch.delitem(vars(module), name, raising=False)
+    assert engine.rank is exactlin.rank is batch.rank
+    assert kernels.gf_rank is batch.gf_rank
+    assert wellcovered.crown is families.crown
+    for module, names in hooks.items():
+        for name in names:
+            source = (
+                import_module(f"wellcovered.{wellcovered._LAZY[name]}")
+                if module is wellcovered else batch
+            )
+            assert getattr(module, name) is getattr(source, name), (module.__name__, name)
+    assert set(wellcovered.__all__) <= set(dir(wellcovered))
+    # each hook resolves its own names and no others
+    for module, name in [
+        (wellcovered, "nosuch"), (wellcovered, "rank"), (exactlin, "gf_rank"),
+        (engine, "kronecker"), (kernels, "rank"), (exactlin, "nosuch"),
+    ]:
+        with pytest.raises(AttributeError, match=f"^module {module.__name__!r} has no attribute {name!r}$"):
+            getattr(module, name)
 
 
 # what the engine path leaves unloaded: the verify harness, its closed forms,

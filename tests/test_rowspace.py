@@ -26,12 +26,8 @@ from wellcovered import (
     new_graph,
     random_graph,
 )
-from wellcovered.engine import (
-    build_difference_system,
-    build_sum_system,
-    compute_wcdim_fields,
-    compute_wcdim_sets,
-)
+from wellcovered.batch import build_difference_system, build_sum_system
+from wellcovered.engine import compute_wcdim_fields, compute_wcdim_sets
 from wellcovered.exactlin import _HADAMARD, RowSpace
 from wellcovered.formulas import f_crown
 from wellcovered.mis import mis_masks

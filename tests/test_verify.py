@@ -18,7 +18,7 @@ from wellcovered import (
     path,
     random_graph,
 )
-from wellcovered.engine import build_sum_system
+from wellcovered.batch import build_sum_system
 from wellcovered.families import FamilySpec
 from wellcovered.formulas import kron_rank_case
 from wellcovered.mis import enumerate_mis
