@@ -36,7 +36,7 @@ import sys
 from bisect import bisect_right
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .errors import InputError
 from .records import Record
@@ -112,14 +112,6 @@ def _layout(least: int, n: int) -> tuple[int, int, int, int, str | None, int]:
     ones = ((1 << (width * n)) - 1) // mask
     hadamard_rank = bisect_right(_HADAMARD, t) - 1
     return width, mask, 1 << (width - 1), ones, _LANE_FORMATS.get(width), hadamard_rank
-
-
-def _bits(m: int, width: int = 1) -> Iterator[int]:
-    """The index j of every lane of the given width whose lowest bit is set in m, ascending."""
-    while m:
-        low = m & -m
-        yield (low.bit_length() - 1) // width
-        m ^= low
 
 
 def _bad_row(plus: int, minus: int, n: int) -> str:
@@ -217,12 +209,13 @@ class RowSpace:
             s = self._residual(plus, minus)
             if not s:
                 return False
-            lanes = None
-            if p:  # decoded once, here, and handed on to `_keep`
-                lanes = self._unpack(s)
-                if not any(x % p for x in lanes):
+            if p:  # the pivot is the lowest lane that is nonzero mod p
+                c = next((j for j, x in enumerate(self._unpack(s)) if x % p), -1)
+                if c < 0:
                     return False
-            self._keep(s, lanes)
+            else:  # the lowest nonzero lane
+                c = ((s & -s).bit_length() - 1) // self._width
+            self._keep(s, c)
         self.rank += 1
         return True
 
@@ -342,32 +335,31 @@ class RowSpace:
             return self._rref_at[1]
         if self.field.characteristic == 2:
             # back-substituted, the XOR basis is the RREF itself (D = 1), and
-            # every entry off a pivot is 1, its own negative
-            d, piv = 1, sum(self._xor)
-            rows = [
-                (c.bit_length() - 1, [(j, 1) for j in _bits(x ^ c)])
-                for c, x in self._xor_rref().items()
-            ]
+            # every entry off a pivot is 1, its own negative; every other
+            # pivot in a row lies above its own, so it is reduced from the top
+            d, piv = 1, sum(self._xor)  # the keys are distinct powers of two
+            reduced: dict[int, int] = {}
+            rows = []
+            for c in sorted(self._xor, reverse=True):
+                x = self._xor[c]
+                m = x & piv & ~c
+                while m:
+                    low = m & -m
+                    x ^= reduced[low]
+                    m ^= low
+                reduced[c] = x
+                cells = []
+                x ^= c
+                while x:
+                    low = x & -x
+                    cells.append((low.bit_length() - 1, 1))
+                    x ^= low
+                rows.append((c.bit_length() - 1, cells))
         else:
             d, piv = self.common_pivot, self._piv
             rows = [(c, self._nonzero_lanes(row)) for c, row in self._cols.items()]
         self._rref_at = (self.rank, (d, piv, rows))
         return d, piv, rows
-
-    def _xor_rref(self) -> dict[int, int]:
-        """The XOR basis back-substituted to the GF(2) RREF, keyed by pivot bit."""
-        piv = sum(self._xor)  # the keys are distinct powers of two
-        reduced: dict[int, int] = {}
-        # every other pivot in a row lies above its own, so reduce from the top
-        for c in sorted(self._xor, reverse=True):
-            x = self._xor[c]
-            m = x & piv & ~c
-            while m:
-                low = m & -m
-                x ^= reduced[low]
-                m ^= low
-            reduced[c] = x
-        return reduced
 
     def _reduce_bits(self, x: int) -> int:
         """The GF(2) row x reduced until its lowest bit has no basis row (0 if it vanishes)."""
@@ -437,20 +429,21 @@ class RowSpace:
         """True iff the residual s is nonzero over GF(p), or over Q when p = 0."""
         return bool(s) and (not p or any(x % p for x in self._unpack(s)))
 
-    def _keep(self, s: int, lanes: list[int] | None) -> None:
-        """Store the residual s, nonzero over the space's field; over GF(p) lanes are its lanes.
+    def _keep(self, s: int, c: int) -> None:
+        """Store the residual s, nonzero over the space's field, with pivot column c.
 
-        Its lowest lane c that is nonzero over the field (mod p over GF(p))
-        becomes a pivot and D becomes |s_c|: s is negated first when s_c < 0,
+        c is its lowest lane that is nonzero over the field (mod p over
+        GF(p)), and D becomes |s_c|: s is negated first when s_c < 0,
         so D stays positive.  Every kept row turns into
-        N_i <- (s_c N_i - N_i[c] s) / D, and a row with N_i[c] = 0 is left
-        alone when s_c = D.  The division is exact because each entry of the
-        result is a minor of the kept rows.  While the new rank k is at most
+        N_i <- (s_c N_i - N_i[c] s) / D, exact because each entry of the
+        result is a minor of the kept rows.  When s_c = D, as on most keeps of
+        a prime graph, that is N_i - N_i[c] s / D (N_i - N_i[c] s when D = 1),
+        and a row with N_i[c] = 0 is left alone.  While the new rank k is at most
         `_hadamard_rank`, t is simply Hadamard's bound _HADAMARD[k] on the
         k x k minors, which the width already decodes under, so no bound is
         probed.  Above it the update formula bounds the rewritten rows before
-        they exist, and over Q the lanes of s are decoded only when the width
-        must grow to hold that bound.  The rewritten rows are lane-tested
+        they exist, and the lanes of s are decoded only when the width must
+        grow to hold that bound.  The rewritten rows are lane-tested
         against 2^t as they are made, t first raised to cover D and s: if
         none has outgrown it, t stays there.  Otherwise t becomes the update
         bound while the width still decodes every residual under it, and only
@@ -459,20 +452,13 @@ class RowSpace:
         Hadamard t once, so a loose one never widens the lanes.
         """
         d, b = self.common_pivot, self._width
-        if lanes is not None:
-            p = self.field.characteristic
-            c = next(j for j, x in enumerate(lanes) if x % p)
-            sc = lanes[c]
-        else:
-            c = ((s & -s).bit_length() - 1) // b
-            # every lane below c is 0, so lane c is read with no borrow
-            sc = s >> b * c & self._mask
-            sc -= (sc & self._half) << 1
+        # over GF(p) the lanes below c may be nonzero, so lane c is rounded
+        # off as in the update loop below
+        sc = (((s >> (b * c - 1)) + 1) >> 1 if c else s) & self._mask
+        sc -= (sc & self._half) << 1
         if sc < 0:
             # Bareiss fixes D only up to sign, so D is kept positive
             s, sc = -s, -sc
-            if lanes is not None:
-                lanes = [-x for x in lanes]
         k = self.rank + 1
         hadamard = k <= self._hadamard_rank
         t = self._t
@@ -486,8 +472,7 @@ class RowSpace:
             # |s_c N_i - N_i[c] s| <= 2^(t + ts + 1), and D >= 2^(bit_length(D) - 1)
             bound = max(t + ts + 2 - d.bit_length(), ts)
             if bound + 1 > b:
-                if lanes is None:
-                    lanes = self._unpack(s)
+                lanes = self._unpack(s)
                 self._set_width(bound + 1)
                 s = self._pack(lanes)
                 b = self._width
@@ -499,13 +484,22 @@ class RowSpace:
         ones = self._ones
         lift = ones << t
         acc = 0
+        unit = sc == d
         for i, row in cols.items():
-            # signed lane c of row, as `_lane` reads it
+            # lane c of row, unsigned, after rounding to a multiple of 2^(B c) absorbs any borrow
             a = (((row >> shift) + 1) >> 1 if c else row) & mask
-            a -= (a & half) << 1
-            if a or sc != d:
-                row = cols[i] = (sc * row - a * s) // d
-                acc |= row + lift
+            if a:
+                a -= (a & half) << 1
+                if unit:
+                    row -= a * s if d == 1 else a * s // d
+                else:
+                    row = (sc * row - a * s) // d
+            elif unit:
+                continue
+            else:
+                row = sc * row // d
+            cols[i] = row
+            acc |= row + lift
         cols[c] = s - (sc << (b * c))
         self._piv |= 1 << c
         self.common_pivot = sc
@@ -559,15 +553,6 @@ class RowSpace:
         width = self._width
         return sum(x << (width * j) for j, x in enumerate(row) if x)
 
-    def _lane(self, v: int, j: int) -> int:
-        """Signed lane j of the packed row v."""
-        if j:
-            # rounding to the nearest multiple of 2^(B j) absorbs any borrow
-            # from the lanes below j, whose value is below half of it
-            v = ((v >> (self._width * j - 1)) + 1) >> 1
-        v &= self._mask
-        return v - ((v & self._half) << 1)
-
     def _unpack(self, v: int) -> list[int]:
         """All n signed lanes of the packed row v."""
         b, half = self._width, self._half
@@ -581,15 +566,22 @@ class RowSpace:
         return [x - half for x in lanes]
 
     def _nonzero_lanes(self, v: int) -> list[tuple[int, int]]:
-        """(j, signed lane j) for each nonzero lane j of the packed row v, ascending."""
-        b = self._width
+        """(j, signed lane j) per nonzero lane j of packed row v, ascending, decoded as found."""
+        b, mask, half = self._width, self._mask, self._half
         bias = self._ones << (b - 1)
-        z = (v + bias) ^ bias  # lane j of z is 0 exactly when lane j of v is
+        u = v + bias  # every lane plus half: non-negative, with no borrow
+        z = u ^ bias  # lane j of z is 0 exactly when lane j of v is
         shift = 1
         while shift < b:  # fold every lane's bits into its lowest bit
             z |= z >> shift
             shift <<= 1
-        return [(j, self._lane(v, j)) for j in _bits(z & self._ones, b)]
+        z &= self._ones
+        out = []
+        while z:
+            k = (z & -z).bit_length() - 1
+            out.append((k // b, (u >> k & mask) - half))
+            z ^= 1 << k
+        return out
 
 
 # the batch names that moved to `batch`, still resolved here for whoever imports them from here

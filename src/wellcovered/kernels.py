@@ -101,7 +101,6 @@ def maximal_cliques(adj_masks, limit, within=None):
         x |= low
 
 
-
 def __getattr__(name: str) -> object:
     """`gf_rank`, read off `batch` on first access and kept here."""
     if name != "gf_rank":

@@ -85,11 +85,11 @@ def mis_masks(g: Graph) -> list[int]:
 
 
 def _parts(adj: tuple[int, ...], s: int, flip: int) -> list[int]:
-    """The components of G[s] (flip 0) or of its complement (flip -1), as bitmasks."""
+    """Components of G[s] (flip 0) or its complement (flip -1); a search ends once it covers s."""
     parts = []
     while s:
         part = frontier = s & -s
-        while frontier:
+        while frontier and part != s:
             reach = 0
             while frontier:
                 low = frontier & -frontier
@@ -131,12 +131,15 @@ def _contract(
 
 
 def _merge_twins(adj: tuple[int, ...], s: int, count: list[int], family: list[list[int]]) -> int:
-    """Contract twin modules of G[s] until none is left; returns what is left of s."""
+    """Contract twin modules of G[s] until none is left; returns what is left of s.
+
+    On the whole graph the masks already are the open keys, so a twin-free graph builds no list.
+    """
+    if s.bit_count() == len(adj) == len(set(adj)) == len({a | 1 << v for v, a in enumerate(adj)}):
+        return s
     verts = bits(s)
     keys = [adj[v] & s for v in verts]
     keys += [k | 1 << v for k, v in zip(keys, verts)]
-    if len(set(keys)) == len(keys):
-        return s
     # an open key never equals a closed one, so one dict holds both kinds;
     # each vertex is contracted into the first one with its key
     first: dict[int, int] = {}

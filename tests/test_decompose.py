@@ -32,7 +32,7 @@ from wellcovered import (
 )
 from wellcovered.cli import main
 from wellcovered.engine import compute_wcdim_fields, compute_wcdim_sets
-from wellcovered.mis import is_maximal_independent, mis_family, mis_masks
+from wellcovered.mis import _parts, is_maximal_independent, mis_family, mis_masks
 
 from helpers import all_graphs, brute_force_mis
 
@@ -180,3 +180,117 @@ def test_a_threshold_graph_deeper_than_the_recursion_limit(tmp_path, capsys):
         "  over Q: wcdim = 750  (maximal independent sets: 751, difference rank: 750, "
         "sum rank: 751)\n"
     )
+
+
+def is_prime(g):
+    """True iff g's only modules are trivial: the least module holding any two vertices is all of g.
+
+    A vertex outside a set that sees some of it but not all must join any
+    module holding the set, so the least module is grown one such vertex
+    at a time.
+    """
+    full = (1 << g.n) - 1
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            m = 1 << u | 1 << v
+            grown = True
+            while grown:
+                grown = False
+                for w in range(g.n):
+                    if not m >> w & 1 and 0 < (g.masks[w] & m).bit_count() < m.bit_count():
+                        m |= 1 << w
+                        grown = True
+            if m != full:
+                return False
+    return True
+
+
+def shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_prime_graphs_get_every_set_back_in_discovery_order():
+    rng = random.Random(35)
+    graphs = [shuffled(crown(k), rng) for k in range(3, 13)]
+    graphs += [g for g in (random_graph(rng.randint(5, 16), 0.5, seed) for seed in range(40)) if is_prime(g)]
+    assert len(graphs) > 30
+    for g in graphs:
+        assert is_prime(g)
+        masks = mis_masks(g)
+        assert mis_family(g) == (len(masks), masks, 1)
+
+
+def with_twins(g, rng):
+    """g with an open or a closed twin added for a few of its vertices, relabelled."""
+    edges = list(g.edges())
+    n = g.n
+    for v in rng.sample(range(g.n), rng.randint(1, min(3, g.n))):
+        edges += [(u, n) for u in range(g.n) if g.masks[v] >> u & 1]
+        if rng.random() < 0.5:
+            edges.append((v, n))
+        n += 1
+    return shuffled(new_graph(n, edges), rng)
+
+
+def assert_family_spans(g, fields=FIELDS):
+    # the family's count is every set's, and it spans the same difference rows
+    count, family, _ = mis_family(g)
+    masks = mis_masks(g)
+    assert count == len(masks)
+    spanned = compute_wcdim_sets(g.n, family, fields)
+    direct = compute_wcdim_sets(g.n, masks, fields)
+    for a, b in zip(spanned, direct):
+        assert (a.diff_rank, a.wcdim, a.sum_rank) == (b.diff_rank, b.wcdim, b.sum_rank)
+        assert a.basis_lines == b.basis_lines
+
+
+def test_the_family_spans_every_set_of_every_graph_up_to_six_vertices():
+    for n in range(7):
+        for g in all_graphs(n):
+            assert_family_spans(g)
+
+
+def test_the_family_spans_every_set_of_seeded_graphs_with_twins():
+    rng = random.Random(36)
+    for seed in range(60):
+        g = with_twins(random_graph(rng.randint(2, 14), rng.choice((0.2, 0.5, 0.8)), seed), rng)
+        assert_family_spans(g)
+
+
+def bfs_parts(g, s, flip):
+    """The components of G[s] (flip 0) or of its complement (flip -1), lowest vertex first."""
+    parts = []
+    seen = set()
+    for v in range(g.n):
+        if not s >> v & 1 or v in seen:
+            continue
+        part, queue = {v}, [v]
+        while queue:
+            u = queue.pop(0)
+            for w in range(g.n):
+                if s >> w & 1 and w not in part and w != u and g.has_edge(u, w) != bool(flip):
+                    part.add(w)
+                    queue.append(w)
+        seen |= part
+        parts.append(sum(1 << w for w in part))
+    return parts
+
+
+def test_parts_match_a_breadth_first_search():
+    # disjoint unions of random graphs are disconnected, and their
+    # complements co-disconnected; each is also cut to random vertex sets
+    rng = random.Random(37)
+    for seed in range(40):
+        g = random_graph(rng.randint(1, 6), rng.choice((0.3, 0.6)), seed)
+        for k in range(rng.randint(1, 3)):
+            g = disjoint_union(g, random_graph(rng.randint(1, 6), rng.choice((0.3, 0.6)), 100 * seed + k))
+        g = shuffled(g, rng)
+        full = (1 << g.n) - 1
+        co = complement(g)
+        assert len(_parts(g.masks, full, 0)) > 1 and len(_parts(co.masks, full, -1)) > 1
+        for h in (g, co):
+            for s in (full, rng.getrandbits(h.n), rng.getrandbits(h.n) | rng.getrandbits(h.n)):
+                for flip in (0, -1):
+                    assert _parts(h.masks, s, flip) == bfs_parts(h, s, flip)

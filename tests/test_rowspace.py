@@ -12,7 +12,8 @@ own.  Both must agree on every count and on the exact basis.
 import random
 import tracemalloc
 from collections import Counter
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -592,3 +593,151 @@ class TestRowSpace:
         for row in space.rows():
             assert all(isinstance(x, int) for x in row)
             assert gcd(*row) == 1
+
+
+def _det(rows):
+    """The determinant of a square integer matrix, by Bareiss elimination."""
+    m = [list(r) for r in rows]
+    k = len(m)
+    sign, prev = 1, 1
+    for i in range(k):
+        piv = next((r for r in range(i, k) if m[r][i]), None)
+        if piv is None:
+            return 0
+        if piv != i:
+            m[i], m[piv] = m[piv], m[i]
+            sign = -sign
+        for r in range(i + 1, k):
+            for j in range(i + 1, k):
+                m[r][j] = (m[r][j] * m[i][i] - m[r][i] * m[i][j]) // prev
+        prev = m[i][i]
+    return sign * prev
+
+
+def _rref_rows(basis, n, p):
+    """The RREF rows the canonical nullspace basis encodes, as `rows()` gives them.
+
+    A basis vector's last nonzero entry is the 1 in its own free column, and
+    the RREF row of pivot column c has a 1 at c and, in each free column j,
+    minus the entry in column c of the vector for j; over Q each row is
+    scaled to primitive integers.
+    """
+    free = [max(j for j in range(n) if vec[j]) for vec in basis]
+    out = []
+    for c in (c for c in range(n) if c not in free):
+        row = [0] * n
+        row[c] = 1
+        for j, vec in zip(free, basis):
+            row[j] = -vec[c] % p if p else -vec[c]
+        if not p:
+            scale = lcm(*(Fraction(x).denominator for x in row))
+            row = [int(x * scale) for x in row]
+            g = gcd(*row)
+            row = [x // g for x in row]
+        out.append(row)
+    return out
+
+
+class KeepBranches:
+    """Tallies the update branch of `RowSpace._keep` each keep takes, read off the space before it.
+
+    With c the new pivot column, s_c its sign-fixed lane and D the common
+    pivot before the keep: "unit D = 1" and "unit D > 1" are keeps with
+    s_c = D that rewrite a kept row (lane c nonzero), and "zero lane" a keep
+    with s_c != D that rescales a kept row whose lane c is 0.  "wide" counts
+    keeps that leave lanes wider than 64 bits.
+    """
+
+    def __init__(self, monkeypatch):
+        self.counts = Counter()
+        keep = RowSpace._keep
+
+        def counted(space, s, c):
+            p = space.field.characteristic
+            residual = space._unpack(s)
+            assert c == next(j for j, x in enumerate(residual) if (x % p if p else x))
+            sc, d = abs(residual[c]), space.common_pivot
+            column = [space._unpack(row)[c] for row in space._cols.values()]
+            if sc != d:
+                self.counts["zero lane"] += 0 in column
+            elif any(column):
+                self.counts["unit D = 1" if d == 1 else "unit D > 1"] += 1
+            keep(space, s, c)
+            self.counts["wide"] += space._width > 64
+
+        monkeypatch.setattr(RowSpace, "_keep", counted)
+
+
+def _draw_row(rng, n):
+    """A {-1, 0, 1} row as (plus, minus): dense, sparse, a unit row or uniform."""
+    kind = rng.random()
+    if kind < 0.4:
+        support = (1 << n) - 1
+    elif kind < 0.7:
+        support = sum(1 << v for v in rng.sample(range(n), min(n, rng.randint(2, 4))))
+    elif kind < 0.85:
+        return 1 << rng.randrange(n), 0
+    else:
+        support = rng.getrandbits(n)
+    plus = rng.getrandbits(n) & support
+    return plus, support & ~plus
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_seeded_rows_match_the_oracle_in_every_update_branch(f, monkeypatch):
+    # dense rows make D large, a unit row e_j of a free column j then
+    # reduces to D e_j (s_c = D > 1), and sparse rows leave zeros in the
+    # kept rows; at n = 80 the dense rows' minors pass 64 bits
+    branches = KeepBranches(monkeypatch)
+    p = f.characteristic
+    rng = random.Random(35)
+    for n, trials in ((5, 40), (17, 10), (40, 3), (80, 2)):
+        for _ in range(trials):
+            space = RowSpace(n, f)
+            dense, kept = [], []
+            for _ in range(n + 10):
+                plus, minus = _draw_row(rng, n)
+                row = [(plus >> v & 1) - (minus >> v & 1) for v in range(n)]
+                if space.add(plus, minus):
+                    kept.append(row)
+                dense.append(row)
+                if n <= 17:
+                    assert space.rank == len(kept) == ref_rank(dense, p)
+            assert space.rank == len(kept) == ref_rank(dense, p)
+            basis = ref_nullspace(dense, n, p)
+            assert space.basis_lines() == [" ".join(map(str, vec)) for vec in basis]
+            rows = space.rows()
+            if p == 2:
+                assert space.common_pivot == 1
+                assert ref_rank(rows, p) == space.rank == ref_rank(rows + dense, p)
+                continue
+            assert rows == _rref_rows(basis, n, p)
+            # D is the absolute determinant of the kept rows on the pivot columns
+            free = {max(j for j in range(n) if vec[j]) for vec in basis}
+            minor = [[x for j, x in enumerate(row) if j not in free] for row in kept]
+            assert space.common_pivot == abs(_det(minor)) > 0
+            assert not p or space.common_pivot % p
+    if p != 2:
+        counts = branches.counts
+        assert min(counts[b] for b in ("unit D = 1", "unit D > 1", "zero lane", "wide")) > 0, counts
+
+
+@pytest.mark.parametrize("width", [16, 32, 64, 128, 256])
+def test_nonzero_lanes_are_the_nonzero_entries_of_unpack(width):
+    # the extreme lanes -half and half - 1, and -1 and 1, beside zero lanes,
+    # at the lowest and highest lanes and in between
+    n = 12
+    space = RowSpace(n, Q)
+    space._use_width(width)
+    assert space._width == width
+    half = 1 << (width - 1)
+    rng = random.Random(width)
+    values = [-half, -1, 1, half - 1]
+    rows = [[0] * n, [-half] * n, [half - 1] * n]
+    rows += [[values[j % 4] if j % 2 else 0 for j in range(n)]]
+    rows += [[0 if j % 2 else values[j // 2 % 4] for j in range(n)]]
+    rows += [[rng.choice(values + [0, 0]) for _ in range(n)] for _ in range(40)]
+    for lanes in rows:
+        v = space._pack(lanes)
+        assert space._unpack(v) == lanes
+        assert space._nonzero_lanes(v) == [(j, x) for j, x in enumerate(lanes) if x]
