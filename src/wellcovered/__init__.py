@@ -11,9 +11,10 @@ Importing the package loads only what a `compute` runs: the engine, the
 row spaces of `exactlin`, the enumeration of `mis` and `kernels`, `graphs`,
 `records` and `errors`.  The rest loads the first time one of its names is
 looked up here, through the module `__getattr__`, or when it is imported
-itself: the family builders of `families` (`crown`, `build_family`, ...),
-and the harness (`verify`, with the closed forms of `formulas`) for
-`run_suite` and `CheckReport`.  The batch routines of `batch`, which
+itself: the family builders and graph constructions of `families`
+(`crown`, `build_family`, `blowup`, `random_graph`, ...), and the harness
+(`verify`, with the closed forms of `formulas`) for `run_suite` and
+`CheckReport`.  The batch routines of `batch`, which
 nothing in the package calls, load the same way from `exactlin`, `engine`
 and `kernels`; `fractions` loads where a `Fraction` is first built.
 """
@@ -27,17 +28,7 @@ from .engine import (
 )
 from .errors import CapacityError, InputError
 from .exactlin import FieldSpec, RowSpace
-from .graphs import (
-    Graph,
-    blowup,
-    complement,
-    disjoint_union,
-    lex_product,
-    multi_blowup,
-    new_graph,
-    random_graph,
-    relabel,
-)
+from .graphs import Graph, new_graph, relabel
 from .kernels import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from .mis import (
     DEFAULT_MIS_LIMIT,
@@ -96,8 +87,9 @@ _LAZY = {
     **dict.fromkeys(("CheckReport", "run_suite"), "verify"),
     **dict.fromkeys(
         (
-            "FamilySpec", "build_family", "complete", "complete_multipartite", "crown", "cycle",
-            "empty_graph", "gear", "path", "petersen", "turan",
+            "FamilySpec", "blowup", "build_family", "complement", "complete",
+            "complete_multipartite", "crown", "cycle", "disjoint_union", "empty_graph", "gear",
+            "lex_product", "multi_blowup", "path", "petersen", "random_graph", "turan",
         ),
         "families",
     ),

@@ -39,8 +39,8 @@ nothing here passes or reads it.
 
 from __future__ import annotations
 
-import time
 from functools import cached_property
+from time import perf_counter
 from typing import NamedTuple, Sequence
 
 from .errors import InputError
@@ -64,6 +64,9 @@ class Stats(NamedTuple):
     number of quotients enumerated to find the fed sets (0 when the
     decomposition needed none); rows are those fed.  The exact set count
     and the rows kept are the report's `mis_count` and `diff_rank`.
+    `integer` is, for an own elimination, the Stats of the integer pass over
+    Q that ran first and bounded its rows, and None otherwise: a request
+    whose every field is eliminated on its own still waited for that pass.
     """
 
     enumerate_ms: float
@@ -72,6 +75,7 @@ class Stats(NamedTuple):
     elimination_ms: float
     rows_fed: int
     stopped_at_full_rank: bool
+    integer: Stats | None = None
 
 
 class WcdimReport(Record):
@@ -167,9 +171,9 @@ def compute_wcdim_fields(g: Graph, fields: Sequence[FieldSpec]) -> list[WcdimRep
     """
     if not fields:
         return []
-    t0 = time.perf_counter()
+    t0 = perf_counter()
     count, masks, pieces = mis_family(g)
-    return _eliminate(g.n, masks, fields, (time.perf_counter() - t0) * 1e3, count, pieces)
+    return _eliminate(g.n, masks, fields, (perf_counter() - t0) * 1e3, count, pieces)
 
 
 def compute_wcdim_sets(
@@ -216,39 +220,51 @@ def _eliminate(
     base = min(sets, key=int.bit_count)  # the first set of fewest vertices
     # depth-first discovery order clusters similar sets; eight interleaved
     # strided passes spread them out, so full rank comes after about n rows
-    # instead of after most of the list.  The baseline's own row M_0 - M_0
-    # is zero, so it is left out.
-    order = [
-        *sets[0::8], *sets[1::8], *sets[2::8], *sets[3::8],
-        *sets[4::8], *sets[5::8], *sets[6::8], *sets[7::8],
-    ]
+    # instead of after most of the list.  A family of at most eight sets
+    # puts one set in each pass, so its order is its own.  The baseline's
+    # own row M_0 - M_0 is zero, so it is left out.
+    if len(sets) > 8:
+        order = [
+            *sets[0::8], *sets[1::8], *sets[2::8], *sets[3::8],
+            *sets[4::8], *sets[5::8], *sets[6::8], *sets[7::8],
+        ]
+    else:
+        order = list(sets)
     order.remove(base)
-    t1 = time.perf_counter()
+    t1 = perf_counter()
     integer = RowSpace(n, _Q)
     fed = _feed(integer, order, base, n)
-    integer_ms = (time.perf_counter() - t1) * 1e3
-    # the fields served by the integer space share its Stats, one per method
-    shared: dict[str, Stats] = {}
+    integer_ms = (perf_counter() - t1) * 1e3
+    d, rank = integer.common_pivot, integer.rank
+    stopped = fed < len(order)
+    # the fields served by the integer space share its Stats, one per method,
+    # and every own elimination names the integer pass it waited for
+    integer_stats = Stats(enum_ms, pieces, "integer", integer_ms, fed, stopped)
+    read_stats = None  # made when the first field reads off the integer space
     reports = []
     for f in fields:
-        if not f.characteristic or integer.reads_off(f):
-            space = integer
-            method = "read off (p ∤ D)" if f.characteristic else "integer"
-            stats = shared.get(method)
-            if stats is None:
-                stats = shared[method] = Stats(
-                    enum_ms, pieces, method, integer_ms, fed, fed < len(order)
-                )
+        p = f.characteristic
+        if not p:
+            stats = integer_stats
+        elif d % p:  # p ∤ D: f `RowSpace.reads_off` the integer space
+            if read_stats is None:
+                read_stats = Stats(enum_ms, pieces, "read off (p ∤ D)", integer_ms, fed, stopped)
+            stats = read_stats
         else:
             # an integer matrix has no larger rank mod p than over Q, so the
             # span is complete once it reaches the integer space's rank
-            t2 = time.perf_counter()
+            t2 = perf_counter()
             space = RowSpace(n, f)
-            own_fed = _feed(space, order, base, integer.rank)
-            own_ms = (time.perf_counter() - t2) * 1e3
-            stats = Stats(enum_ms, pieces, "own elimination", own_ms, own_fed, own_fed < len(order))
-        r = space.rank
-        reports.append(WcdimReport(n, f, count, n - r, r, space, base, stats))
+            own_fed = _feed(space, order, base, rank)
+            own_ms = (perf_counter() - t2) * 1e3
+            stats = Stats(
+                enum_ms, pieces, "own elimination", own_ms, own_fed, own_fed < len(order),
+                integer_stats,
+            )
+            r = space.rank
+            reports.append(WcdimReport(n, f, count, n - r, r, space, base, stats))
+            continue
+        reports.append(WcdimReport(n, f, count, n - rank, rank, integer, base, stats))
     return reports
 
 

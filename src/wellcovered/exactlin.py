@@ -49,8 +49,13 @@ Scalar = Union[int, "Fraction"]
 _MAX_PRIME = 2**31
 
 
+@lru_cache(maxsize=64)
 def _is_prime(p: int) -> bool:
-    """Trial division by 2 and every odd q up to isqrt(p); FieldSpec keeps p below 2^31."""
+    """Trial division by 2 and every odd q up to isqrt(p); FieldSpec keeps p below 2^31.
+
+    Kept per p, so each characteristic a process uses is tested once: every
+    `compute` job builds its FieldSpecs again, and p = 10007 costs 50 divisions.
+    """
     if p < 2 or p % 2 == 0:
         return p == 2
     return all(p % q for q in range(3, isqrt(p) + 1, 2))
@@ -178,7 +183,7 @@ class RowSpace:
         self._t = 0
         self._rref_at: tuple[int, tuple] | None = None  # (rank, `_sparse_rref()`)
         if f.characteristic != 2:
-            self._use_width(self._width_for(0))
+            self._use_width(max(n, 1).bit_length() + 1)  # `_width_for(0)`, with t = 0
 
     @property
     def full(self) -> bool:
@@ -461,8 +466,8 @@ class RowSpace:
             s, sc = -s, -sc
         k = self.rank + 1
         hadamard = k <= self._hadamard_rank
-        t = self._t
         if not hadamard:
+            t = self._t
             if k - 1 <= self._hadamard_rank:
                 t = self._t = self._tighten((d - 1).bit_length(), t)
             # every lane of s is in [-2^ts, 2^ts), and s_c < 2^ts is one of them
@@ -477,13 +482,12 @@ class RowSpace:
                 s = self._pack(lanes)
                 b = self._width
             t = max(t, ts)  # what D and the new row need
+            # every rewritten row is OR-ed into acc with each lane lifted by
+            # 2^t, as `_within` tests it; under the Hadamard rank nothing is
+            acc = 0
+            lift = self._ones << t
         cols, mask, half = self._cols, self._mask, self._half
         shift = b * c - 1
-        # every rewritten row is OR-ed into acc with each lane lifted by 2^t,
-        # as `_within` tests it; acc is read only above the Hadamard rank
-        ones = self._ones
-        lift = ones << t
-        acc = 0
         unit = sc == d
         for i, row in cols.items():
             # lane c of row, unsigned, after rounding to a multiple of 2^(B c) absorbs any borrow
@@ -499,13 +503,15 @@ class RowSpace:
             else:
                 row = sc * row // d
             cols[i] = row
-            acc |= row + lift
+            if not hadamard:
+                acc |= row + lift
         cols[c] = s - (sc << (b * c))
         self._piv |= 1 << c
         self.common_pivot = sc
         if hadamard:
             self._t = _HADAMARD[k]
             return
+        ones = self._ones
         if acc & ~((ones << (t + 1)) - ones):  # a rewritten row has outgrown 2^t
             t = bound if self._width_for(bound) <= b else self._tighten(t + 1, bound)
         self._t = t

@@ -1,17 +1,31 @@
-"""Deterministic generators for the named graph families under study.
+"""Deterministic generators for the named graph families under study, and
+the graphs built from other graphs.
 
 Generators accept parameters below the ranges their dimension formulas
 require (a UserWarning is emitted there), so the harness can probe edge
 cases; the closed-form predictors in `formulas` enforce the strict ranges.
+
+The constructions on graphs (`complement`, `disjoint_union`, `blowup`,
+`multi_blowup`, `lex_product`, `disjunctive_product`) and `random_graph`
+serve the verify harness and the tests; no `compute` runs them, so they
+load here, with the families, and not with `import wellcovered`.  A
+construction that adds vertices keeps every old label and appends the new
+ones: `blowup` keeps v and puts its new twins after vertex n - 1, so
+`multi_blowup` labels its result as `blowup` folded over the original
+vertices would.
 """
 
 from __future__ import annotations
 
+import random
 import warnings
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import InputError
-from .graphs import Graph, check_vertex_count, new_graph
+from .graphs import Graph, bits, check_vertex_count, new_graph
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class FamilySpec(NamedTuple):
@@ -123,6 +137,123 @@ def petersen() -> Graph:
     edges.extend((5 + i, 5 + (i + 2) % 5) for i in range(5))
     edges.extend((i, 5 + i) for i in range(5))
     return new_graph(10, edges)
+
+
+def complement(g: Graph) -> Graph:
+    full = (1 << g.n) - 1
+    return Graph.unchecked(g.n, tuple(full ^ mask ^ 1 << v for v, mask in enumerate(g.masks)))
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """Disjoint union; h's vertices are re-indexed by offset |V(g)|."""
+    check_vertex_count(g.n + h.n)
+    return Graph.unchecked(g.n + h.n, g.masks + tuple(mask << g.n for mask in h.masks))
+
+
+def blowup(g: Graph, v: int, t: int) -> Graph:
+    """Replace vertex v by an independent set of t twins sharing v's neighbourhood.
+
+    Every label is kept: v is the first twin, and the t - 1 new ones take
+    n, ..., n + t - 2.  So t = 1 gives g back.
+    """
+    if not 0 <= v < g.n:
+        raise InputError(f"vertex {v} out of range for n = {g.n}")
+    if t < 1:
+        raise InputError(f"blowup size must be positive, got {t}")
+    n = g.n
+    check_vertex_count(n + t - 1)
+    twins = ((1 << (t - 1)) - 1) << n
+    masks = tuple(mask | twins if mask >> v & 1 else mask for mask in g.masks)
+    return Graph.unchecked(n + t - 1, masks + (g.masks[v],) * (t - 1))
+
+
+def multi_blowup(g: Graph, ts: Sequence[int]) -> Graph:
+    """Blow up every original vertex v into ts[v] twins: `blowup` folded over
+    the original vertices in ascending order.  Every blowup only appends, so
+    each original vertex keeps its label, and the new twins of v follow
+    those of every lower vertex.
+
+    Built in one pass rather than by the fold: v's class is v with its new
+    twins, each original mask is the union of its neighbours' classes, and
+    each twin copies its vertex's mask.
+    """
+    n = g.n
+    if len(ts) != n:
+        raise InputError(f"expected {n} blowup sizes, got {len(ts)}")
+    if any(t < 1 for t in ts):
+        raise InputError("blowup sizes must all be positive")
+    check_vertex_count(sum(ts))
+    classes = []
+    start = n  # the label of v's first new twin
+    for v, t in enumerate(ts):
+        classes.append(1 << v | ((1 << (t - 1)) - 1) << start)
+        start += t - 1
+    masks = []
+    for mask in g.masks:
+        out = 0
+        for u in bits(mask):
+            out |= classes[u]
+        masks.append(out)
+    for v, t in enumerate(ts):
+        masks += [masks[v]] * (t - 1)
+    return Graph.unchecked(len(masks), tuple(masks))
+
+
+def lex_product(g: Graph, h: Graph) -> Graph:
+    """Lexicographic product: vertex (u, w) is flattened to u * |V(h)| + w;
+    (u, w) ~ (u', w') iff uu' is an edge of g, or u = u' and ww' is an edge of h."""
+    b = h.n
+    check_vertex_count(g.n * b)
+    block = (1 << b) - 1
+    masks = []
+    for u, mask in enumerate(g.masks):
+        outer = 0
+        for u2 in bits(mask):
+            outer |= block << u2 * b
+        masks += [outer | inner << u * b for inner in h.masks]
+    return Graph.unchecked(g.n * b, tuple(masks))
+
+
+def disjunctive_product(g: Graph, h: Graph) -> Graph:
+    """Disjunctive product, labelled as `lex_product`: (u, w) ~ (u', w') iff uu'
+    is an edge of g or ww' is an edge of h.  So it is lex_product(g, h) with
+    each (u, w) also joined to (u', w') for every u' and every neighbour w' of w."""
+    b = h.n
+    lex = lex_product(g, h)
+    every = sum(1 << u * b for u in range(g.n))  # the lowest vertex of each copy of h
+    masks = tuple(m | h.masks[v % b] * every for v, m in enumerate(lex.masks))
+    return Graph.unchecked(lex.n, masks)
+
+
+def random_graph(n: int, edge_prob: Fraction | float | int, seed: int) -> Graph:
+    """Erdos-Renyi style graph with an exactly rational edge probability.
+
+    The pseudorandom stream is fully determined by the seed, so identical
+    (n, edge_prob, seed) triples always produce identical graphs.
+    """
+    from fractions import Fraction
+
+    p = edge_prob if isinstance(edge_prob, Fraction) else Fraction(edge_prob)
+    num, den = p.numerator, p.denominator
+    if not 0 <= num <= den:
+        raise InputError(f"edge probability must lie in [0, 1], got {p}")
+    if n < 0:
+        raise InputError(f"vertex count must be non-negative, got {n}")
+    check_vertex_count(n)
+    # each pair draws what rng.randrange(den) draws: k-bit words until one
+    # is below den, with k and the bound method looked up once
+    k = den.bit_length()
+    draw = random.Random(seed).getrandbits
+    masks = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            r = draw(k)
+            while r >= den:
+                r = draw(k)
+            if r < num:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+    return Graph.unchecked(n, tuple(masks))
 
 
 class FamilyBuilder(NamedTuple):

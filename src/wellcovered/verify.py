@@ -14,9 +14,9 @@ engine runs without modular decomposition: the blowup, union and lex
 checks replace vertices by graphs, which is what the decomposition relies
 on, so they must not test it against itself.
 Within one `run_suite` call every check shares one memo, keyed by graph:
-(n, masks) for the enumeration and (n, masks, characteristics) for the
-elimination, so each distinct labelled graph is enumerated once and
-eliminated once per field list, however many checks meet it.  Small
+under (n, masks) it keeps the sets and, by characteristics, the reports,
+so each distinct labelled graph is enumerated once and eliminated once per
+field list, however many checks meet it.  Small
 random graphs recur within a section, so do the graphs built from them, a
 blowup by 1 is its base graph again, and with a one-vertex factor both
 kron products are the other factor.  A check called on its own keeps a
@@ -26,6 +26,7 @@ memo for that call only.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from contextvars import ContextVar
 from fractions import Fraction
 from itertools import chain
@@ -35,11 +36,11 @@ from . import families, formulas
 from .engine import WcdimReport, compute_wcdim_sets
 from .errors import CapacityError, InputError
 from .exactlin import FieldSpec
-from .families import FAMILY_BUILDERS, FamilySpec, build_family
-from .graphs import (
-    MAX_VERTICES, Graph, blowup, disjoint_union, disjunctive_product, lex_product, multi_blowup,
-    random_graph,
+from .families import (
+    FAMILY_BUILDERS, FamilySpec, blowup, build_family, disjoint_union, disjunctive_product,
+    lex_product, multi_blowup, random_graph,
 )
+from .graphs import MAX_VERTICES, Graph
 from .mis import mis_masks
 
 # perfbench/trace.py instruments these names here; nothing in this module calls them
@@ -120,24 +121,25 @@ def _computed(
 ) -> list[list[WcdimReport]]:
     """Each graph's reports over fields, in graph order.
 
-    `seen` keeps each graph's sets under (n, masks) and its reports under
-    (n, masks, characteristics).  Every graph is enumerated before any is
-    eliminated, so a CapacityError propagates before anything is
-    eliminated; it is not kept, and the next call enumerates that graph again.
+    `seen` maps each graph's (n, masks) to its sets and a dict of its
+    reports by characteristics, so each key is hashed once per graph.  Every
+    graph is enumerated before any is eliminated, so a CapacityError
+    propagates before anything is eliminated; it is not kept, and the next
+    call enumerates that graph again.
     """
-    chars = tuple([f.characteristic for f in fields])
-    families = []
+    entries = []
     for g in graphs:
         key = (g.n, g.masks)
-        sets = seen.get(key)
-        if sets is None:
-            sets = seen[key] = mis_masks(g)
-        families.append((g.n, sets, key + (chars,)))
+        entry = seen.get(key)
+        if entry is None:
+            entry = seen[key] = (g.n, mis_masks(g), {})
+        entries.append(entry)
+    chars = tuple([f.characteristic for f in fields])
     out = []
-    for n, sets, key in families:
-        reports = seen.get(key)
+    for n, sets, by_chars in entries:
+        reports = by_chars.get(chars)
         if reports is None:
-            reports = seen[key] = compute_wcdim_sets(n, sets, fields)
+            reports = by_chars[chars] = compute_wcdim_sets(n, sets, fields)
         out.append(reports)
     return out
 
@@ -150,9 +152,9 @@ def check_family(spec: FamilySpec, chars: Sequence[FieldSpec]) -> CheckReport:
     """
     if not chars:
         raise InputError("check_family needs at least one characteristic")
-    predict = FAMILIES[spec.kind].predict
-    predicted = tuple(predict(spec.params, f) for f in chars)
-    swept = tuple(f.characteristic for f in chars)
+    predict, params = FAMILIES[spec.kind].predict, spec.params
+    predicted = tuple([predict(params, f) for f in chars])
+    swept = tuple([f.characteristic for f in chars])
     try:
         [reports] = _computed([build_family(spec)], chars, _SEEN.get({}))
     except CapacityError as exc:
@@ -329,9 +331,10 @@ def _family_specs(rng: random.Random, kind: str | None, max_n: int | None) -> It
         if arity == 0:
             yield FamilySpec(k)
         elif arity is None:
+            bits = rng.getrandbits
             for _ in range(20):
-                blocks = rng.randint(1, 5)
-                yield FamilySpec(k, tuple(rng.randint(1, 4) for _ in range(blocks)))
+                blocks = 1 + _below(bits, 5)  # rng.randint(1, 5)
+                yield FamilySpec(k, tuple([1 + _below(bits, 4) for _ in range(blocks)]))
         else:
             lo, hi = family.sizes
             ns = range(lo, (hi if max_n is None else max(lo, max_n)) + 1)
@@ -341,10 +344,32 @@ def _family_specs(rng: random.Random, kind: str | None, max_n: int | None) -> It
                 yield from (FamilySpec(k, (n, r)) for n in ns for r in range(1, n + 1))
 
 
+def _below(bits: Callable[[int], int], k: int) -> int:
+    """What `rng.randrange(k)` draws, given `rng.getrandbits` as bits: k.bit_length()-bit
+    words until one is below k.
+
+    So `rng.choice(seq)` draws seq[_below(bits, len(seq))] and `rng.randint(a, b)`
+    draws a + _below(bits, b - a + 1), with one call less per draw.  An empty range
+    raises ValueError, as `randrange` does.
+    """
+    if k < 1:
+        raise ValueError("empty range for a draw")
+    w = k.bit_length()
+    r = bits(w)
+    while r >= k:
+        r = bits(w)
+    return r
+
+
 def _draw(rng: random.Random, cap: int) -> tuple[Graph, str]:
-    """A G(n, 1/2) with n from DEFAULT_SIZES up to cap, and the descriptor that rebuilds it."""
-    n = rng.choice([s for s in DEFAULT_SIZES if s <= cap])
-    sub = rng.randrange(2**32)
+    """A G(n, 1/2) with n from DEFAULT_SIZES up to cap, and the descriptor that rebuilds it.
+
+    n is what `rng.choice` over those sizes draws: they are a prefix of the
+    ascending DEFAULT_SIZES.  The sub-seed is what `rng.randrange(2**32)` draws.
+    """
+    bits = rng.getrandbits
+    n = DEFAULT_SIZES[_below(bits, bisect_right(DEFAULT_SIZES, cap))]
+    sub = _below(bits, 2**32)
     return random_graph(n, _HALF, sub), _random_descriptor(n, sub)
 
 
@@ -432,6 +457,7 @@ def run_suite(
             if section not in checks or not fs:
                 continue
             rng = random.Random(f"{seed}:{section}")
+            bits = rng.getrandbits  # each draw below is what the rng method in its comment draws
             count = default_trials if trials is None else trials
             if section == "family":
                 kind_fs = {k: _effective(family.chars, chars) for k, family in FAMILIES.items()}
@@ -441,13 +467,13 @@ def run_suite(
             elif section == "blowup":
                 for _ in range(count):
                     g, desc = _draw(rng, 7)
-                    v = rng.randrange(g.n)
-                    t = rng.randint(1, 3)
+                    v = _below(bits, g.n)  # rng.randrange(g.n)
+                    t = 1 + _below(bits, 3)  # rng.randint(1, 3)
                     reports.extend(check_blowup(g, v, t, fs, instance=desc))
             elif section == "multi-blowup":
                 for _ in range(count):
                     g, desc = _draw(rng, 7)
-                    ts = [rng.randint(1, 3) for _ in range(g.n)]
+                    ts = [1 + _below(bits, 3) for _ in range(g.n)]  # rng.randint(1, 3)
                     reports.extend(check_multi_blowup(g, ts, fs, instance=desc))
             elif section == "union":
                 for g, h, desc in _pairs(rng, count, 7):

@@ -768,6 +768,29 @@ class TestStats:
         assert gf3.endswith("rows fed 6, kept 5, vanished 1, stopped at full rank: no")
 
 
+    def test_a_request_reading_nothing_off_the_integer_space_shows_that_pass(self, capsys):
+        # 2 divides 6 - 2, so GF(2) is eliminated on its own, after the pass over Q
+        assert main(["compute", "crown:6", "--char", "2"]) == 0
+        plain = capsys.readouterr()
+        assert main(["compute", "crown:6", "--char", "2", "--stats"]) == 0
+        with_stats = capsys.readouterr()
+        assert with_stats.out == plain.out
+        lines = with_stats.err.splitlines()
+        assert len(lines) == 5
+        assert re.fullmatch(
+            r"stats: Q \(not requested\): integer, elimination \d+\.\d{3} ms, rows fed 7, "
+            r"stopped at full rank: no",
+            lines[2],
+        )
+        assert lines[3].startswith("stats: GF(2): own elimination, elimination ")
+        assert lines[3].endswith("rows fed 7, kept 6, vanished 1, stopped at full rank: no")
+        # with Q, or a field read off the integer space, that pass has its line already
+        for chars in (["--char", "0", "--char", "2"], ["--char", "2", "--char", "3"]):
+            assert main(["compute", "crown:6", *chars, "--stats"]) == 0
+            err = capsys.readouterr().err
+            assert "not requested" not in err and len(err.splitlines()) == 5
+
+
 class TestParserReuse:
     def test_parser_is_built_once(self, capsys, monkeypatch):
         from wellcovered import cli

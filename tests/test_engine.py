@@ -8,6 +8,7 @@ from wellcovered import (
     CapacityError,
     FieldSpec,
     InputError,
+    RowSpace,
     complete,
     compute_wcdim,
     compute_wcdim_fields,
@@ -323,6 +324,66 @@ class TestComputeWcdimSets:
         fields = [FieldSpec(c) for c in (0, 2, 3, 5, 10007)]
         reports = compute_wcdim_sets(g.n, mis_masks(g), fields)
         assert [(r.stats.method, r.stats.rows_fed) for r in reports] == want
+
+    def test_small_families_match_feeding_the_strided_order_row_by_row(self):
+        # a family of at most eight sets is fed in its own order, which is
+        # what the eight strided passes give it; every labelled graph on at
+        # most 5 vertices, its sets repeated up to the 8/9 boundary, and
+        # every prefix of 1..9 sets, against one `RowSpace.add` per row
+        fields = [FieldSpec(c) for c in (0, 2, 3, 5)]
+
+        def fed(space, order, base, most):
+            rows = 0
+            for m in order:
+                if space.rank == most:
+                    break
+                space.add(m & ~base, base & ~m)
+                rows += 1
+            return rows
+
+        def by_hand(n, sets):
+            base = min(sets, key=int.bit_count)
+            order = [m for s in range(8) for m in sets[s::8]]
+            order.remove(base)
+            integer = RowSpace(n, Q)
+            rows = fed(integer, order, base, n)
+            out = []
+            for f in fields:
+                space, own_rows = integer, rows
+                if f.characteristic and not integer.reads_off(f):
+                    space = RowSpace(n, f)
+                    own_rows = fed(space, order, base, integer.rank)
+                out.append((
+                    n - space.rank, space.rank, space.rank + space.independent(base, 0, f),
+                    tuple(space.basis_lines(f)),
+                    own_rows, own_rows < len(order),
+                ))
+            return out
+
+        sizes = Counter()
+        for n in range(6):
+            for g in all_graphs(n):
+                sets = mis_masks(g)
+                repeated = sets * 9
+                families = [sets, repeated[:8], repeated[:9]] + [repeated[:k] for k in range(1, 10)]
+                for family in families:
+                    sizes[len(family)] += 1
+                    got = [
+                        (r.wcdim, r.diff_rank, r.sum_rank, r.basis_lines, r.stats.rows_fed,
+                         r.stats.stopped_at_full_rank)
+                        for r in compute_wcdim_sets(n, family, fields)
+                    ]
+                    assert got == by_hand(n, family), (g, family)
+        assert sorted(sizes) == list(range(1, 10))
+
+    def test_an_own_elimination_names_the_integer_pass_it_waited_for(self):
+        g = crown(6)  # 2 divides 6 - 2, so GF(2) is eliminated on its own
+        [gf2] = compute_wcdim_sets(g.n, mis_masks(g), [FieldSpec(2)])
+        waited = gf2.stats.integer
+        assert gf2.stats.method == "own elimination"
+        assert (waited.method, waited.rows_fed, waited.integer) == ("integer", 7, None)
+        q, gf2, gf3 = compute_wcdim_sets(g.n, mis_masks(g), [Q, FieldSpec(2), FieldSpec(3)])
+        assert gf2.stats.integer is q.stats and q.stats.integer is gf3.stats.integer is None
 
     def test_empty_family_rejected(self):
         with pytest.raises(InputError):

@@ -18,7 +18,8 @@ from wellcovered.batch import (
 from wellcovered.exactlin import _is_prime, _ratio_text
 from wellcovered.formulas import kron_rank_case
 from wellcovered.mis import enumerate_mis
-from wellcovered.graphs import new_graph, random_graph
+from wellcovered.families import random_graph
+from wellcovered.graphs import new_graph
 
 from helpers import all_graphs, ref_nullspace, ref_rank
 
@@ -75,6 +76,16 @@ class TestFieldSpec:
             if sieve[q]:
                 sieve[q * q :: q] = bytearray(len(range(q * q, limit, q)))
         assert [p for p in range(limit) if _is_prime(p)] == [p for p in range(limit) if sieve[p]]
+
+    def test_each_characteristic_is_tested_for_primality_once(self):
+        # every compute job builds its FieldSpecs again; the test is kept per p
+        _is_prime.cache_clear()
+        for _ in range(3):
+            FieldSpec(0), FieldSpec(2), FieldSpec(10007)
+            with pytest.raises(InputError):
+                FieldSpec(10005)
+        info = _is_prime.cache_info()
+        assert (info.misses, info.hits) == (3, 6)
 
     def test_str(self):
         assert str(FieldSpec(0)) == "Q"

@@ -25,8 +25,8 @@ from wellcovered import (
     relabel,
 )
 from wellcovered.cli import parse_graph_file
-from wellcovered.families import FamilySpec
-from wellcovered.graphs import MAX_VERTICES, Graph, disjunctive_product
+from wellcovered.families import FamilySpec, disjunctive_product
+from wellcovered.graphs import MAX_VERTICES, Graph
 
 from helpers import all_graphs, brute_force_mis
 

@@ -6,7 +6,7 @@ import pytest
 
 from wellcovered import kernels
 from wellcovered.families import crown, cycle, petersen
-from wellcovered.graphs import lex_product, random_graph
+from wellcovered.families import lex_product, random_graph
 from wellcovered.mis import enumerate_mis
 
 from helpers import all_graphs, brute_force_mis, ref_maximal_cliques, ref_rank

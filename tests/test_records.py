@@ -249,6 +249,26 @@ def test_a_fresh_import_loads_exactly_what_compute_runs():
     assert not fractions
 
 
+def test_a_fresh_import_loads_no_graph_construction_and_no_random():
+    # the graphs built from graphs, and random_graph with `random`, load with `families`;
+    # the package serves every one it exports, all but disjunctive_product
+    left, random_loaded, served = _fresh(
+        "import json, sys\n"
+        "import wellcovered\n"
+        "from wellcovered import graphs\n"
+        "moved = ('complement', 'disjoint_union', 'blowup', 'multi_blowup', 'lex_product',\n"
+        "         'random_graph', 'disjunctive_product')\n"
+        "left = [name for name in moved if hasattr(graphs, name)]\n"
+        "random_loaded = 'random' in sys.modules\n"
+        "from wellcovered import families\n"
+        "served = [getattr(wellcovered, name) is getattr(families, name) for name in moved[:6]]\n"
+        "print(json.dumps([left, random_loaded, served]))\n",
+        "-S",
+    )
+    assert left == [] and not random_loaded
+    assert served == [True] * 6
+
+
 def test_every_lazy_name_is_one_object(monkeypatch):
     from importlib import import_module
 

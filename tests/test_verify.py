@@ -457,6 +457,72 @@ class TestOneRunComputesEachGraphOnce:
         assert len(calls) == 3
 
 
+    def test_the_memo_keeps_each_graphs_sets_once_and_its_reports_per_field_list(
+        self, monkeypatch
+    ):
+        from wellcovered import verify
+
+        enumerated, eliminated = [], []
+        real_masks, real_sets = verify.mis_masks, verify.compute_wcdim_sets
+        monkeypatch.setattr(
+            verify, "mis_masks", lambda g: enumerated.append(g) or real_masks(g)
+        )
+        monkeypatch.setattr(
+            verify,
+            "compute_wcdim_sets",
+            lambda n, sets, fs: eliminated.append((n, tuple(f.characteristic for f in fs)))
+            or real_sets(n, sets, fs),
+        )
+        seen = {}
+        graphs = [cycle(5), crown(3), cycle(5)]
+        first = verify._computed(graphs, fields(0, 2), seen)
+        again = verify._computed(graphs, fields(0, 2), seen)
+        other = verify._computed(graphs, fields(0, 3), seen)
+        # two distinct graphs: each enumerated once, and eliminated once per field list
+        assert enumerated == [cycle(5), crown(3)]
+        assert eliminated == [(5, (0, 2)), (6, (0, 2)), (5, (0, 3)), (6, (0, 3))]
+        assert first[0] is first[2] is again[0] and first[1] is again[1]
+        assert [r.field.characteristic for r in other[0]] == [0, 3]
+        assert [[r.wcdim for r in rs] for rs in first] == [[1, 1], [2, 2], [1, 1]]
+
+
+class TestDraws:
+    def test_below_draws_what_randrange_randint_and_choice_draw(self):
+        from wellcovered.verify import _below
+
+        bounds = (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 100, 2**31, 2**32, 2**32 + 1)
+        for seed in range(200):
+            methods, helper = random.Random(seed), random.Random(seed)
+            bits = helper.getrandbits
+            for k in bounds:
+                assert _below(bits, k) == methods.randrange(k), (seed, k)
+                assert 1 + _below(bits, k) == methods.randint(1, k), (seed, k)
+                if k <= 100:
+                    seq = tuple(range(10, 10 + k))
+                    assert seq[_below(bits, len(seq))] == methods.choice(seq), (seed, k)
+            # the streams are in step after every draw
+            assert helper.getstate() == methods.getstate()
+
+    def test_below_refuses_an_empty_range(self):
+        from wellcovered.verify import _below
+
+        with pytest.raises(ValueError):
+            _below(random.Random(0).getrandbits, 0)
+
+    def test_a_drawn_graph_is_what_choice_and_randrange_give(self):
+        from wellcovered.verify import DEFAULT_SIZES, _draw
+
+        for seed in range(100):
+            for cap in range(1, 10):
+                methods, helper = random.Random(f"{seed}:{cap}"), random.Random(f"{seed}:{cap}")
+                n = methods.choice([s for s in DEFAULT_SIZES if s <= cap])
+                sub = methods.randrange(2**32)
+                g, desc = _draw(helper, cap)
+                assert g == random_graph(n, 0.5, sub)
+                assert desc == f"random(n={n},p=1/2,seed={sub})"
+                assert helper.getstate() == methods.getstate()
+
+
 class TestRunSuite:
     def test_deterministic(self):
         assert run_suite(seed=3, trials=4) == run_suite(seed=3, trials=4)
