@@ -16,11 +16,10 @@ on, so they must not test it against itself.
 Within one `run_suite` call every check shares one memo, keyed by graph:
 under (n, masks) it keeps the sets and, by characteristics, the reports,
 so each distinct labelled graph is enumerated once and eliminated once per
-field list, however many checks meet it.  Small
-random graphs recur within a section, so do the graphs built from them, a
-blowup by 1 is its base graph again, and with a one-vertex factor both
-kron products are the other factor.  A check called on its own keeps a
-memo for that call only.
+field list, however many checks meet it.  Small random graphs recur within
+a section, so do the graphs built from them, a blowup by 1 is its base
+graph again, and with a one-vertex factor both kron products are the other
+factor.  A check called on its own keeps a memo for that call only.
 """
 
 from __future__ import annotations
@@ -334,6 +333,7 @@ def _family_specs(rng: random.Random, kind: str | None, max_n: int | None) -> It
             bits = rng.getrandbits
             for _ in range(20):
                 blocks = 1 + _below(bits, 5)  # rng.randint(1, 5)
+                # each block size is rng.randint(1, 4)
                 yield FamilySpec(k, tuple([1 + _below(bits, 4) for _ in range(blocks)]))
         else:
             lo, hi = family.sizes
@@ -349,8 +349,8 @@ def _below(bits: Callable[[int], int], k: int) -> int:
     words until one is below k.
 
     So `rng.choice(seq)` draws seq[_below(bits, len(seq))] and `rng.randint(a, b)`
-    draws a + _below(bits, b - a + 1), with one call less per draw.  An empty range
-    raises ValueError, as `randrange` does.
+    draws a + _below(bits, b - a + 1), without the Python frames of those methods.
+    An empty range raises ValueError, as `randrange` does.
     """
     if k < 1:
         raise ValueError("empty range for a draw")
