@@ -183,7 +183,7 @@ class RowSpace:
         self._t = 0
         self._rref_at: tuple[int, tuple] | None = None  # (rank, `_sparse_rref()`)
         if f.characteristic != 2:
-            self._use_width(max(n, 1).bit_length() + 1)  # `_width_for(0)`, with t = 0
+            self._use_width(self._width_for(0))
 
     @property
     def full(self) -> bool:
