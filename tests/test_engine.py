@@ -356,7 +356,7 @@ class TestComputeWcdimSets:
                 out.append((
                     n - space.rank, space.rank, space.rank + space.independent(base, 0, f),
                     tuple(space.basis_lines(f)),
-                    own_rows, own_rows < len(order),
+                    own_rows, own_rows < len(order), space.field, space.common_pivot,
                 ))
             return out
 
@@ -368,9 +368,10 @@ class TestComputeWcdimSets:
                 families = [sets, repeated[:8], repeated[:9]] + [repeated[:k] for k in range(1, 10)]
                 for family in families:
                     sizes[len(family)] += 1
+                    # the space each field is read from, and its D, depend on the order too
                     got = [
                         (r.wcdim, r.diff_rank, r.sum_rank, r.basis_lines, r.stats.rows_fed,
-                         r.stats.stopped_at_full_rank)
+                         r.stats.stopped_at_full_rank, r.space.field, r.space.common_pivot)
                         for r in compute_wcdim_sets(n, family, fields)
                     ]
                     assert got == by_hand(n, family), (g, family)
