@@ -1,4 +1,4 @@
-"""Immutable simple undirected graphs, with the checks and the relabelling every builder shares.
+"""Immutable simple undirected graphs: the `Graph` record, its checks, `new_graph` and `relabel`.
 
 Vertices are always labelled 0..n-1.  Adjacency is stored as one bitmask
 per vertex: bit u of `masks[v]` is set exactly when u and v are adjacent.
