@@ -15,8 +15,8 @@ itself: the family builders and graph constructions of `families`
 (`crown`, `build_family`, `blowup`, `random_graph`, ...), and the harness
 (`verify`, with the closed forms of `formulas`) for `run_suite` and
 `CheckReport`.  The batch routines of `batch`, which
-nothing in the package calls, load the same way from `exactlin`, `engine`
-and `kernels`; `fractions` loads where a `Fraction` is first built.
+nothing in the package calls, load the same way from `engine` and
+`kernels`; `fractions` loads where a `Fraction` is first built.
 """
 
 from .engine import (

@@ -2,8 +2,8 @@
 
 Nothing in the package calls these, and `wellcovered` exports none of them;
 they remain only as targets of the benchmark's tracer, which looks them up
-where they used to live.  So `exactlin`, `engine` and `kernels` each
-resolve their old names here on first access, through a module
+where they used to live.  So `engine` and `kernels`, the modules it looks
+them up on, resolve those names here on first access, through a module
 `__getattr__`, and `verify` imports the ones it carries for the tracer from
 here.  Importing the package does not load this module.
 

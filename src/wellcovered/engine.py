@@ -204,18 +204,18 @@ def _eliminate(
 ) -> list[WcdimReport]:
     """The reports of a valid family of sets over a nonempty field list.
 
-    One integer row space serves Q and every GF(p) with p not dividing its
-    common pivot D; only a field with p | D is eliminated on its own, over
-    the same rows, until it reaches the rank over Q.  The baseline M_0 is
-    the first set of fewest vertices, the report's `base`: each row costs
-    one addition per nonzero of M_i - M_0, so on crown(k) a pair
-    {i, k + i} leaves most rows 4 nonzeros where a k-vertex side leaves
-    k.  The rank, basis and sum rank are the same for any baseline;
-    only D, and with it which fields need their own elimination, may
-    differ.  The rows are fed in eight strided passes over the family,
-    without the baseline.  (enum_ms, count, pieces) are the milliseconds,
-    exact set count and pieces of the enumeration that found the sets, as
-    the reports carry them.
+    One integer row space serves Q and every GF(p) it `RowSpace.reads_off`,
+    those with p not dividing its common pivot D; only a field with p | D
+    is eliminated on its own, over the same rows, until it reaches the rank
+    over Q.  The baseline M_0 is the first set of fewest vertices, the
+    report's `base`: each row costs one addition per nonzero of M_i - M_0,
+    so on crown(k) a pair {i, k + i} leaves most rows 4 nonzeros where a
+    k-vertex side leaves k.  The rank, basis and sum rank are the same for
+    any baseline; only D, and with it which fields need their own
+    elimination, may differ.  The rows are fed in eight strided passes over
+    the family, without the baseline.  (enum_ms, count, pieces) are the
+    milliseconds, exact set count and pieces of the enumeration that found
+    the sets, as the reports carry them.
     """
     base = min(sets, key=int.bit_count)  # the first set of fewest vertices
     # depth-first discovery order clusters similar sets; eight interleaved
@@ -235,7 +235,7 @@ def _eliminate(
     integer = RowSpace(n, _Q)
     fed = _feed(integer, order, base, n)
     integer_ms = (perf_counter() - t1) * 1e3
-    d, rank = integer.common_pivot, integer.rank
+    rank = integer.rank
     stopped = fed < len(order)
     # the fields served by the integer space share its Stats, one per method,
     # and every own elimination names the integer pass it waited for
@@ -246,7 +246,7 @@ def _eliminate(
         p = f.characteristic
         if not p:
             stats = integer_stats
-        elif d % p:  # p ∤ D: f `RowSpace.reads_off` the integer space
+        elif integer.reads_off(f):  # p ∤ D
             if read_stats is None:
                 read_stats = Stats(enum_ms, pieces, "read off (p ∤ D)", integer_ms, fed, stopped)
             stats = read_stats

@@ -21,8 +21,7 @@ lines never go through scalar vectors, and each distinct entry is
 formatted once, over Q straight from its integers (see `_ratio_text`), so
 `fractions` is imported only where a `Fraction` is built.
 
-The batch routines on a whole `ExactMatrix` live in `batch`, which this
-module's `__getattr__` reads them from on first access (see `_BATCH`).
+The batch routines on a whole `ExactMatrix` live in `batch`.
 
 Prime-power fields are deliberately not implemented: for integer matrices
 (every system built here is one), row reduction never leaves the prime
@@ -214,8 +213,8 @@ class RowSpace:
             s = self._residual(plus, minus)
             if not s:
                 return False
-            if p:  # the pivot is the lowest lane that is nonzero mod p
-                c = next((j for j, x in enumerate(self._unpack(s)) if x % p), -1)
+            if p:
+                c = self._lowest_lane(s, p)
                 if c < 0:
                     return False
             else:  # the lowest nonzero lane
@@ -233,13 +232,11 @@ class RowSpace:
         """
         if (plus | minus) >> self.n:
             raise InputError(_bad_row(plus, minus, self.n))
-        if f is None:
-            f = self.field
-        elif f != self.field and not self.reads_off(f):
-            raise ValueError(f"{f} cannot be read off this {self.field} row space")
+        p = self._served(f)
         if self.field.characteristic == 2:
             return bool(self._reduce_bits(plus ^ minus))
-        return self._nonzero(self._residual(plus, minus), f.characteristic)
+        s = self._residual(plus, minus)
+        return bool(s) and (not p or self._lowest_lane(s, p) >= 0)
 
     def rows(self) -> list[list[int]]:
         """The echelon rows in pivot-column order.
@@ -295,11 +292,7 @@ class RowSpace:
         column; the rows' nonzero entries are then filled in, each distinct
         one made once, as a scalar or as its string.
         """
-        if f is None:
-            f = self.field
-        elif f != self.field and not self.reads_off(f):
-            raise ValueError(f"{f} cannot be read off this {self.field} row space")
-        n, p = self.n, f.characteristic
+        n, p = self.n, self._served(f)
         d, piv, rows = self._sparse_rref()
         # the entry for lane value x is -x/D, so 0 gives zero and -D gives one
         if p:
@@ -366,6 +359,19 @@ class RowSpace:
         self._rref_at = (self.rank, (d, piv, rows))
         return d, piv, rows
 
+    def _served(self, f: FieldSpec | None) -> int:
+        """The characteristic a read over f (default: the space's own field) is made in.
+
+        Raises ValueError unless f shares the space's characteristic or `reads_off` serves it.
+        """
+        own = self.field.characteristic
+        if f is None:
+            return own
+        p = f.characteristic
+        if p != own and not self.reads_off(f):
+            raise ValueError(f"{f} cannot be read off this {self.field} row space")
+        return p
+
     def _reduce_bits(self, x: int) -> int:
         """The GF(2) row x reduced until its lowest bit has no basis row (0 if it vanishes)."""
         xor = self._xor
@@ -430,9 +436,9 @@ class RowSpace:
             mask ^= low
         return s
 
-    def _nonzero(self, s: int, p: int) -> bool:
-        """True iff the residual s is nonzero over GF(p), or over Q when p = 0."""
-        return bool(s) and (not p or any(x % p for x in self._unpack(s)))
+    def _lowest_lane(self, s: int, p: int) -> int:
+        """The lowest lane of the packed row s that is nonzero mod p, or -1 if none is."""
+        return next((j for j, x in enumerate(self._unpack(s)) if x % p), -1)
 
     def _keep(self, s: int, c: int) -> None:
         """Store the residual s, nonzero over the space's field, with pivot column c.
@@ -589,19 +595,3 @@ class RowSpace:
             z ^= 1 << k
         return out
 
-
-# the batch names that moved to `batch`, still resolved here for whoever imports them from here
-_BATCH = (
-    "ExactMatrix", "_signed_rows", "_row_space", "rank", "nullspace_basis", "kronecker",
-    "reduce_first_row", "move_dependent_row_first",
-)
-
-
-def __getattr__(name: str) -> object:
-    """A name of `_BATCH`, read off `batch` on first access and kept here."""
-    if name not in _BATCH:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import batch
-
-    value = globals()[name] = getattr(batch, name)
-    return value

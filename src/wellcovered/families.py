@@ -229,14 +229,17 @@ def random_graph(n: int, edge_prob: Fraction | float | int, seed: int) -> Graph:
     """Erdos-Renyi style graph with an exactly rational edge probability.
 
     The pseudorandom stream is fully determined by the seed, so identical
-    (n, edge_prob, seed) triples always produce identical graphs.
+    (n, edge_prob, seed) triples always produce identical graphs.  edge_prob
+    is read exactly, in lowest terms, by its `as_integer_ratio`, which an
+    int, float, Fraction or Decimal has; any other value raises InputError.
     """
-    from fractions import Fraction
-
-    p = edge_prob if isinstance(edge_prob, Fraction) else Fraction(edge_prob)
-    num, den = p.numerator, p.denominator
+    try:
+        num, den = edge_prob.as_integer_ratio()
+    except AttributeError:
+        raise InputError(f"edge probability must be a number, got {edge_prob!r}") from None
     if not 0 <= num <= den:
-        raise InputError(f"edge probability must lie in [0, 1], got {p}")
+        got = num if den == 1 else f"{num}/{den}"
+        raise InputError(f"edge probability must lie in [0, 1], got {got}")
     if n < 0:
         raise InputError(f"vertex count must be non-negative, got {n}")
     check_vertex_count(n)

@@ -504,7 +504,7 @@ class TestComputeCommand:
     def test_no_batch_elimination_runs(self, spec, tmp_path, capsys, monkeypatch):
         # every field is read off a row space; crown:6 has 2 | D, so GF(2)
         # runs its own elimination
-        from wellcovered import exactlin, kernels
+        from wellcovered import batch, kernels
 
         if spec == "triangles":
             edges = [(3 * t + a, 3 * t + b) for t in range(6) for a, b in ((0, 1), (0, 2), (1, 2))]
@@ -519,7 +519,7 @@ class TestComputeCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("a batch elimination ran")
 
-        monkeypatch.setattr(exactlin.ExactMatrix, "__init__", refuse)
+        monkeypatch.setattr(batch.ExactMatrix, "__init__", refuse)
         monkeypatch.setattr(kernels, "gf_rank", refuse)
         assert main(argv) == 0
         assert capsys.readouterr().out == want

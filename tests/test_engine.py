@@ -124,6 +124,28 @@ class TestComputeWcdim:
         assert compute_wcdim(crown(4), FieldSpec(2)).wcdim == 4
         assert compute_wcdim(crown(4), Q).wcdim == 3
 
+    def test_reports_read_their_field_by_characteristic(self, monkeypatch):
+        # every plan: the integer space and an odd own elimination (3 | D) on
+        # crown:5; the integer space, GF(2)'s own XOR basis and a read-off
+        # (3 ∤ D) on crown:6.  No read compares two FieldSpecs.
+        cases = [(crown(5), (0, 3)), (crown(6), (0, 2, 3))]
+
+        def reads(g, chars):
+            reports = compute_wcdim_fields(g, [FieldSpec(p) for p in chars])
+            return [(r.stats.method, r.sum_rank, r.basis, r.basis_lines) for r in reports]
+
+        want = [reads(g, chars) for g, chars in cases]
+        assert [[method for method, *_ in case] for case in want] == [
+            ["integer", "own elimination"],
+            ["integer", "own elimination", "read off (p ∤ D)"],
+        ]
+
+        def refuse(self, other):
+            raise AssertionError("two FieldSpecs were compared")
+
+        monkeypatch.setattr(FieldSpec, "__eq__", refuse)
+        assert [reads(g, chars) for g, chars in cases] == want
+
     def test_cycles(self):
         assert compute_wcdim(cycle(4), Q).wcdim == 3
         assert compute_wcdim(cycle(6), Q).wcdim == 2
@@ -415,6 +437,12 @@ class TestComputeWcdimSets:
 
         monkeypatch.setattr(engine, "RowSpace", lambda *a: pytest.fail("built a row space"))
         assert compute_wcdim_sets(3, [1, 2], []) == []
+
+    def test_empty_field_list_enumerates_nothing(self, monkeypatch):
+        from wellcovered import engine
+
+        monkeypatch.setattr(engine, "mis_family", lambda g: pytest.fail("enumerated"))
+        assert compute_wcdim_fields(cycle(5), []) == []
 
 
 class TestWeightingPredicate:

@@ -54,6 +54,8 @@ class TestNewGraph:
     def test_out_of_range(self):
         with pytest.raises(InputError):
             new_graph(4, [(0, 4)])
+        with pytest.raises(InputError):
+            new_graph(-1, [])
 
     def test_self_loop(self):
         with pytest.raises(InputError):
@@ -232,8 +234,23 @@ class TestRandomGraph:
         assert random_graph(6, 0.5, 42) == random_graph(6, 0.5, 42)
 
     def test_bad_probability(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"must lie in \[0, 1\], got 2$"):
             random_graph(3, 2, 1)
+        with pytest.raises(InputError, match=r"must lie in \[0, 1\], got 3/2$"):
+            random_graph(3, Fraction(3, 2), 1)
+        # a probability is read by its as_integer_ratio, which a str does not have
+        with pytest.raises(InputError, match="must be a number, got '1/2'"):
+            random_graph(3, "1/2", 1)
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(InputError):
+            random_graph(-1, 0.5, 0)
+
+    def test_every_spelling_of_a_ratio_draws_the_same_graph(self):
+        # as_integer_ratio gives the exact ratio Fraction(edge_prob) gives
+        for a, b in ((0.5, Fraction(1, 2)), (0.3, Fraction(0.3)), (1, Fraction(1))):
+            for seed in range(5):
+                assert random_graph(9, a, seed).masks == random_graph(9, b, seed).masks, (a, seed)
 
 
 def test_relabel_rejects_non_permutation():

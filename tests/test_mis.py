@@ -102,6 +102,7 @@ class TestPredicates:
         assert is_maximal_independent(p3, [1])
         assert not is_maximal_independent(p3, [0])  # vertex 2 can still be added
         assert is_maximal_independent(crown(3), [0, 1, 2])
+        assert not is_maximal_independent(p3, [0, 1, 2])  # not independent: 0 ~ 1
 
     def test_well_covered(self):
         assert is_well_covered(cycle(7))

@@ -162,6 +162,19 @@ class TestFibreDimension:
                 )
                 assert got == truth, (g.edges(), h.edges(), char)
 
+    @pytest.mark.parametrize("char", [0, 2, 3])
+    def test_fibre_sums_forced_to_zero_match_the_engine(self, char):
+        # h's sets have sum rank b - m, so the fibre-sum functional is not onto
+        # and the value is a * m: no factor on at most 3 vertices reaches this
+        f = FieldSpec(char)
+        for h in (cycle(8), cycle(9), cycle(10), gear(4)):
+            rh = compute_wcdim(h, f)
+            assert rh.sum_rank == h.n - rh.wcdim, (h.n, char)
+            for g in (complete(2), path(3), empty_graph(2), cycle(4), path(4)):
+                truth = compute_wcdim(lex_product(g, h), f).wcdim
+                got = _lex_fibre_dimension(g.n, compute_wcdim(g, f).wcdim, rh.wcdim, h.n, rh.sum_rank)
+                assert got == truth, (g.edges(), h.n, char)
+
 
 def reduced(rows):
     """The first-row reduction: every later row minus the first."""
@@ -679,14 +692,14 @@ class TestRunSuite:
 
     def test_no_batch_elimination_runs(self, monkeypatch):
         # every check reads its ranks off the engine's row spaces
-        from wellcovered import exactlin, kernels
+        from wellcovered import batch, kernels
 
         want = run_suite(seed=1)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a batch elimination ran")
 
-        monkeypatch.setattr(exactlin.ExactMatrix, "__init__", refuse)
+        monkeypatch.setattr(batch.ExactMatrix, "__init__", refuse)
         monkeypatch.setattr(kernels, "gf_rank", refuse)
         assert run_suite(seed=1) == want
 
