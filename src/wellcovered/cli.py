@@ -15,9 +15,11 @@ Exit codes: 0 success, 1 verification failure, 2 input error (including a
 path that names no regular file, and a file the OS will not open or read or
 that is not UTF-8), 3 capacity (including too many vertices).
 
-Positionals and options may come in any order.  A plain command line is
-read straight off the command parser's actions; any other spelling goes
-through argparse's intermixed parse, with its messages and exit codes.
+Positionals and options may come in any order.  The command line is
+stated once, in `_COMMANDS`: argparse's parser is built from it, and a
+plain command line is read straight off it, with no parser built; any
+other spelling goes through argparse's intermixed parse, with its messages
+and exit codes.
 
 Importing this module loads only the engine: the verify harness loads when
 the `verify` command runs (`run_suite` here is the call it goes through),
@@ -582,53 +584,79 @@ def cmd_families(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Word(NamedTuple):
+    """A positional, of kind "word" or, if it may be left out, "word?"; or an
+    option, of kind "flag", "int" or "ints" (repeatable, each value appended).
+    It sets the attribute `dest`, which is `default` when it is not given."""
+
+    dest: str
+    kind: str
+    help: str | None = None
+    default: bool | int | None = None
+    choices: tuple[str, ...] | None = None
+
+
+# what `add_argument` makes of each kind of word
+_ARGPARSE_KIND = {
+    "word": {},
+    "word?": {"nargs": "?"},
+    "flag": {"action": "store_true"},
+    "int": {"type": int},
+    "ints": {"type": int, "action": "append"},
+}
+
+# The command line, stated once: each command's help, the function it runs,
+# its positionals in order and its options by option string.  `build_parser`
+# makes argparse's parser of it, and `_read_plain` reads a plain line off it.
+_COMMANDS = {
+    "compute": ("compute the dimension of one graph", cmd_compute, (
+        _Word("input", "word", "family spec (e.g. crown:5) or edge-list file"),
+    ), {
+        "--char": _Word("char", "ints", "field characteristic, repeatable (default: 0)"),
+        "--basis": _Word("basis", "flag", "print the space basis", False),
+        "--verbose": _Word("verbose", "flag", "include system ranks", False),
+        "--machine": _Word("machine", "flag", "machine-readable output", False),
+        "--stats": _Word("stats", "flag", "print per-stage times and row counts on stderr", False),
+    }),
+    "verify": ("run formula-vs-engine checks", cmd_verify, (
+        _Word("selector", "word", choices=("all", *_SECTION_ARGS)),
+        _Word("kind", "word?", "family kind (restricts the family section)"),
+    ), {
+        "--seed": _Word("seed", "int", default=1),
+        "--max-n": _Word("max_n", "int", "family sweep upper bound"),
+        "--trials": _Word(
+            "trials", "int",
+            "random trials in every section that draws them (default: each section's own)",
+        ),
+        "--char": _Word("char", "ints", "restrict characteristics"),
+        "--machine": _Word("machine", "flag", "machine-readable output", False),
+    }),
+    "families": ("list the graph family generators", cmd_families, (), {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """argparse's parser of `_COMMANDS`, which reads every spelling `_read_plain` does not."""
     parser = argparse.ArgumentParser(
         prog="wellcovered",
         description="Exact well-covered dimension of graphs over Q and GF(p).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_compute = sub.add_parser("compute", help="compute the dimension of one graph")
-    p_compute.add_argument("input", help="family spec (e.g. crown:5) or edge-list file")
-    p_compute.add_argument(
-        "--char", type=int, action="append",
-        help="field characteristic, repeatable (default: 0)",
-    )
-    p_compute.add_argument("--basis", action="store_true", help="print the space basis")
-    p_compute.add_argument("--verbose", action="store_true", help="include system ranks")
-    p_compute.add_argument("--machine", action="store_true", help="machine-readable output")
-    p_compute.add_argument(
-        "--stats", action="store_true",
-        help="print per-stage times and row counts on stderr",
-    )
-    p_compute.set_defaults(func=cmd_compute)
-
-    p_verify = sub.add_parser("verify", help="run formula-vs-engine checks")
-    p_verify.add_argument(
-        "selector",
-        choices=["all", *_SECTION_ARGS],
-    )
-    p_verify.add_argument("kind", nargs="?", help="family kind (restricts the family section)")
-    p_verify.add_argument("--seed", type=int, default=1)
-    p_verify.add_argument("--max-n", type=int, default=None, help="family sweep upper bound")
-    p_verify.add_argument(
-        "--trials", type=int, default=None,
-        help="random trials in every section that draws them (default: each section's own)",
-    )
-    p_verify.add_argument("--char", type=int, action="append", help="restrict characteristics")
-    p_verify.add_argument("--machine", action="store_true", help="machine-readable output")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_fam = sub.add_parser("families", help="list the graph family generators")
-    p_fam.set_defaults(func=cmd_families)
-
+    for name, (about, run, positionals, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=about)
+        for w in positionals:
+            command.add_argument(w.dest, **_ARGPARSE_KIND[w.kind], help=w.help, choices=w.choices)
+        for option, w in options.items():
+            command.add_argument(
+                option, **_ARGPARSE_KIND[w.kind], dest=w.dest, help=w.help, default=w.default
+            )
+        command.set_defaults(func=run)
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first `main` call and reused by every later one."""
+    """The parser, built on the first line `_read_plain` does not read and reused after."""
     return build_parser()
 
 
@@ -639,109 +667,74 @@ def _command_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.Argu
     return commands.choices
 
 
-@functools.cache
-def _plain_form(command: argparse.ArgumentParser) -> tuple[dict, dict, list, int] | None:
-    """(start, options, positionals, required) for `command`'s plain command lines,
-    read off its actions; None if it has an action they do not cover.
-
-    `start` is the namespace argparse starts from: each action's default,
-    then `set_defaults`.  `options` maps each option string of a flag (a
-    `store_const`, so a `store_true`) or of a one-value `store` or `append`
-    to its action; the help action is left out, so `-h` is never plain.
-    `positionals` are those that take one word (the first `required` of
-    them) or, after those, at most one.  `build_parser` uses no other
-    argparse feature (a required option, a string default, an exclusive
-    group); the seeded comparison with argparse in the tests fails if it
-    comes to.
-    """
-    start, options, positionals = {}, {}, []
-    for a in command._actions:
-        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
-            start.setdefault(a.dest, a.default)
-        if isinstance(a, argparse._HelpAction):
-            continue
-        if not a.option_strings:
-            # a one-word positional after an optional one would take the word before it
-            if a.nargs not in (None, "?") or a.nargs is None and positionals and positionals[-1].nargs:
-                return None
-            positionals.append(a)
-        elif isinstance(a, argparse._StoreConstAction) or (
-            isinstance(a, (argparse._StoreAction, argparse._AppendAction)) and a.nargs is None
-        ):
-            options.update(dict.fromkeys(a.option_strings, a))
-        else:
-            return None
-    for dest, value in command._defaults.items():
-        start.setdefault(dest, value)
-    return start, options, positionals, sum(p.nargs is None for p in positionals)
-
-
-def _read_plain(
-    command: argparse.ArgumentParser, name: str, words: Sequence[str]
-) -> argparse.Namespace | None:
-    """What `command.parse_known_intermixed_args(words, Namespace(command=name))`
+def _read_plain(name: str, words: Sequence[str]) -> argparse.Namespace | None:
+    """What command `name`'s `parse_known_intermixed_args(words, Namespace(command=name))`
     returns with no word left over, for a plain command line; None for any other.
 
     A plain line is positionals, each filling the next, and exact option
-    strings, in any order; a value option's is followed by a word that does
-    not start with "-".  Each word goes through the parser's own
-    `_get_value` and `_check_value`, and its action sets it, as in argparse.
+    strings, in any order; an "int" or "ints" option's is followed by a word
+    that does not start with "-" and that `int` reads.  The seeded comparison
+    with argparse in the tests holds the two readings together.
     """
-    form = _plain_form(command)
-    if form is None:
-        return None
-    start, options, positionals, required = form
-    args = argparse.Namespace(**start, command=name)
+    _, run, positionals, options = _COMMANDS[name]
+    args = {w.dest: w.default for w in (*positionals, *options.values())}
     filled = 0
     words = iter(words)
     for word in words:
-        option = None
         if word[:1] != "-":
             if filled == len(positionals):
                 return None  # one positional too many
-            action = positionals[filled]
+            w = positionals[filled]
             filled += 1
-        else:
-            action, option = options.get(word), word
-            if action is None:
-                return None  # an abbreviation, `--opt=value`, `--`, `-h`, a negative number
-            if action.nargs == 0:
-                action(command, args, None, word)
-                continue
-            word = next(words, "-")  # no value reads as an option word
-            if word[:1] == "-":
+            if w.choices is not None and word not in w.choices:
                 return None
-        try:
-            value = command._get_value(action, word)
-            if action.choices is not None:
-                command._check_value(action, value)
-        except argparse.ArgumentError:
+            args[w.dest] = word
+            continue
+        w = options.get(word)
+        if w is None:
+            return None  # an abbreviation, `--opt=value`, `--`, `-h`, a negative number
+        if w.kind == "flag":
+            args[w.dest] = True
+            continue
+        word = next(words, "-")  # no value reads as an option word
+        if word[:1] == "-":
             return None
-        action(command, args, value, option)
-    return args if filled >= required else None
+        try:
+            value = int(word)
+        except ValueError:
+            return None
+        # an append starts a new list, so the default is never changed
+        args[w.dest] = value if w.kind == "int" else [*(args[w.dest] or ()), value]
+    if filled < len(positionals) and positionals[filled].kind == "word":
+        return None  # a required positional is missing
+    namespace = argparse.Namespace(command=name, func=run)
+    vars(namespace).update(args)
+    return namespace
 
 
 def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
     """The namespace of argv, with a command's positionals and options in any order.
 
-    A command word hands the rest to that command's own parser: a plain line
-    is read straight off its actions (`_read_plain`), any other goes through
-    its `parse_known_intermixed_args`, with argparse's messages and exit
-    codes, and words it leaves over get the full parser's error.  The full
-    parser runs only for a missing or unknown command and top-level options.
+    A command word hands the rest to that command: a plain line is read off
+    `_COMMANDS` (`_read_plain`) and builds no parser; any other goes through
+    the command's own `parse_known_intermixed_args`, with argparse's
+    messages and exit codes, and words it leaves over get the full parser's
+    error.  The full parser runs only for a missing or unknown command and
+    top-level options.
     """
     words = sys.argv[1:] if argv is None else list(argv)
+    name = words[0] if words and words[0] in _COMMANDS else None
+    args = _read_plain(name, words[1:]) if name else None
+    if args is not None:
+        return args
     parser = _parser()
-    command = _command_parsers(parser).get(words[0]) if words else None
-    if command is None:
+    if name is None:
         return parser.parse_args(words)
-    args = _read_plain(command, words[0], words[1:])
-    if args is None:
-        args, extras = command.parse_known_intermixed_args(
-            words[1:], argparse.Namespace(command=words[0])
-        )
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args, extras = _command_parsers(parser)[name].parse_known_intermixed_args(
+        words[1:], argparse.Namespace(command=name)
+    )
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
 
 

@@ -799,7 +799,6 @@ class TestParserReuse:
         real = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
         cli._parser.cache_clear()
-        cli._plain_form.cache_clear()
         try:
             # `--char=0` is not plain, so each call also runs the command's parser
             for _ in range(3):
@@ -807,8 +806,24 @@ class TestParserReuse:
             assert main(["compute", "complete:3", "--char", "0"]) == 0
         finally:
             cli._parser.cache_clear()
-            cli._plain_form.cache_clear()
         assert built == [1]
+
+    def test_a_plain_line_builds_no_parser(self, capsys, monkeypatch, tmp_path):
+        from wellcovered import cli
+
+        def refused():
+            raise AssertionError("a plain command line built the parser")
+
+        path = tmp_path / "g.txt"
+        path.write_text("3 2\n0 1\n1 2\n")
+        monkeypatch.setattr(cli, "build_parser", refused)
+        cli._parser.cache_clear()
+        try:
+            assert main(["compute", str(path), *"--char 0 --char 2 --char 10007 --machine --basis".split()]) == 0
+            assert main(["verify", "union", "--seed", "7", "--machine"]) == 0
+            assert main(["families"]) == 0
+        finally:
+            cli._parser.cache_clear()
 
     def test_consecutive_calls_share_no_state(self, capsys):
         assert main(["compute", "crown:4", "--char", "0", "--char", "2", "--verbose"]) == 0
@@ -1029,7 +1044,7 @@ class TestPlainReader:
         read = 0
         for _ in range(2000):
             words = _draw_words(rng, command)
-            got = cli._read_plain(command, name, words)
+            got = cli._read_plain(name, words)
             if got is not None:
                 read += 1
                 assert got == _argparse_reads(command, name, words), words
@@ -1050,7 +1065,7 @@ class TestPlainReader:
         ["families", "extra"],
     ], ids=" ".join)
     def test_other_command_lines_fall_back(self, argv):
-        assert cli._read_plain(cli._command_parsers(cli._parser())[argv[0]], argv[0], argv[1:]) is None
+        assert cli._read_plain(argv[0], argv[1:]) is None
 
     @pytest.mark.parametrize("argv", [
         ["compute", "crown:4", "--char", "٣", "--char", "+2", "--char", "1_0", "--char", " 2"],
@@ -1064,15 +1079,15 @@ class TestPlainReader:
     ], ids=" ".join)
     def test_plain_command_lines_are_read(self, argv):
         command = cli._command_parsers(cli._parser())[argv[0]]
-        got = cli._read_plain(command, argv[0], argv[1:])
+        got = cli._read_plain(argv[0], argv[1:])
         assert got is not None and got == _argparse_reads(command, argv[0], argv[1:])
 
     def test_an_append_never_changes_its_default(self):
-        command = cli._command_parsers(cli.build_parser())["compute"]
-        command.set_defaults(char=[5])
-        args = cli._read_plain(command, "compute", ["crown:4", "--char", "2"])
-        assert args.char == [5, 2] and command.get_default("char") == [5]
-        assert args == _argparse_reads(command, "compute", ["crown:4", "--char", "2"])
+        first = cli._read_plain("compute", ["crown:4", "--char", "2"])
+        second = cli._read_plain("compute", ["crown:4", "--char", "3", "--char", "5"])
+        assert first.char == [2] and second.char == [3, 5]
+        # the default a line without --char reads is still the table's own
+        assert cli._read_plain("compute", ["crown:4"]).char is None
 
 
 class TestVerifyCommand:
